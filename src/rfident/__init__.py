@@ -52,10 +52,12 @@ from .fim_crb import (
 )
 
 from .estimator import (
+    BatchFit,
     EstimateStatus,
     McReport,
     McRow,
     NlsOptions,
+    fit_batch,
     mc_crb_validation,
     nls_estimate,
 )

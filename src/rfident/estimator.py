@@ -11,10 +11,9 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .constellation import Constellation, make_constellation, moments
 from .fim_crb import crb_report, fim_closed_form, fim_numerical, pa_subblock_crb
@@ -23,7 +22,7 @@ from .signal_model import (
     Burst,
     ChannelConfig,
     HwiParams,
-    apply_hwi,
+    hwi_model_and_jacobian,
     iridium_known_symbols,
     random_known_symbols,
     synthesize_burst,
@@ -36,8 +35,6 @@ class NlsOptions:
     x_tol: float = 1e-9
     f_tol: float = 1e-12
     init: HwiParams | None = None
-    simplex_scale: float = 0.005
-    restarts: int = 1
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -53,104 +50,188 @@ class EstimateStatus:
     residual: float
 
 
-def _initial_simplex(x0: np.ndarray, scale: float) -> np.ndarray:
-    simplex = np.tile(x0, (5, 1))
-    for i in range(4):
-        simplex[i + 1, i] += scale
-    return simplex
+@dataclass(frozen=True)
+class BatchFit:
+    """Per-trial result of ``fit_batch``: estimates (T, 4), whether each
+    trial met a tolerance within its budget, iterations taken (0 for the
+    closed-form fit) and the final residual sum of squares."""
+
+    theta: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
 
 
-def _beta_vanishes(x: np.ndarray) -> bool:
+def _beta_vanishes(x: np.ndarray) -> np.ndarray:
     """beta = 1 - |E[x^2]|^2 of the known symbols (at unit power) is below the
     tolerance of ``predicted_fim_rank``: the symbols lie on one line through
-    the origin, the rank-2 case."""
-    power = float(np.real(np.vdot(x, x)))
-    return power > 0.0 and 1.0 - abs(np.sum(x * x) / power) ** 2 < 1e-9
+    the origin, the rank-2 case. Evaluated along the last axis; all-zero
+    symbols do not count."""
+    power = np.sum(np.abs(x) ** 2, axis=-1)
+    return np.abs(np.sum(x * x, axis=-1)) ** 2 > (1.0 - 1e-9) * power ** 2
 
 
-def _fit_alpha3(r: np.ndarray, h: complex, x: np.ndarray, iq: HwiParams):
-    """Least-squares alpha3 with the IQ pair held at ``iq``.
+def _sum_sq(e: np.ndarray) -> np.ndarray:
+    return np.sum(e.real ** 2 + e.imag ** 2, axis=-1)
+
+
+def _fit_alpha3(r, h, x, theta0):
+    """Least-squares alpha3 with the IQ pair held at ``theta0``'s.
 
     With (eps, phi) fixed the model h x_iq (1 + alpha3 |x_iq|^2) is linear in
-    alpha3, so the minimizer is one complex projection.
+    alpha3, and its alpha3 sensitivity is h |x_iq|^2 x_iq, so the minimizer
+    is one complex projection per trial.
     """
-    x_iq = apply_hwi(x, replace(iq, alpha3=0j))
-    basis = h * np.abs(x_iq) ** 2 * x_iq
-    target = r - h * x_iq
-    alpha3 = complex(np.vdot(basis, target) / np.vdot(basis, basis))
-    diff = target - alpha3 * basis
-    return replace(iq, alpha3=alpha3), float(np.real(np.vdot(diff, diff)))
+    theta = theta0.copy()
+    theta[:, 2:] = 0.0
+    f, jac = hwi_model_and_jacobian(x, theta)
+    basis = h[:, None] * jac[:, 2]
+    target = r - h[:, None] * f
+    alpha3 = np.sum(basis.conj() * target, axis=-1) / _sum_sq(basis)
+    theta[:, 2], theta[:, 3] = alpha3.real, alpha3.imag
+    return theta, _sum_sq(target - alpha3[:, None] * basis)
+
+
+# Levenberg-Marquardt damping schedule (Marquardt's diagonal scaling).
+_LAMBDA0 = 1e-3
+_LAMBDA_DOWN = 0.1
+_LAMBDA_UP = 10.0
+
+# Trials fitted together: bounds the (trials, 4, N) model and Jacobian
+# temporaries, so memory does not grow with the number of trials.
+_BLOCK_TRIALS = 64
+
+
+def _normal_equations(r, h, x, theta):
+    """Residual sum of squares at ``theta``, with A = Re(J^H J) and
+    b = Re(J^H e) for the residual e = r - h f(theta) and its sensitivity
+    J = h df/dtheta. Reading the complex arrays as interleaved (re, im)
+    reals gives both real parts without copies."""
+    f, jac = hwi_model_and_jacobian(x, theta)
+    e = r - h[:, None] * f
+    jv = jac.view(float)
+    a = (np.abs(h) ** 2)[:, None, None] * np.einsum("tik,tjk->tij", jv, jv)
+    b = np.einsum("tik,tk->ti", jv, (np.conj(h)[:, None] * e).view(float))
+    return _sum_sq(e), a, b
+
+
+def _fit_lm(r, h, x, theta0, opts: NlsOptions):
+    """Batched Levenberg-Marquardt on the analytic Jacobian (Moré 1978).
+
+    Each active trial solves (A + lambda diag(A)) delta = b at its current
+    point (see ``_normal_equations``). A step is accepted only if it lowers
+    that trial's residual (lambda then shrinks), otherwise lambda grows. A
+    trial stops when the step is below ``x_tol`` relative to |theta| or an
+    accepted step lowers the residual by at most ``f_tol`` relative, or when
+    it has spent ``max_iters`` iterations without either.
+    """
+    n_trials = theta0.shape[0]
+    theta = theta0.copy()
+    cost, a, b = _normal_equations(r, h, x, theta)
+    lam = np.full(n_trials, _LAMBDA0)
+    iters = np.zeros(n_trials, dtype=int)
+    converged = np.zeros(n_trials, dtype=bool)
+    act = np.arange(n_trials)
+    while act.size:
+        m = a[act]
+        m[:, range(4), range(4)] *= 1.0 + lam[act, None]
+        step = np.linalg.solve(m, b[act][..., None])[..., 0]
+        trial = theta[act] + step
+        cost_t, a_t, b_t = _normal_equations(r[act], h[act], x[act], trial)
+        better = cost_t < cost[act]
+        small_step = (np.linalg.norm(step, axis=1)
+                      <= opts.x_tol * (np.linalg.norm(theta[act], axis=1) + opts.x_tol))
+        small_gain = better & (cost[act] - cost_t <= opts.f_tol * cost[act])
+        ok = act[better]
+        theta[ok], cost[ok], a[ok], b[ok] = trial[better], cost_t[better], a_t[better], b_t[better]
+        lam[act] *= np.where(better, _LAMBDA_DOWN, _LAMBDA_UP)
+        iters[act] += 1
+        stop = small_step | small_gain
+        converged[act[stop]] = True
+        act = act[~stop & (iters[act] < opts.max_iters)]
+    return theta, converged, iters, cost
+
+
+def fit_batch(r, h, x, theta0, opts: NlsOptions | None = None) -> BatchFit:
+    """Fit T bursts at once: minimize sum_n |r(t, n) - h(t) f(theta_t; x(t, n))|^2
+    for every trial t from its initial point theta0[t].
+
+    ``r`` and ``x`` are (T, N) samples (CFO already removed) and known
+    symbols, ``h`` the T known channel coefficients, ``theta0`` the (T, 4)
+    initial points in PARAM_NAMES order; ``opts.init`` is not read.
+
+    Trials whose known symbols have beta > 0 get the batched
+    Levenberg-Marquardt fit of all four parameters. Trials with beta = 0
+    (real symbols, such as the Iridium preamble and unique word) get the
+    PA sub-block fit, whose error ``pa_subblock_crb`` bounds: eps and phi
+    stay at their initial values and only (Re alpha3, Im alpha3) is fitted,
+    in closed form. For constant-modulus symbols the model collapses to
+    r = h c x with c = kappa (1 + alpha3 |kappa|^2) (see ``bpsk_collapse``),
+    and for any fixed (eps, phi) alpha3 still reaches every c, so this is an
+    exact least-squares minimizer: the objective is flat along the IQ
+    directions.
+    """
+    opts = opts or NlsOptions()
+    r = np.asarray(r, dtype=complex)
+    x = np.asarray(x, dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    theta0 = np.asarray(theta0, dtype=float)
+    n_trials = theta0.shape[0]
+    theta = np.empty((n_trials, 4))
+    converged = np.ones(n_trials, dtype=bool)
+    iters = np.zeros(n_trials, dtype=int)
+    cost = np.empty(n_trials)
+    real = _beta_vanishes(x)
+    for blk in np.split(np.arange(n_trials), range(_BLOCK_TRIALS, n_trials, _BLOCK_TRIALS)):
+        fa, lm = blk[real[blk]], blk[~real[blk]]
+        if fa.size:
+            theta[fa], cost[fa] = _fit_alpha3(r[fa], h[fa], x[fa], theta0[fa])
+        if lm.size:
+            theta[lm], converged[lm], iters[lm], cost[lm] = _fit_lm(
+                r[lm], h[lm], x[lm], theta0[lm], opts)
+    return BatchFit(theta=theta, converged=converged, iterations=iters, residual=cost)
 
 
 def nls_estimate(
     b: Burst, h_known: complex, opts: NlsOptions | None = None
 ) -> tuple[HwiParams, EstimateStatus]:
-    """Minimize sum |r(n) - h f(theta; n)|^2 from the initial point.
+    """Minimize sum |r(n) - h f(theta; n)|^2 from the initial point: the
+    one-burst case of ``fit_batch``.
 
     Any CFO recorded in the burst metadata is deramped first (nuisance
-    removal is conditioned on, like the channel).
-
-    Known symbols with beta > 0 get a four-parameter Nelder-Mead simplex
-    descent; it returns the best vertex with a warning status when the
-    iteration budget runs out.
-
-    Known symbols with beta = 0 (real, such as the Iridium preamble and
-    unique word) get the PA sub-block fit, whose error ``pa_subblock_crb``
-    bounds: eps and phi are returned at their initial values and only
-    (Re alpha3, Im alpha3) is fitted, in closed form. For constant-modulus
-    symbols the model collapses to r = h c x with
-    c = kappa (1 + alpha3 |kappa|^2) (see ``bpsk_collapse``), and for any
-    fixed (eps, phi) alpha3 still reaches every c, so this is an exact
-    least-squares minimizer: the objective is flat along the IQ directions.
+    removal is conditioned on, like the channel). When the iteration budget
+    runs out the last accepted point is returned with a warning and
+    ``converged=False``. ``n_evaluations`` counts model evaluations: one at
+    the initial point plus one per iteration.
     """
     opts = opts or NlsOptions()
     if not np.isfinite(h_known) or h_known == 0:
         raise ValueError("h_known must be finite and nonzero")
-    x = b.known_symbols
+    if not np.all(np.isfinite(b.samples)) or not np.all(np.isfinite(b.known_symbols)):
+        raise ValueError("burst samples and known symbols must be finite")
+    if not np.any(b.known_symbols):
+        raise ValueError("known symbols must not all be zero")
     cfo = b.meta.channel.cfo_rad_per_symbol
     r = b.samples
     if cfo != 0.0:
         r = r * np.exp(-1j * cfo * np.arange(b.n))
     init = opts.init or b.meta.truth or HwiParams()
-
-    if _beta_vanishes(x):
-        est, res = _fit_alpha3(r, h_known, x, init)
-        return est, EstimateStatus(converged=True, n_evaluations=1, residual=res)
-
-    def residual(v: np.ndarray) -> float:
-        diff = r - h_known * apply_hwi(x, HwiParams.from_vector(v))
-        return float(np.real(np.vdot(diff, diff)))
-
-    x0 = init.as_vector()
-    nfev = 0
-    best = x0
-    for _ in range(1 + max(opts.restarts, 0)):
-        res = minimize(
-            residual,
-            best,
-            method="Nelder-Mead",
-            options={
-                "maxiter": opts.max_iters,
-                "maxfev": 4 * opts.max_iters,
-                "xatol": opts.x_tol,
-                "fatol": opts.f_tol,
-                "initial_simplex": _initial_simplex(best, opts.simplex_scale),
-            },
-        )
-        nfev += res.nfev
-        best = res.x
-    if not res.success:
-        warnings.warn("simplex search hit its iteration budget; returning best vertex")
-    status = EstimateStatus(converged=bool(res.success), n_evaluations=nfev,
-                            residual=float(res.fun))
-    return HwiParams.from_vector(best), status
+    fit = fit_batch(r[None], np.array([h_known]), b.known_symbols[None],
+                    init.as_vector()[None], opts)
+    if not fit.converged[0]:
+        warnings.warn("Levenberg-Marquardt fit hit its iteration budget; "
+                      "returning the last accepted point")
+    status = EstimateStatus(converged=bool(fit.converged[0]),
+                            n_evaluations=int(fit.iterations[0]) + 1,
+                            residual=float(fit.residual[0]))
+    return HwiParams.from_vector(fit.theta[0]), status
 
 
-def _oracle_init(truth: HwiParams, rng: np.random.Generator) -> HwiParams:
+def _oracle_init(truth: HwiParams, rng: np.random.Generator) -> np.ndarray:
     """Truth plus Gaussian perturbation, std 0.1 |component| with a 1e-3 floor."""
     v = truth.as_vector()
     sigma = np.maximum(0.1 * np.abs(v), 1e-3)
-    return HwiParams.from_vector(v + rng.normal(0.0, sigma))
+    return v + rng.normal(0.0, sigma)
 
 
 @dataclass(frozen=True)
@@ -164,9 +245,12 @@ class McRow:
     default operating point).
 
     On rank-deficient rows the PA components are paired with the PA
-    sub-block bound, the bound of the alpha3-only fit that ``nls_estimate``
+    sub-block bound, the bound of the alpha3-only fit that ``fit_batch``
     runs on beta = 0 bursts; ``mse`` of the IQ components is then the spread
     of the initialization, flat in SNR.
+
+    ``n_unconverged`` counts the trials that spent their iteration budget;
+    when it is nonzero ``status`` carries a ``+budget`` suffix.
     """
 
     snr_db: float
@@ -177,6 +261,7 @@ class McRow:
     ratio_exact: np.ndarray
     n_trials: int
     status: str
+    n_unconverged: int = 0
 
 
 @dataclass(frozen=True)
@@ -214,9 +299,11 @@ def mc_crb_validation(
 
     Rank-deficient alphabets pair the PA components with the PA sub-block
     bound and tag the IQ components as unbounded; on their beta = 0 bursts
-    ``nls_estimate`` fits only alpha3 with the IQ pair held at its initial
+    ``fit_batch`` fits only alpha3 with the IQ pair held at its initial
     value, which is the fit that bound describes. Deterministic per seed:
-    each trial draws from its own child generator.
+    each trial draws its symbols, burst and initial point from its own child
+    generator, and each SNR point fits all its trials in one ``fit_batch``
+    call.
     """
     if n_trials < 50:
         warnings.warn("fewer than 50 trials gives a noisy MSE estimate")
@@ -239,23 +326,22 @@ def mc_crb_validation(
             crb_exact = np.full(4, math.inf)
             crb_exact[2:] = pa_subblock_crb(fim_exact)
             status = "rank_deficient_pa_subblock"
-        sq_err = np.zeros(4)
-        warned = False
+        r = np.empty((n_trials, n), dtype=complex)
+        x = np.empty((n_trials, n), dtype=complex)
+        theta0 = np.empty((n_trials, 4))
+        ch = ChannelConfig(h=1.0 + 0.0j, snr_db=float(snr_db))
         for t in range(n_trials):
             rng = np.random.default_rng((seed, k, t))
             if pilot_mode == "iridium":
                 symbols = np.resize(iridium_known_symbols(), n)
             else:
                 symbols = random_known_symbols(c, n, rng)
-            ch = ChannelConfig(h=1.0 + 0.0j, snr_db=float(snr_db))
-            burst = synthesize_burst(symbols, truth, ch, rng=rng, modulation=mod_name)
-            trial_opts = replace(opts or NlsOptions(), init=_oracle_init(truth, rng))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                est, st = nls_estimate(burst, 1.0 + 0.0j, trial_opts)
-            warned = warned or not st.converged
-            sq_err += (est.as_vector() - truth.as_vector()) ** 2
-        mse = sq_err / n_trials
+            r[t] = synthesize_burst(symbols, truth, ch, rng=rng, modulation=mod_name).samples
+            x[t] = symbols
+            theta0[t] = _oracle_init(truth, rng)
+        fit = fit_batch(r, np.ones(n_trials), x, theta0, opts)
+        mse = np.mean((fit.theta - truth.as_vector()) ** 2, axis=0)
+        n_unconverged = int(np.count_nonzero(~fit.converged))
         with np.errstate(invalid="ignore"):
             ratio = np.where(np.isfinite(crb), mse / crb, np.nan)
             ratio_exact = np.where(np.isfinite(crb_exact), mse / crb_exact, np.nan)
@@ -263,6 +349,7 @@ def mc_crb_validation(
             McRow(snr_db=float(snr_db), mse=mse, crb=np.asarray(crb, dtype=float),
                   ratio=ratio, crb_exact=np.asarray(crb_exact, dtype=float),
                   ratio_exact=ratio_exact, n_trials=n_trials,
-                  status=status + ("+budget" if warned else ""))
+                  status=status + ("+budget" if n_unconverged else ""),
+                  n_unconverged=n_unconverged)
         )
     return McReport(modulation=mod_name, truth=truth, n_symbols=n, rows=rows)

@@ -97,6 +97,8 @@ def remove_cfo(samples, strip_power: int = 4):
     z = np.asarray(samples, dtype=complex).ravel()
     if z.size < 4:
         raise DegenerateInputError("need at least 4 samples for the phase fit")
+    if not np.all(np.isfinite(z)):
+        raise DegenerateInputError("non-finite sample")
     if np.any(np.abs(z) < 1e-300):
         raise DegenerateInputError("zero-amplitude sample")
     n = np.arange(z.size)

@@ -70,10 +70,16 @@ class IqCoefficients:
             raise ValueError("K1 + conj(K2) must equal 1")
 
 
+def _iq_pair(eps, phi):
+    """(K1, K2) for scalar or array (eps, phi); see ``iq_coefficients``."""
+    g = (1.0 + eps) * np.exp(1j * phi)
+    return (1.0 + g) / 2.0, (1.0 - np.conj(g)) / 2.0
+
+
 def iq_coefficients(p: HwiParams) -> IqCoefficients:
     """Mixer coefficients K1 = (1+(1+eps)e^{j phi})/2, K2 = (1-(1+eps)e^{-j phi})/2."""
-    g = (1.0 + p.eps) * np.exp(1j * p.phi)
-    return IqCoefficients(k1=(1.0 + g) / 2.0, k2=(1.0 - np.conj(g)) / 2.0)
+    k1, k2 = _iq_pair(p.eps, p.phi)
+    return IqCoefficients(k1=k1, k2=k2)
 
 
 def apply_hwi(x, p: HwiParams):
@@ -89,32 +95,46 @@ def apply_hwi(x, p: HwiParams):
     return complex(y) if y.ndim == 0 else y
 
 
-def hwi_jacobian(x, p: HwiParams) -> np.ndarray:
+def hwi_jacobian(x, p) -> np.ndarray:
     """Analytic sensitivities d f / d theta (at h = 1) for each symbol.
 
-    Returns a (4, len(x)) complex array in PARAM_NAMES order. These are
-    exact derivatives of the full nonlinear map, including the PA terms.
+    ``p`` is an HwiParams or an array of parameter vectors (..., 4) in
+    PARAM_NAMES order, whose leading axes broadcast against those of ``x``.
+    Returns a (..., 4, len(x)) complex array; (4, len(x)) for one HwiParams
+    and 1-D symbols. These are exact derivatives of the full nonlinear map,
+    including the PA terms.
     """
+    return hwi_model_and_jacobian(x, p)[1]
+
+
+def hwi_model_and_jacobian(x, p) -> tuple[np.ndarray, np.ndarray]:
+    """The model f(theta; x) = ``apply_hwi(x, p)`` (..., len(x)) and its
+    Jacobian ``hwi_jacobian(x, p)`` (..., 4, len(x)) from one pass, with the
+    same broadcasting over a leading parameter axis."""
+    theta = p.as_vector() if isinstance(p, HwiParams) else np.asarray(p, dtype=float)
     x = np.atleast_1d(np.asarray(x, dtype=complex))
-    k = iq_coefficients(p)
-    e_p = np.exp(1j * p.phi)
-    e_m = np.exp(-1j * p.phi)
+    eps = theta[..., 0, None]
+    phi = theta[..., 1, None]
+    alpha3 = theta[..., 2:].copy().view(complex)
+    k1, k2 = _iq_pair(eps, phi)
+    e_p = np.exp(1j * phi)
+    e_m = np.exp(-1j * phi)
     xc = np.conj(x)
-    x_iq = k.k1 * x + k.k2 * xc
+    x_iq = k1 * x + k2 * xc
     u = np.abs(x_iq) ** 2
-    pa = 1.0 + p.alpha3 * u
+    pa = 1.0 + alpha3 * u
 
     d_eps = 0.5 * (e_p * x - e_m * xc)
-    d_phi = 0.5j * (1.0 + p.eps) * (e_p * x + e_m * xc)
+    d_phi = 0.5j * (1.0 + eps) * (e_p * x + e_m * xc)
     du_deps = 2.0 * np.real(np.conj(x_iq) * d_eps)
     du_dphi = 2.0 * np.real(np.conj(x_iq) * d_phi)
 
-    out = np.empty((4, x.size), dtype=complex)
-    out[0] = d_eps * pa + p.alpha3 * du_deps * x_iq
-    out[1] = d_phi * pa + p.alpha3 * du_dphi * x_iq
-    out[2] = u * x_iq
-    out[3] = 1j * u * x_iq
-    return out
+    out = np.empty(x_iq.shape[:-1] + (4, x_iq.shape[-1]), dtype=complex)
+    out[..., 0, :] = d_eps * pa + alpha3 * du_deps * x_iq
+    out[..., 1, :] = d_phi * pa + alpha3 * du_dphi * x_iq
+    out[..., 2, :] = u * x_iq
+    out[..., 3, :] = 1j * u * x_iq
+    return x_iq * pa, out
 
 
 @dataclass(frozen=True)
@@ -386,15 +406,22 @@ def write_burst_binary(b: Burst, path) -> None:
         fh.write(inter.astype("<f8").tobytes())
 
 
+def _read_complex(fh, n: int, what: str) -> np.ndarray:
+    raw = fh.read(16 * n)
+    if len(raw) != 16 * n:
+        raise BurstError(f"header says n = {n} but the file holds {len(raw) // 16} "
+                         f"{what} ({len(raw)} of {16 * n} bytes); truncated file?")
+    flat = np.frombuffer(raw, dtype="<f8")
+    return flat[0::2] + 1j * flat[1::2]
+
+
 def read_burst_binary(path) -> Burst:
     with open(path, "rb") as fh:
         (hlen,) = struct.unpack("<I", fh.read(4))
         hdr = json.loads(fh.read(hlen).decode("utf-8"))
         n = int(hdr["n"])
-        flat = np.frombuffer(fh.read(16 * n), dtype="<f8")
-        samples = flat[0::2] + 1j * flat[1::2]
+        samples = _read_complex(fh, n, "samples")
         known = None
         if hdr.get("has_known_symbols"):
-            flat = np.frombuffer(fh.read(16 * n), dtype="<f8")
-            known = flat[0::2] + 1j * flat[1::2]
+            known = _read_complex(fh, n, "known symbols")
     return _burst_from_parts(hdr, samples, known)

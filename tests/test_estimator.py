@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from rfident.constellation import make_constellation
-from rfident.estimator import NlsOptions, mc_crb_validation, nls_estimate
+from rfident.estimator import NlsOptions, fit_batch, mc_crb_validation, nls_estimate
 from rfident.signal_model import (
+    Burst,
     ChannelConfig,
     HwiParams,
     bpsk_collapse,
@@ -69,13 +70,69 @@ def test_invalid_options():
     b = _noise_free_burst()
     with pytest.raises(ValueError):
         nls_estimate(b, 0.0)
+    silent = Burst(samples=b.samples, known_symbols=np.zeros(b.n, dtype=complex), meta=b.meta)
+    with pytest.raises(ValueError, match="zero"):
+        nls_estimate(silent, 1.0)
+
+
+@pytest.mark.parametrize("field", ["samples", "known_symbols"])
+def test_non_finite_burst_rejected(field):
+    b = _noise_free_burst()
+    parts = {"samples": b.samples.copy(), "known_symbols": b.known_symbols.copy()}
+    parts[field][10] = complex(np.nan, 0.0)
+    bad = Burst(meta=b.meta, **parts)
+    with pytest.raises(ValueError, match="finite"):
+        nls_estimate(bad, b.meta.channel.h, NlsOptions(init=TRUTH))
 
 
 def test_budget_warning():
     b = _noise_free_burst(5)
     init = HwiParams.from_vector(TRUTH.as_vector() + 0.01)
     with pytest.warns(UserWarning):
-        nls_estimate(b, b.meta.channel.h, NlsOptions(init=init, max_iters=5, restarts=0))
+        _, status = nls_estimate(b, b.meta.channel.h, NlsOptions(init=init, max_iters=1))
+    assert status.converged is False
+
+
+def test_batched_fit_matches_per_burst_estimates():
+    qpsk = make_constellation("qpsk")
+    bursts, inits = [], []
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        x = random_known_symbols(qpsk, 76, rng)
+        bursts.append(synthesize_burst(x, TRUTH, ChannelConfig(snr_db=15.0), rng=rng))
+        inits.append(TRUTH.as_vector() * (1.0 + 0.1 * rng.standard_normal(4)))
+    bursts.append(synthesize_burst(iridium_known_symbols(), TRUTH, ChannelConfig(snr_db=15.0),
+                                   seed=8, modulation="bpsk"))
+    inits.append(TRUTH.as_vector() + 0.002)
+    fit = fit_batch(np.array([b.samples for b in bursts]), np.ones(len(bursts)),
+                    np.array([b.known_symbols for b in bursts]), np.array(inits))
+    assert fit.converged.all()
+    assert fit.iterations[-1] == 0 and fit.iterations[:-1].min() > 0
+    for t, b in enumerate(bursts):
+        est, status = nls_estimate(b, 1.0, NlsOptions(init=HwiParams.from_vector(inits[t])))
+        assert np.max(np.abs(est.as_vector() - fit.theta[t])) < 1e-12
+        assert status.residual == pytest.approx(fit.residual[t], rel=1e-9)
+
+
+def test_mc_validation_low_snr_damped_fit_reaches_reference_minima():
+    # Undamped Gauss-Newton steps leave some of these 0 dB trials in other
+    # minima (MSE 10-23% higher per component). The reference is the MSE
+    # that a Nelder-Mead search reached on the same trials and initial points.
+    rep = mc_crb_validation("qpsk", TRUTH, [0.0], n=76, n_trials=100, seed=2)
+    row = rep.rows[0]
+    assert np.all(np.isfinite(row.mse))
+    assert row.status == "ok"
+    assert row.n_unconverged == 0
+    nelder_mead_mse = [0.05877287, 0.02504087, 0.0113845, 0.00825791]
+    assert np.allclose(row.mse, nelder_mead_mse, rtol=1e-3, atol=0.0)
+
+
+def test_mc_validation_counts_unconverged_trials():
+    rep = mc_crb_validation("qpsk", TRUTH, [20.0], n=76, n_trials=50, seed=4,
+                            opts=NlsOptions(max_iters=1))
+    row = rep.rows[0]
+    assert row.n_unconverged == 50
+    assert row.status == "ok+budget"
 
 
 def test_mc_validation_small_run_qpsk():

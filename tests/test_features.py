@@ -85,6 +85,14 @@ def test_remove_cfo_degenerate_inputs():
         remove_cfo(np.ones(3, dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_remove_cfo_rejects_non_finite_sample(bad):
+    z = np.ones(8, dtype=complex)
+    z[5] = bad
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        remove_cfo(z)
+
+
 def test_normalize_amplitude():
     rng = np.random.default_rng(3)
     z = rng.normal(size=20) + 1j * rng.normal(size=20)

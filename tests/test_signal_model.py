@@ -15,6 +15,7 @@ from rfident.signal_model import (
     bpsk_collapse,
     generate_fleet,
     hwi_jacobian,
+    hwi_model_and_jacobian,
     iq_coefficients,
     iridium_known_symbols,
     random_known_symbols,
@@ -93,6 +94,18 @@ def test_hwi_jacobian_matches_finite_differences():
         vm[i] -= step
         fd = (apply_hwi(x, HwiParams.from_vector(vp)) - apply_hwi(x, HwiParams.from_vector(vm))) / (2 * step)
         assert np.max(np.abs(jac[i] - fd)) < 1e-8
+
+
+def test_hwi_jacobian_broadcasts_over_parameter_vectors():
+    rng = np.random.default_rng(7)
+    thetas = rng.normal(0.0, 0.05, (5, 4))
+    x = make_constellation("16qam").points[rng.integers(0, 16, (5, 30))]
+    jac = hwi_jacobian(x, thetas)
+    assert jac.shape == (5, 4, 30)
+    for t in range(5):
+        p = HwiParams.from_vector(thetas[t])
+        assert np.array_equal(jac[t], hwi_jacobian(x[t], p))
+        assert np.array_equal(hwi_model_and_jacobian(x, thetas)[0][t], apply_hwi(x[t], p))
 
 
 def test_synthesize_noise_free_identity():
@@ -254,6 +267,20 @@ def test_burst_file_roundtrip_binary(tmp_path):
     assert np.array_equal(back.samples, b.samples)
     assert np.array_equal(back.known_symbols, b.known_symbols)
     assert back.meta.modulation == "qpsk"
+
+
+@pytest.mark.parametrize("cut", [1, 16, 16 * 76, 16 * 76 + 8])
+def test_truncated_binary_burst_names_both_counts(tmp_path, cut):
+    rng = np.random.default_rng(2)
+    x = random_known_symbols(make_constellation("qpsk"), 76, rng)
+    b = synthesize_burst(x, HwiParams(), ChannelConfig(snr_db=20.0), seed=4)
+    path = tmp_path / "burst.bin"
+    write_burst_binary(b, path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-cut])
+    held = (16 * 76 - cut) // 16 if cut <= 16 * 76 else (2 * 16 * 76 - cut) // 16
+    with pytest.raises(BurstError, match=f"n = 76 but the file holds {held} "):
+        read_burst_binary(path)
 
 
 def test_burst_length_mismatch():
