@@ -66,7 +66,7 @@ class Fingerprint:
 def accumulate(features, snrs_db) -> "Fingerprint | np.ndarray":
     """SNR-weighted mean of per-burst feature vectors (weights prop. to the
     linear per-burst SNR). Returns the weighted mean array; wrap in a
-    Fingerprint via ``fingerprint_from_bursts`` or manually."""
+    Fingerprint via ``make_fingerprint`` or manually."""
     x = np.asarray(
         [f.as_array() if hasattr(f, "as_array") else np.asarray(f, dtype=float) for f in features]
     )
@@ -81,14 +81,9 @@ def accumulate(features, snrs_db) -> "Fingerprint | np.ndarray":
 
 
 def make_fingerprint(satellite_id: str, features, snrs_db) -> Fingerprint:
+    # convert once, so that features may also be a one-pass iterable
     x = np.asarray([f.as_array() if hasattr(f, "as_array") else f for f in features], dtype=float)
-    mean = accumulate(features, snrs_db)
-    return Fingerprint(
-        satellite_id=satellite_id,
-        mean=mean,
-        var=np.var(x, axis=0),
-        n_messages=x.shape[0],
-    )
+    return Fingerprint(satellite_id, accumulate(x, snrs_db), np.var(x, axis=0), x.shape[0])
 
 
 @dataclass(frozen=True)
@@ -290,6 +285,55 @@ class AuthDecision:
     accepted: bool
 
 
+def _columns(x, feature_names, normalizer: tuple | None = None) -> np.ndarray:
+    """The named feature columns of x (last axis), z-scored with the
+    (mean, std) pair of ``normalizer`` when one is given."""
+    idx = [FEATURE_NAMES.index(k) for k in feature_names]
+    x = np.asarray(x, dtype=float)[..., idx]
+    if normalizer is None:
+        return x
+    mu, sd = normalizer
+    return (x - mu[idx]) / sd[idx]
+
+
+def _iwat_matrix(probes: np.ndarray, refs: np.ndarray, weights) -> np.ndarray:
+    """(probes x refs) weighted squared distances. Accumulating one feature
+    at a time keeps the temporaries at (probes x refs) size and, for fewer
+    than eight features, adds in the same order as a per-pair ``np.sum``."""
+    out = np.zeros((probes.shape[0], refs.shape[0]))
+    for f, w_f in enumerate(weights):
+        out += w_f * (probes[:, None, f] - refs[None, :, f]) ** 2
+    return out
+
+
+def _glrt_precision(x: np.ndarray, ids, ridge: float) -> np.ndarray:
+    """Inverse of the ridge-regularized covariance of the rows of x, each row
+    centred on its satellite's mean when ``ids`` is given."""
+    if ids is not None:
+        x = x - _grouped_means(ids, x)[1][np.unique(ids, return_inverse=True)[1]]
+    cov = np.atleast_2d(np.cov(x, rowvar=False, ddof=1)) + ridge * np.eye(x.shape[1])
+    cond = np.linalg.cond(cov)
+    if not np.isfinite(cond) or cond > 1e14:
+        raise AuthConfigError("singular regularized covariance")
+    return np.linalg.inv(cov)
+
+
+def _glrt_matrix(probes: np.ndarray, refs: np.ndarray, prec: np.ndarray) -> np.ndarray:
+    """(probes x refs) Mahalanobis distances under one precision matrix."""
+    d = probes[:, None, :] - refs[None, :, :]
+    return np.einsum("prk,kl,prl->pr", d, prec, d)
+
+
+def _genuine_impostor(scores: np.ndarray, probe_ids, ref_ids) -> tuple:
+    """Split a (probes x refs) score matrix into genuine scores (probe and
+    reference are the same satellite) and impostor scores (all others)."""
+    missing = ~np.isin(probe_ids, ref_ids)
+    if np.any(missing):
+        raise AuthConfigError(f"probe satellite {probe_ids[np.argmax(missing)]} not enrolled")
+    same = probe_ids[:, None] == ref_ids[None, :]
+    return scores[same], scores[~same]
+
+
 def iwat_score(
     test: Fingerprint,
     enrollment,
@@ -305,16 +349,12 @@ def iwat_score(
     """
     if not enrollment:
         raise AuthConfigError("empty enrollment")
-    idx = [FEATURE_NAMES.index(k) for k in w.feature_names]
-    mu, sd = (None, None) if normalizer is None else normalizer
-    scores = {}
-    for ref in enrollment:
-        t = test.mean[idx]
-        e = ref.mean[idx]
-        if mu is not None:
-            t = (t - mu[idx]) / sd[idx]
-            e = (e - mu[idx]) / sd[idx]
-        scores[ref.satellite_id] = float(np.sum(w.weights * (t - e) ** 2))
+    row = _iwat_matrix(
+        _columns(test.mean[None], w.feature_names, normalizer),
+        _columns([f.mean for f in enrollment], w.feature_names, normalizer),
+        w.weights,
+    )[0]
+    scores = {ref.satellite_id: float(s) for ref, s in zip(enrollment, row)}
     claimed = min(scores, key=scores.get)
     return AuthDecision(scores=scores, claimed_id=claimed, threshold=tau,
                         accepted=scores[claimed] < tau)
@@ -337,37 +377,16 @@ def glrt_score(
     """
     if not enrollment:
         raise AuthConfigError("empty enrollment")
-    idx = [FEATURE_NAMES.index(k) for k in feature_subset]
-    mu, sd = (None, None) if normalizer is None else normalizer
-
-    def norm(v):
-        return v if mu is None else (v - mu[idx]) / sd[idx]
-
+    refs = _columns([f.mean for f in enrollment], feature_subset, normalizer)
     if per_burst_matrix is not None:
-        x = per_burst_matrix[:, idx].astype(float)
-        if mu is not None:
-            x = (per_burst_matrix[:, idx] - mu[idx]) / sd[idx]
-        centered = np.empty_like(x)
-        for s in np.unique(per_burst_ids):
-            sel = per_burst_ids == s
-            centered[sel] = x[sel] - x[sel].mean(axis=0)
-        cov = np.cov(centered, rowvar=False, ddof=1)
+        x = _columns(per_burst_matrix, feature_subset, normalizer)
+        prec = _glrt_precision(x, per_burst_ids, ridge)
     else:
-        e = np.asarray([norm(f.mean[idx]) for f in enrollment])
-        if e.shape[0] <= len(idx) and ridge <= 0.0:
+        if refs.shape[0] <= refs.shape[1] and ridge <= 0.0:
             raise AuthConfigError("enrollment count must exceed feature dimension or ridge > 0")
-        cov = np.cov(e, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov) + ridge * np.eye(len(idx))
-    cond = np.linalg.cond(cov)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise AuthConfigError("singular regularized covariance")
-    prec = np.linalg.inv(cov)
-    t = norm(test.mean[idx])
-    out = {}
-    for ref in enrollment:
-        d = t - norm(ref.mean[idx])
-        out[ref.satellite_id] = float(d @ prec @ d)
-    return out
+        prec = _glrt_precision(refs, None, ridge)
+    row = _glrt_matrix(_columns(test.mean[None], feature_subset, normalizer), refs, prec)[0]
+    return {ref.satellite_id: float(s) for ref, s in zip(enrollment, row)}
 
 
 @dataclass(frozen=True)
@@ -486,80 +505,47 @@ def simulate_campaign(
     """One recording campaign: fresh noise, channel phases, and CFO per burst;
     the fleet fingerprints stay fixed."""
     qpsk = make_constellation("qpsk")
-    pipeline = PipelineConfig(n_known=cfg.n_known)
+    pilots = np.resize(iridium_known_symbols(), cfg.n_known)
     n_bursts = n_bursts if n_bursts is not None else cfg.n_enroll
-    ids, idxs, snrs, rows = [], [], [], []
-    for si, (sat, p) in enumerate(fleet):
-        for bi in range(n_bursts):
-            rng = np.random.default_rng((campaign_seed, si, bi))
-            cfo = rng.uniform(-cfg.cfo_jitter, cfg.cfo_jitter)
-            ch = ChannelConfig(
-                h=1.0 + 0.0j,
-                snr_db=cfg.snr_db,
-                rician_k_db=cfg.rician_k_db,
-                cfo_rad_per_symbol=float(cfo),
-                random_phase=True,
-            )
-            if cfg.burst_mode == "iridium":
-                symbols = np.resize(iridium_known_symbols(), cfg.n_known)
-                mod = "iridium"
-            else:
-                symbols = random_known_symbols(qpsk, cfg.n_known, rng)
-                mod = "qpsk"
-            burst = synthesize_burst(symbols, p, ch, rng=rng, satellite_id=sat, modulation=mod)
-            rows.append(extract_features(burst, pipeline).as_array())
-            ids.append(sat)
-            idxs.append(bi)
-            snrs.append(cfg.snr_db)
-    return FeatureTable(
-        satellite_ids=np.asarray(ids),
-        burst_index=np.asarray(idxs),
-        snr_db=np.asarray(snrs),
-        matrix=np.asarray(rows),
-    )
+
+    def bursts():
+        for si, (sat, p) in enumerate(fleet):
+            for bi in range(n_bursts):
+                rng = np.random.default_rng((campaign_seed, si, bi))
+                cfo = rng.uniform(-cfg.cfo_jitter, cfg.cfo_jitter)
+                ch = ChannelConfig(snr_db=cfg.snr_db, rician_k_db=cfg.rician_k_db,
+                                   cfo_rad_per_symbol=float(cfo), random_phase=True)
+                if cfg.burst_mode == "iridium":
+                    symbols, mod = pilots, "iridium"
+                else:
+                    symbols, mod = random_known_symbols(qpsk, cfg.n_known, rng), "qpsk"
+                yield synthesize_burst(symbols, p, ch, rng=rng, satellite_id=sat, modulation=mod)
+
+    # the table code behind feature_table_from_bursts, called directly so
+    # that span traces show synthesis and extraction as children of this call
+    return _feature_table(bursts(), PipelineConfig(n_known=cfg.n_known))
 
 
-def _fingerprints_from_table(table: FeatureTable, limit: int | None = None) -> list:
-    out = []
-    for s in np.unique(table.satellite_ids):
-        sel = np.flatnonzero(table.satellite_ids == s)
-        if limit is not None:
-            sel = sel[:limit]
-        x = table.matrix[sel]
-        out.append(
-            Fingerprint(satellite_id=str(s), mean=x.mean(axis=0), var=x.var(axis=0),
-                        n_messages=sel.size)
-        )
-    return out
+def _grouped_means(ids, matrix: np.ndarray, start: int = 0, stop: int | None = None,
+                   size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Means of consecutive per-satellite row chunks.
 
-
-def _chunked_fingerprints(table: FeatureTable, n_acc: int) -> list:
-    """Disjoint n_acc-burst probe fingerprints per satellite."""
-    out = []
-    for s in np.unique(table.satellite_ids):
-        sel = np.flatnonzero(table.satellite_ids == s)
-        for c in range(sel.size // n_acc):
-            x = table.matrix[sel[c * n_acc : (c + 1) * n_acc]]
-            out.append(
-                Fingerprint(satellite_id=str(s), mean=x.mean(axis=0), var=x.var(axis=0),
-                            n_messages=n_acc)
-            )
-    return out
-
-
-def _score_set(probes, enrollment, score_fn) -> tuple[list, list]:
-    genuine, impostor = [], []
-    enrolled_ids = {f.satellite_id for f in enrollment}
-    for probe in probes:
-        scores = score_fn(probe)
-        for sat, s in scores.items():
-            if sat == probe.satellite_id:
-                genuine.append(s)
-            else:
-                impostor.append(s)
-        if probe.satellite_id not in enrolled_ids:
-            raise AuthConfigError(f"probe satellite {probe.satellite_id} not enrolled")
-    return genuine, impostor
+    Each satellite (in sorted id order) contributes its rows ``[start:stop]``
+    in table order: all of them as one chunk when ``size`` is None, otherwise
+    disjoint chunks of ``size`` rows with a short tail dropped. Returns the
+    chunks' satellite ids and their (chunks x features) means.
+    """
+    ids = np.asarray(ids)
+    chunk_ids, means = [], []
+    for s in np.unique(ids):
+        x = matrix[np.flatnonzero(ids == s)[start:stop]]
+        n = x.shape[0] if size is None else size
+        if n < 1:
+            raise AuthConfigError(f"satellite {s} has no rows to average")
+        k = x.shape[0] // n
+        means.append(x[: k * n].reshape(k, n, matrix.shape[1]).mean(axis=1))
+        chunk_ids += [str(s)] * k
+    return np.asarray(chunk_ids), np.concatenate(means)
 
 
 def run_auth_experiment(cfg: FleetProtocolConfig | None = None, seed: int = 0) -> AuthReport:
@@ -578,8 +564,12 @@ def run_auth_experiment(cfg: FleetProtocolConfig | None = None, seed: int = 0) -
 
     dr_table = balanced_dr(table_a, n_bal=cfg.n_bal, n_trials=cfg.n_dr_trials, seed=seed + 101)
     beta = moments(make_constellation("qpsk" if cfg.burst_mode != "iridium" else "bpsk")).beta
-    enrollment = _fingerprints_from_table(table_a)
-    probes = _chunked_fingerprints(table_b, cfg.probe_acc)
+    enroll_ids, enroll = _grouped_means(table_a.satellite_ids, table_a.matrix)
+
+    def iwat_split(probe_ids, probes, ref_ids, refs, w):
+        scores = _iwat_matrix(_columns(probes, w.feature_names, normalizer),
+                              _columns(refs, w.feature_names, normalizer), w.weights)
+        return _genuine_impostor(scores, probe_ids, ref_ids)
 
     strategies = {
         "dr2_iwat_all6": ("iwat", ALL6_FEATURES, "dr2"),
@@ -591,23 +581,20 @@ def run_auth_experiment(cfg: FleetProtocolConfig | None = None, seed: int = 0) -
         "iq_only_2": ("iwat", IQ2_FEATURES, "equal"),
         "glrt_crb4": ("glrt", CRB4_FEATURES, None),
     }
+    probe_ids, probes = _grouped_means(table_b.satellite_ids, table_b.matrix, size=cfg.probe_acc)
     results = {}
     roc_curves = {}
     weights_main = iwat_weights(dr_table, ALL6_FEATURES, mode="dr2")
     for name, (kind, subset, mode) in strategies.items():
         if kind == "iwat":
             w = iwat_weights(dr_table, subset, mode=mode)
-            score_fn = lambda probe, w=w: iwat_score(
-                probe, enrollment, w, tau=math.inf, normalizer=normalizer
-            ).scores
+            genuine, impostor = iwat_split(probe_ids, probes, enroll_ids, enroll, w)
         else:
-            score_fn = lambda probe: glrt_score(
-                probe, enrollment, subset, ridge=cfg.ridge,
-                per_burst_matrix=table_a.matrix,
-                per_burst_ids=table_a.satellite_ids,
-                normalizer=normalizer,
-            )
-        genuine, impostor = _score_set(probes, enrollment, score_fn)
+            prec = _glrt_precision(_columns(table_a.matrix, subset, normalizer),
+                                   table_a.satellite_ids, cfg.ridge)
+            scores = _glrt_matrix(_columns(probes, subset, normalizer),
+                                  _columns(enroll, subset, normalizer), prec)
+            genuine, impostor = _genuine_impostor(scores, probe_ids, enroll_ids)
         roc = roc_auc(genuine, impostor)
         roc_curves[name] = roc
         results[name] = StrategyResult(
@@ -626,31 +613,18 @@ def run_auth_experiment(cfg: FleetProtocolConfig | None = None, seed: int = 0) -
         for n_acc in cfg.n_acc_grid:
             if n_acc > cfg.n_probe:
                 continue
-            chunk_probes = _chunked_fingerprints(table_b, n_acc)
-            genuine, impostor = _score_set(
-                chunk_probes,
-                enrollment,
-                lambda probe, w=w: iwat_score(probe, enrollment, w, tau=math.inf,
-                                              normalizer=normalizer).scores,
-            )
+            chunks = _grouped_means(table_b.satellite_ids, table_b.matrix, size=n_acc)
             ns.append(int(n_acc))
-            aucs.append(roc_auc(genuine, impostor).auc)
+            aucs.append(roc_auc(*iwat_split(*chunks, enroll_ids, enroll, w)).auc)
         auc_vs_nacc[label] = (ns, aucs)
 
-    # enrollment-only threshold at the target false-accept rate: split each
-    # satellite's enrollment bursts into pseudo-probe halves
+    # enrollment-only threshold at the target false-accept rate: each
+    # satellite's first half of enrollment bursts enrolls, the rest probes
     half = max(cfg.n_enroll // 2, 1)
-    pseudo_enroll, pseudo_probe = [], []
-    for s in np.unique(table_a.satellite_ids):
-        sel = np.flatnonzero(table_a.satellite_ids == s)
-        xa, xb = table_a.matrix[sel[:half]], table_a.matrix[sel[half:]]
-        pseudo_enroll.append(Fingerprint(str(s), xa.mean(axis=0), xa.var(axis=0), xa.shape[0]))
-        pseudo_probe.append(Fingerprint(str(s), xb.mean(axis=0), xb.var(axis=0), xb.shape[0]))
-    genuine, impostor = _score_set(
-        pseudo_probe,
-        pseudo_enroll,
-        lambda probe: iwat_score(probe, pseudo_enroll, weights_main, tau=math.inf,
-                                 normalizer=normalizer).scores,
+    _, impostor = iwat_split(
+        *_grouped_means(table_a.satellite_ids, table_a.matrix, start=half),
+        *_grouped_means(table_a.satellite_ids, table_a.matrix, stop=half),
+        weights_main,
     )
     impostor = np.sort(impostor)
     k = int(math.floor(cfg.target_fa * impostor.size))
@@ -671,7 +645,12 @@ def run_auth_experiment(cfg: FleetProtocolConfig | None = None, seed: int = 0) -
 def feature_table_from_bursts(bursts, pipeline: PipelineConfig | None = None) -> FeatureTable:
     """Extract a feature table from burst objects (synthetic or file-loaded),
     so recorded data in the burst-file format can replace the simulator."""
-    pipeline = pipeline or PipelineConfig()
+    return _feature_table(bursts, pipeline or PipelineConfig())
+
+
+def _feature_table(bursts, pipeline: PipelineConfig) -> FeatureTable:
+    """One feature row per burst of an iterable, numbered per satellite in
+    arrival order, with the SNR the burst metadata records."""
     ids, idxs, snrs, rows = [], [], [], []
     counters: dict = {}
     for b in bursts:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -51,6 +52,13 @@ EXIT_NUMERICAL = 3
 
 DEFAULT_MODULATIONS = ("bpsk", "qpsk", "16qam")
 
+# authenticate takes one key per FleetProtocolConfig field; fleet-sim makes one
+# campaign, so it drops the enrollment and scoring keys and adds a burst count
+_PROTOCOL_KEYS = frozenset(f.name for f in dataclasses.fields(FleetProtocolConfig))
+_FLEET_SIM_KEYS = _PROTOCOL_KEYS - {
+    "n_enroll", "n_probe", "n_bal", "n_dr_trials", "probe_acc", "n_acc_grid", "ridge", "target_fa",
+} | {"n_bursts"}
+
 
 class ConfigError(ValueError):
     pass
@@ -88,22 +96,38 @@ def _load_config(args, allowed: set) -> dict:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ConfigError("the config file must hold a JSON object")
         unknown = set(cfg) - allowed
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return cfg
 
 
+def _get(cfg: dict, key: str, default, kind=float):
+    """``kind(cfg.get(key, default))``; a value that ``kind`` rejects is a
+    configuration error."""
+    try:
+        return kind(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key}: {exc}") from None
+
+
+def _pair(v) -> tuple:
+    """A two-number list as a (low, high) or (re, im) float pair."""
+    lo, hi = map(float, v)
+    return lo, hi
+
+
 def _theta_from(cfg: dict) -> HwiParams:
-    theta = cfg.get("theta", {})
+    theta = _get(cfg, "theta", {}, dict)
     extra = set(theta) - {"eps", "phi_deg", "alpha3"}
     if extra:
         raise ConfigError(f"unknown theta keys: {sorted(extra)}")
-    a3 = theta.get("alpha3", [0.02, 0.01])
     return HwiParams(
-        eps=float(theta.get("eps", 0.03)),
-        phi=math.radians(float(theta.get("phi_deg", 2.0))),
-        alpha3=complex(float(a3[0]), float(a3[1])),
+        eps=_get(theta, "eps", 0.03),
+        phi=math.radians(_get(theta, "phi_deg", 2.0)),
+        alpha3=complex(*_get(theta, "alpha3", [0.02, 0.01], _pair)),
     )
 
 
@@ -135,9 +159,9 @@ def cmd_moments(args) -> int:
 
 def cmd_crb_curves(args) -> int:
     cfg = _load_config(args, {"modulations", "snr_grid_db", "n_grid", "theta"})
-    modulations = cfg.get("modulations", list(DEFAULT_MODULATIONS))
-    snr_grid = cfg.get("snr_grid_db", list(range(0, 41, 5)))
-    n_grid = cfg.get("n_grid", [32, 76, 256])
+    modulations = _get(cfg, "modulations", DEFAULT_MODULATIONS, list)
+    snr_grid = _get(cfg, "snr_grid_db", range(0, 41, 5), list)
+    n_grid = _get(cfg, "n_grid", [32, 76, 256], list)
     p = _theta_from(cfg)
     rows = []
     for mod in modulations:
@@ -173,9 +197,9 @@ def cmd_mc_validate(args) -> int:
     report = mc_crb_validation(
         cfg.get("modulation", "qpsk"),
         _theta_from(cfg),
-        cfg.get("snr_grid_db", [0, 10, 20, 30, 40]),
-        n=int(cfg.get("n", 76)),
-        n_trials=int(cfg.get("n_trials", 300)),
+        _get(cfg, "snr_grid_db", [0, 10, 20, 30, 40], list),
+        n=_get(cfg, "n", 76, int),
+        n_trials=_get(cfg, "n_trials", 300, int),
         seed=args.seed,
         pilot_mode=cfg.get("pilot_mode", "random"),
     )
@@ -185,11 +209,12 @@ def cmd_mc_validate(args) -> int:
 
 def cmd_identifiability(args) -> int:
     cfg = _load_config(args, {"modulations", "n", "snr_db", "theta", "rank_tol"})
-    modulations = cfg.get("modulations", ["bpsk", "sdpsk", "qpsk", "8psk", "16qam", "64qam"])
-    n = int(cfg.get("n", 76))
-    gamma = 10.0 ** (float(cfg.get("snr_db", 20.0)) / 10.0)
+    modulations = _get(cfg, "modulations", ["bpsk", "sdpsk", "qpsk", "8psk", "16qam", "64qam"],
+                       list)
+    n = _get(cfg, "n", 76, int)
+    gamma = 10.0 ** (_get(cfg, "snr_db", 20.0) / 10.0)
     # flag overrides the config value
-    rank_tol = float(args.rank_tol if args.rank_tol is not None else cfg.get("rank_tol", 1e-9))
+    rank_tol = args.rank_tol if args.rank_tol is not None else _get(cfg, "rank_tol", 1e-9)
     p = _theta_from(cfg)
     out = {}
     for mod in modulations:
@@ -210,35 +235,31 @@ def cmd_identifiability(args) -> int:
 
 
 def _protocol_config(cfg: dict) -> FleetProtocolConfig:
-    allowed = {
-        "n_sats", "n_enroll", "n_probe", "snr_db", "burst_mode", "n_known",
-        "cfo_jitter", "rician_k_db", "n_bal", "n_dr_trials", "probe_acc",
-        "n_acc_grid", "ridge", "target_fa", "spread",
-    }
-    unknown = set(cfg) - allowed
+    unknown = set(cfg) - _PROTOCOL_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(cfg)
     if "spread" in kwargs:
-        s = kwargs.pop("spread")
+        s = _get(kwargs, "spread", None, dict)
         extra = set(s) - {"eps_range", "phi_range_deg", "alpha3_mag_range"}
         if extra:
             raise ConfigError(f"unknown spread keys: {sorted(extra)}")
-        kwargs["spread"] = FleetSpread(
-            eps_range=tuple(s.get("eps_range", (0.01, 0.05))),
-            phi_range_deg=tuple(s.get("phi_range_deg", (0.5, 5.0))),
-            alpha3_mag_range=tuple(s.get("alpha3_mag_range", (0.02, 0.05))),
-        )
+        kwargs["spread"] = FleetSpread(**{k: _get(s, k, None, _pair) for k in s})
     if "n_acc_grid" in kwargs:
-        kwargs["n_acc_grid"] = tuple(kwargs["n_acc_grid"])
+        kwargs["n_acc_grid"] = _get(kwargs, "n_acc_grid", None, lambda v: tuple(map(int, v)))
+    # the remaining keys take the type of their default (a number for rician_k_db)
+    defaults = FleetProtocolConfig()
+    for key in sorted(kwargs.keys() - {"spread", "n_acc_grid"}):
+        default = getattr(defaults, key)
+        if kwargs[key] is not None or default is not None:
+            kwargs[key] = _get(kwargs, key, None, float if default is None else type(default))
     return FleetProtocolConfig(**kwargs)
 
 
 def cmd_fleet_sim(args) -> int:
-    cfg = _load_config(args, {"n_sats", "n_bursts", "snr_db", "burst_mode", "n_known",
-                              "cfo_jitter", "rician_k_db", "spread"})
-    n_bursts = int(cfg.pop("n_bursts", 60))
-    proto = _protocol_config(cfg)
+    cfg = _load_config(args, _FLEET_SIM_KEYS)
+    n_bursts = _get(cfg, "n_bursts", 60, int)
+    proto = _protocol_config({k: v for k, v in cfg.items() if k != "n_bursts"})
     fleet = generate_fleet(proto.n_sats, proto.spread, seed=args.seed)
     table = simulate_campaign(fleet, proto, campaign_seed=args.seed, n_bursts=n_bursts)
     table.to_csv(os.path.join(args.out_dir, "features.csv"))
@@ -256,18 +277,14 @@ def cmd_fleet_sim(args) -> int:
 def cmd_dr_analysis(args) -> int:
     cfg = _load_config(args, {"n_bal", "n_trials"})
     table = FeatureTable.from_csv(args.features)
-    dr = balanced_dr(table, n_bal=int(cfg.get("n_bal", 30)),
-                     n_trials=int(cfg.get("n_trials", 30)), seed=args.seed)
+    dr = balanced_dr(table, n_bal=_get(cfg, "n_bal", 30, int),
+                     n_trials=_get(cfg, "n_trials", 30, int), seed=args.seed)
     dr.to_csv(args.out)
     return EXIT_OK
 
 
 def cmd_authenticate(args) -> int:
-    cfg = _load_config(args, {
-        "n_sats", "n_enroll", "n_probe", "snr_db", "burst_mode", "n_known",
-        "cfo_jitter", "rician_k_db", "n_bal", "n_dr_trials", "probe_acc",
-        "n_acc_grid", "ridge", "target_fa", "spread",
-    })
+    cfg = _load_config(args, _PROTOCOL_KEYS)
     if args.paper_dr:
         with open(args.paper_dr) as fh:
             drs = json.load(fh)
@@ -346,7 +363,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ConfigError, InvalidConstellationError, FileNotFoundError,
-            json.JSONDecodeError, KeyError, TypeError) as exc:
+            json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RankDeficientError, np.linalg.LinAlgError, ArithmeticError, ValueError) as exc:

@@ -172,6 +172,8 @@ def extract_features(b: Burst, cfg: PipelineConfig | None = None) -> FeatureVect
     strip = cfg.strip_power or (2 if b.meta.modulation in _REAL_MODULATIONS else 4)
     raw = b.samples[: cfg.n_known]
     x = b.known_symbols[: cfg.n_known]
+    if not np.all(np.isfinite(x)):
+        raise DegenerateInputError("non-finite known symbol")
 
     derot, cfo_hat = remove_cfo(raw, strip_power=strip)
     z = normalize_amplitude(derot)

@@ -6,15 +6,21 @@ import pytest
 
 from rfident.auth import (
     ALL6_FEATURES,
+    CRB4_FEATURES,
+    IQ2_FEATURES,
+    OSC2_FEATURES,
+    PA3_FEATURES,
     AuthConfigError,
     DrTable,
     DrRow,
     FeatureTable,
     Fingerprint,
     FleetProtocolConfig,
+    _grouped_means,
     accumulate,
     balanced_dr,
     cross_stability,
+    feature_table_from_bursts,
     glrt_score,
     iwat_score,
     iwat_weights,
@@ -23,8 +29,15 @@ from rfident.auth import (
     run_auth_experiment,
     simulate_campaign,
 )
-from rfident.features import FEATURE_NAMES
-from rfident.signal_model import generate_fleet
+from rfident.constellation import make_constellation
+from rfident.features import FEATURE_NAMES, PipelineConfig
+from rfident.signal_model import (
+    ChannelConfig,
+    generate_fleet,
+    iridium_known_symbols,
+    random_known_symbols,
+    synthesize_burst,
+)
 
 N_FEAT = len(FEATURE_NAMES)
 
@@ -295,6 +308,15 @@ def test_glrt_identity_covariance_is_euclidean():
               for f in enroll}
     for k in scores:
         assert scores[k] == pytest.approx(euclid[k], rel=1e-9, abs=1e-12)
+    # two satellites far apart: centring each on its own mean leaves the same
+    # rows twice, so the pooled covariance is 2(n-1)/(2n-1) times the identity
+    offset = np.zeros(N_FEAT)
+    offset[idx] = 100.0
+    scores = glrt_score(probe, enroll, subset, ridge=0.0,
+                        per_burst_matrix=np.vstack([x + offset, x - offset]),
+                        per_burst_ids=np.repeat(["a", "b"], n))
+    for k in scores:
+        assert scores[k] == pytest.approx(euclid[k] * (2 * n - 1) / (2 * n - 2), rel=1e-9)
 
 
 def test_glrt_identical_row_scores_zero():
@@ -368,6 +390,26 @@ def test_roc_points_monotone():
     assert 0.0 <= roc.auc <= 1.0
 
 
+def _campaign_bursts(fleet, cfg, campaign_seed, n_bursts):
+    """The bursts simulate_campaign synthesizes, from its per-burst
+    (campaign_seed, satellite, burst) streams."""
+    out = []
+    for si, (sat, p) in enumerate(fleet):
+        for bi in range(n_bursts):
+            rng = np.random.default_rng((campaign_seed, si, bi))
+            ch = ChannelConfig(snr_db=cfg.snr_db, rician_k_db=cfg.rician_k_db,
+                               cfo_rad_per_symbol=float(rng.uniform(-cfg.cfo_jitter,
+                                                                    cfg.cfo_jitter)),
+                               random_phase=True)
+            if cfg.burst_mode == "iridium":
+                x, mod = np.resize(iridium_known_symbols(), cfg.n_known), "iridium"
+            else:
+                x = random_known_symbols(make_constellation("qpsk"), cfg.n_known, rng)
+                mod = "qpsk"
+            out.append(synthesize_burst(x, p, ch, rng=rng, satellite_id=sat, modulation=mod))
+    return out
+
+
 def test_make_fingerprint_and_simulate_campaign_smoke():
     fleet = generate_fleet(3, seed=5)
     cfg = FleetProtocolConfig(n_sats=3, n_enroll=40, n_probe=60, probe_acc=30, n_bal=30)
@@ -376,6 +418,20 @@ def test_make_fingerprint_and_simulate_campaign_smoke():
     fp = make_fingerprint("SAT0", table.matrix[:12], table.snr_db[:12])
     assert fp.n_messages == 12
     assert np.all(np.isfinite(fp.mean))
+    one_pass = make_fingerprint("SAT0", iter(table.matrix[:12]), table.snr_db[:12])
+    assert np.array_equal(one_pass.mean, fp.mean) and np.array_equal(one_pass.var, fp.var)
+    # the campaign table is the generic burst-file table over the same bursts
+    for burst_mode in ("iridium", "qpsk_pilots"):
+        cfg = FleetProtocolConfig(n_sats=3, n_enroll=40, n_probe=60, probe_acc=30, n_bal=30,
+                                  burst_mode=burst_mode)
+        table = simulate_campaign(fleet, cfg, campaign_seed=1, n_bursts=12)
+        ref = feature_table_from_bursts(_campaign_bursts(fleet, cfg, 1, 12),
+                                        PipelineConfig(n_known=cfg.n_known))
+        assert list(table.satellite_ids) == list(ref.satellite_ids)
+        assert np.array_equal(table.burst_index, np.tile(np.arange(12), 3))
+        assert np.array_equal(table.burst_index, ref.burst_index)
+        assert np.array_equal(table.snr_db, ref.snr_db)
+        assert np.array_equal(table.matrix, ref.matrix)
 
 
 def test_feature_table_csv_roundtrip(tmp_path):
@@ -403,6 +459,94 @@ def test_run_auth_experiment_smoke():
     assert set(rep.roc_curves) == set(rep.strategies)
     d = rep.to_json_dict()
     assert "strategies" in d and "weights" in d and len(d["fleet"]) == 6
+
+
+def test_grouped_means_chunks_follow_table_order():
+    # satellites interleaved in the table; B has five rows (odd), A has four
+    ids = np.array(["B", "A", "B", "A", "B", "B", "A", "B", "A"])
+    x = np.arange(ids.size * 2, dtype=float).reshape(-1, 2) ** 2
+    rows = {s: x[ids == s] for s in ("A", "B")}
+    got_ids, got = _grouped_means(ids, x)
+    assert list(got_ids) == ["A", "B"]
+    assert np.array_equal(got, [rows["A"].mean(axis=0), rows["B"].mean(axis=0)])
+    got_ids, got = _grouped_means(ids, x, size=2)  # B's fifth row is dropped
+    assert list(got_ids) == ["A", "A", "B", "B"]
+    assert np.array_equal(got, [rows[s][k:k + 2].mean(axis=0)
+                                for s, k in (("A", 0), ("A", 2), ("B", 0), ("B", 2))])
+    # an odd count splits into the first half and the rest: 2 + 3 rows for B
+    _, first = _grouped_means(ids, x, stop=2)
+    _, rest = _grouped_means(ids, x, start=2)
+    assert np.array_equal(first[1], rows["B"][:2].mean(axis=0))
+    assert np.array_equal(rest[1], rows["B"][2:].mean(axis=0))
+    with pytest.raises(AuthConfigError):
+        _grouped_means(ids, x, start=4)  # A has no rows left
+
+
+def test_run_auth_experiment_matches_per_probe_scoring():
+    # every strategy, accumulation point and the threshold recomputed with
+    # the public one-probe scorers; odd n_enroll gives a 20/21 pseudo split
+    cfg = FleetProtocolConfig(n_sats=5, n_enroll=41, n_probe=40, n_bal=30, n_dr_trials=5,
+                              probe_acc=20, n_acc_grid=(1, 3, 40))
+    seed = 4
+    rep = run_auth_experiment(cfg, seed=seed)
+    fleet = generate_fleet(cfg.n_sats, cfg.spread, seed=seed)
+    table_a = simulate_campaign(fleet, cfg, campaign_seed=2 * seed + 2, n_bursts=cfg.n_enroll)
+    table_b = simulate_campaign(fleet, cfg, campaign_seed=2 * seed + 1, n_bursts=cfg.n_probe)
+    mu = table_a.matrix.mean(axis=0)
+    sd = table_a.matrix.std(axis=0, ddof=1)
+    normalizer = (mu, np.where(sd > 1e-300, sd, 1.0))
+    dr = balanced_dr(table_a, n_bal=cfg.n_bal, n_trials=cfg.n_dr_trials, seed=seed + 101)
+
+    def fingerprints(table, chunk=None, first=None, rest=None):
+        out = []
+        for s in np.unique(table.satellite_ids):
+            sel = np.flatnonzero(table.satellite_ids == s)[rest:first]
+            n = chunk or sel.size
+            for c in range(sel.size // n):
+                x = table.matrix[sel[c * n:(c + 1) * n]]
+                out.append(Fingerprint(str(s), x.mean(axis=0), x.var(axis=0), n))
+        return out
+
+    def split(probes, enrollment, score):
+        genuine, impostor = [], []
+        for probe in probes:
+            for sat, value in score(probe, enrollment).items():
+                (genuine if sat == probe.satellite_id else impostor).append(value)
+        return genuine, impostor
+
+    def iwat(w):
+        return lambda probe, enrollment: iwat_score(probe, enrollment, w, tau=math.inf,
+                                                    normalizer=normalizer).scores
+
+    enrollment = fingerprints(table_a)
+    probes = fingerprints(table_b, chunk=cfg.probe_acc)
+    subsets = {"dr2_iwat_all6": (ALL6_FEATURES, "dr2"), "dr_iwat_all6": (ALL6_FEATURES, "dr"),
+               "equal_weight_all6": (ALL6_FEATURES, "equal"),
+               "crb_guided_4": (CRB4_FEATURES, "equal"), "pa_only_3": (PA3_FEATURES, "equal"),
+               "oscillator_only_2": (OSC2_FEATURES, "equal"),
+               "iq_only_2": (IQ2_FEATURES, "equal")}
+    scorers = {k: iwat(iwat_weights(dr, sub, mode=m)) for k, (sub, m) in subsets.items()}
+    scorers["glrt_crb4"] = lambda probe, enrollment: glrt_score(
+        probe, enrollment, CRB4_FEATURES, ridge=cfg.ridge, per_burst_matrix=table_a.matrix,
+        per_burst_ids=table_a.satellite_ids, normalizer=normalizer)
+    assert set(rep.strategies) == set(scorers)
+    for name, score in scorers.items():
+        genuine, impostor = split(probes, enrollment, score)
+        res = rep.strategies[name]
+        assert (res.n_genuine, res.n_impostor) == (len(genuine), len(impostor))
+        assert res.auc == roc_auc(genuine, impostor).auc, name
+
+    for label, (ns, aucs) in rep.auc_vs_nacc.items():
+        assert ns == [1, 3, 40]
+        for n_acc, auc in zip(ns, aucs):
+            expected = roc_auc(*split(fingerprints(table_b, chunk=n_acc), enrollment,
+                                      scorers[label])).auc
+            assert auc == expected, (label, n_acc)
+
+    half = cfg.n_enroll // 2
+    _, impostor = split(fingerprints(table_a, rest=half), fingerprints(table_a, first=half),
+                        iwat(rep.weights))
+    assert rep.threshold == np.sort(impostor)[int(math.floor(cfg.target_fa * len(impostor)))]
 
 
 def test_iq_dr_rises_with_identifiable_pilots():

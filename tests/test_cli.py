@@ -45,6 +45,40 @@ def test_unknown_config_keys_rejected(tmp_path):
     assert run(["--out-dir", tmp_path, "mc-validate", "--config", cfg]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command, config", [
+    ("mc-validate", {"theta": 5}),
+    ("mc-validate", {"theta": {"alpha3": 5}}),
+    ("mc-validate", {"theta": {"alpha3": [0.02]}}),
+    ("mc-validate", {"theta": {"eps": "large"}}),
+    ("mc-validate", {"n_trials": [50]}),
+    ("crb-curves", {"snr_grid_db": 10}),
+    ("authenticate", {"n_acc_grid": 3}),
+    ("authenticate", {"n_acc_grid": ["one"]}),
+    ("authenticate", {"spread": 5}),
+    ("authenticate", {"spread": {"eps_range": [0.01]}}),
+    ("authenticate", {"n_sats": "five"}),
+    ("authenticate", {"n_probe": None}),
+    ("authenticate", {"rician_k_db": "high"}),
+    ("authenticate", ["n_sats"]),
+    ("fleet-sim", {"n_bursts": [34]}),
+])
+def test_malformed_config_is_a_config_error(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["--out-dir", tmp_path, command, "--config", cfg]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_type_error_in_a_command_is_not_a_config_error(monkeypatch):
+    # a programming bug must surface, not read as bad configuration
+    def broken(_c):
+        raise TypeError("bug")
+
+    monkeypatch.setattr("rfident.cli.moments", broken)
+    with pytest.raises(TypeError, match="bug"):
+        run(["moments", "qpsk"])
+
+
 def test_crb_curves(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -93,6 +93,15 @@ def test_remove_cfo_rejects_non_finite_sample(bad):
         remove_cfo(z)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
+def test_extract_features_rejects_non_finite_known_symbol(bad):
+    b = _burst(snr_db=20.0, mode="qpsk", seed=3)
+    x = np.array(b.known_symbols)
+    x[10] = bad
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        extract_features(Burst(samples=b.samples, known_symbols=x, meta=b.meta))
+
+
 def test_normalize_amplitude():
     rng = np.random.default_rng(3)
     z = rng.normal(size=20) + 1j * rng.normal(size=20)
