@@ -3,6 +3,7 @@ identifiability bounds, burst simulation, bound-attainment validation,
 feature extraction, and identifiability-weighted authentication."""
 
 from .constellation import (
+    ConfigError,
     Constellation,
     DirectionalSensitivity,
     InvalidConstellationError,

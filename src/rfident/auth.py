@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as sps
 
-from .constellation import make_constellation, moments
+from .constellation import ConfigError, make_constellation, moments
 from .features import FEATURE_NAMES, PipelineConfig, extract_features
 from .signal_model import (
     ChannelConfig,
@@ -25,6 +25,7 @@ from .signal_model import (
     iridium_known_symbols,
     random_known_symbols,
     synthesize_burst,
+    write_csv_atomic,
 )
 
 DEFAULT_VERDICT_BANDS = (
@@ -43,7 +44,9 @@ OSC2_FEATURES = ("phase_acf1", "phase_var")
 
 
 class AuthConfigError(ValueError):
-    pass
+    """A failure that depends on the data, such as too few satellites with
+    enough messages or a singular covariance; bad configuration values raise
+    ``ConfigError`` instead."""
 
 
 @dataclass(frozen=True)
@@ -97,33 +100,40 @@ class FeatureTable:
     feature_names: tuple = FEATURE_NAMES
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["satellite_id", "burst_index", "snr_db", *self.feature_names])
-            for i in range(self.matrix.shape[0]):
-                w.writerow(
-                    [self.satellite_ids[i], int(self.burst_index[i]), f"{self.snr_db[i]:g}"]
-                    + [f"{v:.10e}" for v in self.matrix[i]]
-                )
+        write_csv_atomic(
+            path,
+            ["satellite_id", "burst_index", "snr_db", *self.feature_names],
+            ([self.satellite_ids[i], int(self.burst_index[i]), f"{self.snr_db[i]:g}"]
+             + [f"{v:.10e}" for v in self.matrix[i]] for i in range(self.matrix.shape[0])),
+        )
 
     @classmethod
     def from_csv(cls, path) -> "FeatureTable":
+        """Read a table written by ``to_csv``; a malformed file raises
+        ``ConfigError`` naming the offending line."""
         with open(path, newline="") as fh:
             r = csv.reader(fh)
-            header = next(r)
-            names = tuple(header[3:])
+            header = next(r, [])
+            if len(header) < 3:
+                raise ConfigError(f"{path}:1: need a header satellite_id,burst_index,snr_db,...")
             ids, idx, snr, rows = [], [], [], []
             for row in r:
+                if len(row) != len(header):
+                    raise ConfigError(f"{path}:{r.line_num}: {len(row)} columns, the header "
+                                      f"has {len(header)}")
+                try:
+                    idx.append(int(row[1]))
+                    snr.append(float(row[2]))
+                    rows.append([float(v) for v in row[3:]])
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{r.line_num}: {exc}") from None
                 ids.append(row[0])
-                idx.append(int(row[1]))
-                snr.append(float(row[2]))
-                rows.append([float(v) for v in row[3:]])
         return cls(
             satellite_ids=np.asarray(ids),
             burst_index=np.asarray(idx),
             snr_db=np.asarray(snr),
-            matrix=np.asarray(rows),
-            feature_names=names,
+            matrix=np.asarray(rows, dtype=float).reshape(len(rows), len(header) - 3),
+            feature_names=tuple(header[3:]),
         )
 
 
@@ -147,11 +157,12 @@ class DrTable:
         return sorted(self.rows.items(), key=lambda kv: kv[1].mean, reverse=True)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["feature", "dr_mean", "dr_std", "n_trials", "verdict"])
-            for name, row in self.ordered():
-                w.writerow([name, f"{row.mean:.6g}", f"{row.std:.6g}", row.n_trials, row.verdict])
+        write_csv_atomic(
+            path,
+            ["feature", "dr_mean", "dr_std", "n_trials", "verdict"],
+            ([name, f"{row.mean:.6g}", f"{row.std:.6g}", row.n_trials, row.verdict]
+             for name, row in self.ordered()),
+        )
 
 
 def _verdict(dr: float, bands=DEFAULT_VERDICT_BANDS) -> str:
@@ -176,6 +187,8 @@ def balanced_dr(
     divided by std over satellites of (half-A - half-B) differences; a
     feature with no satellite dependence scores about 0.707.
     """
+    if n_bal < 2 or n_trials < 1:
+        raise ConfigError("need n_bal >= 2 and n_trials >= 1")
     ids = np.asarray(table.satellite_ids)
     uniq, counts = np.unique(ids, return_counts=True)
     eligible = uniq[counts >= n_bal]
@@ -265,12 +278,12 @@ def iwat_weights(dr: DrTable | dict, feature_names, mode: str = "dr2") -> Weight
     else:
         get = dr.dr if isinstance(dr, DrTable) else lambda k: float(dr[k])
         raw = np.array([get(k) for k in names], dtype=float)
-        if np.any(raw < 0):
-            raise ValueError("discrimination ratios must be nonnegative")
+        if not np.all(raw >= 0):
+            raise ConfigError("discrimination ratios must be nonnegative numbers")
         if mode == "dr2":
             raw = raw**2
         elif mode != "dr":
-            raise ValueError(f"unknown weight mode {mode!r}")
+            raise ConfigError(f"unknown weight mode {mode!r}")
     total = float(np.sum(raw))
     if total <= 0.0:
         raise ValueError("all-zero discrimination ratios")
@@ -395,13 +408,6 @@ class RocCurve:
     auc: float
     pd_at_fa: dict
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["fa_rate", "detection_rate"])
-            for fa, pd in self.points:
-                w.writerow([f"{fa:.8g}", f"{pd:.8g}"])
-
 
 def roc_auc(genuine_scores, impostor_scores, fa_targets=(0.01, 0.1)) -> RocCurve:
     """Threshold-sweep ROC for lower-is-genuine scores; AUC by the
@@ -449,8 +455,27 @@ class FleetProtocolConfig:
     target_fa: float = 0.1
 
     def __post_init__(self):
-        if self.n_probe < self.probe_acc or self.n_enroll < self.n_bal:
-            raise AuthConfigError("campaign sizes too small for the protocol")
+        if self.burst_mode not in ("iridium", "qpsk_pilots"):
+            raise ConfigError(f"unknown burst_mode {self.burst_mode!r}; "
+                              "use 'iridium' or 'qpsk_pilots'")
+        if self.n_sats < 2:
+            raise ConfigError("a fleet needs n_sats >= 2")
+        if not (1 <= self.probe_acc <= self.n_probe and 2 <= self.n_bal <= self.n_enroll):
+            raise ConfigError("campaign sizes too small for the protocol: need "
+                              "1 <= probe_acc <= n_probe and 2 <= n_bal <= n_enroll")
+        # entries above n_probe are legal; the accumulation curve skips them
+        if not all(n >= 1 for n in self.n_acc_grid):
+            raise ConfigError("n_acc_grid entries must be >= 1")
+        if not 0.0 < self.target_fa < 1.0:
+            raise ConfigError("need 0 < target_fa < 1")
+        if not self.ridge >= 0.0:
+            raise ConfigError("ridge must be >= 0")
+        if self.n_dr_trials < 1:
+            raise ConfigError("n_dr_trials must be >= 1")
+        # the burst channel and the feature pipeline check their own values
+        ChannelConfig(snr_db=self.snr_db, rician_k_db=self.rician_k_db,
+                      cfo_rad_per_symbol=self.cfo_jitter)
+        PipelineConfig(n_known=self.n_known)
 
 
 @dataclass(frozen=True)
@@ -620,7 +645,7 @@ def run_auth_experiment(cfg: FleetProtocolConfig | None = None, seed: int = 0) -
 
     # enrollment-only threshold at the target false-accept rate: each
     # satellite's first half of enrollment bursts enrolls, the rest probes
-    half = max(cfg.n_enroll // 2, 1)
+    half = cfg.n_enroll // 2
     _, impostor = iwat_split(
         *_grouped_means(table_a.satellite_ids, table_a.matrix, start=half),
         *_grouped_means(table_a.satellite_ids, table_a.matrix, stop=half),

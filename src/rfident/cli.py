@@ -3,19 +3,19 @@
 Subcommands: moments, crb-curves, mc-validate, identifiability, fleet-sim,
 dr-analysis, authenticate. Configuration comes from an optional JSON file
 plus flag overrides; outputs are plot-ready CSV/JSON written atomically.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success; 2 configuration or input error (a ``ConfigError``
+from a config value or an input file, a missing file, malformed JSON); 3 a
+failure that depends on the data or the numerics.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .auth import (
     simulate_campaign,
 )
 from .constellation import (
-    InvalidConstellationError,
+    ConfigError,
     load_constellation_json,
     make_constellation,
     moments,
@@ -44,91 +44,88 @@ from .fim_crb import (
     marginalize_channel,
     subblock_eigenvalue_ratio,
 )
-from .signal_model import FleetSpread, HwiParams, generate_fleet
+from .signal_model import HwiParams, generate_fleet, write_csv_atomic, write_text_atomic
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 DEFAULT_MODULATIONS = ("bpsk", "qpsk", "16qam")
-
-# authenticate takes one key per FleetProtocolConfig field; fleet-sim makes one
-# campaign, so it drops the enrollment and scoring keys and adds a burst count
-_PROTOCOL_KEYS = frozenset(f.name for f in dataclasses.fields(FleetProtocolConfig))
-_FLEET_SIM_KEYS = _PROTOCOL_KEYS - {
-    "n_enroll", "n_probe", "n_bal", "n_dr_trials", "probe_acc", "n_acc_grid", "ridge", "target_fa",
-} | {"n_bursts"}
+_THETA = {"eps": 0.03, "phi_deg": 2.0, "alpha3": (0.02, 0.01)}
 
 
-class ConfigError(ValueError):
-    pass
+def _fields(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
-def _atomic_write(path: str, payload: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+# fleet-sim makes one campaign: the protocol keys without the enrollment and
+# scoring ones, plus a burst count
+_FLEET_SIM = {
+    k: v for k, v in _fields(FleetProtocolConfig()).items()
+    if k not in {"n_enroll", "n_probe", "n_bal", "n_dr_trials", "probe_acc", "n_acc_grid",
+                 "ridge", "target_fa"}
+} | {"n_bursts": 60}
 
 
-def _write_csv(path: str, header, rows) -> None:
-    import io
+def from_json(default, value, key: str = "config"):
+    """``value``, parsed from JSON, converted to the type of ``default``.
 
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    _atomic_write(path, buf.getvalue())
-
-
-def _write_json(path: str, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _load_config(args, allowed: set) -> dict:
-    cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ConfigError("the config file must hold a JSON object")
-        unknown = set(cfg) - allowed
+    A dataclass instance or a dict of defaults takes a JSON object with a
+    subset of its keys and converts each value by the default it replaces; a
+    dataclass is then built, and its own checks judge the values. A tuple
+    takes a JSON array and converts each element like the default's first
+    one. A string takes only a string; a number is converted with int() or
+    float() (float for a None default, which also keeps None). Anything
+    else raises ``ConfigError``.
+    """
+    if dataclasses.is_dataclass(default):
+        return type(default)(**from_json(_fields(default), value, key))
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key} must be a JSON object")
+        unknown = value.keys() - default.keys()
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return cfg
-
-
-def _get(cfg: dict, key: str, default, kind=float):
-    """``kind(cfg.get(key, default))``; a value that ``kind`` rejects is a
-    configuration error."""
+            raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
+        return {**default, **{k: from_json(default[k], v, k) for k, v in value.items()}}
+    if isinstance(default, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(f"config key {key} must be a JSON array")
+        return tuple(from_json(default[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise ConfigError(f"config key {key} must be a string")
+        return value
+    if default is None and value is None:
+        return None
     try:
-        return kind(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
+        return (float if default is None else type(default))(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key}: {exc}") from None
 
 
-def _pair(v) -> tuple:
-    """A two-number list as a (low, high) or (re, im) float pair."""
-    lo, hi = map(float, v)
-    return lo, hi
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
-def _theta_from(cfg: dict) -> HwiParams:
-    theta = _get(cfg, "theta", {}, dict)
-    extra = set(theta) - {"eps", "phi_deg", "alpha3"}
-    if extra:
-        raise ConfigError(f"unknown theta keys: {sorted(extra)}")
-    return HwiParams(
-        eps=_get(theta, "eps", 0.03),
-        phi=math.radians(_get(theta, "phi_deg", 2.0)),
-        alpha3=complex(*_get(theta, "alpha3", [0.02, 0.01], _pair)),
-    )
+def _load_config(args, defaults):
+    """The ``--config`` file parsed against ``defaults`` by ``from_json``."""
+    return from_json(defaults, _read_json(args.config) if args.config else {})
+
+
+def _write_csv(path: str, header, rows) -> None:
+    write_csv_atomic(path, header, rows, lineterminator="\n")
+
+
+def _write_json(path: str, obj) -> None:
+    write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _theta(theta: dict) -> HwiParams:
+    if len(theta["alpha3"]) != 2:
+        raise ConfigError("config key alpha3 must be a [re, im] pair")
+    return HwiParams(eps=theta["eps"], phi=math.radians(theta["phi_deg"]),
+                     alpha3=complex(*theta["alpha3"]))
 
 
 def _constellation_from(name: str):
@@ -158,26 +155,26 @@ def cmd_moments(args) -> int:
 
 
 def cmd_crb_curves(args) -> int:
-    cfg = _load_config(args, {"modulations", "snr_grid_db", "n_grid", "theta"})
-    modulations = _get(cfg, "modulations", DEFAULT_MODULATIONS, list)
-    snr_grid = _get(cfg, "snr_grid_db", range(0, 41, 5), list)
-    n_grid = _get(cfg, "n_grid", [32, 76, 256], list)
-    p = _theta_from(cfg)
+    cfg = _load_config(args, {
+        "modulations": DEFAULT_MODULATIONS, "snr_grid_db": tuple(map(float, range(0, 41, 5))),
+        "n_grid": (32, 76, 256), "theta": _THETA,
+    })
+    p = _theta(cfg["theta"])
     rows = []
-    for mod in modulations:
+    for mod in cfg["modulations"]:
         c = _constellation_from(mod)
         m = moments(c)
-        for n in n_grid:
-            for snr_db in snr_grid:
-                gamma = 10.0 ** (float(snr_db) / 10.0)
-                f = fim_closed_form(m, p, int(n), gamma)
+        for n in cfg["n_grid"]:
+            for snr_db in cfg["snr_grid_db"]:
+                gamma = 10.0 ** (snr_db / 10.0)
+                f = fim_closed_form(m, p, n, gamma)
                 rep = crb_report(f)
-                f_marg = marginalize_channel(c, p, int(n), gamma)
+                f_marg = marginalize_channel(c, p, n, gamma)
                 rep_marg = crb_report(f_marg)
                 for i, name in enumerate(("eps", "phi", "re_alpha3", "im_alpha3")):
                     diag = f.matrix[i, i]
                     rows.append([
-                        mod, f"{float(snr_db):g}", int(n), name,
+                        mod, f"{snr_db:g}", n, name,
                         f"{rep.crb[i]:.10e}",
                         f"{(1.0 / diag if diag > 0 else math.inf):.10e}",
                         f"{rep_marg.crb[i]:.10e}",
@@ -193,33 +190,31 @@ def cmd_crb_curves(args) -> int:
 
 
 def cmd_mc_validate(args) -> int:
-    cfg = _load_config(args, {"modulation", "snr_grid_db", "n", "n_trials", "theta", "pilot_mode"})
+    cfg = _load_config(args, {
+        "modulation": "qpsk", "snr_grid_db": (0.0, 10.0, 20.0, 30.0, 40.0), "n": 76,
+        "n_trials": 300, "theta": _THETA, "pilot_mode": "random",
+    })
     report = mc_crb_validation(
-        cfg.get("modulation", "qpsk"),
-        _theta_from(cfg),
-        _get(cfg, "snr_grid_db", [0, 10, 20, 30, 40], list),
-        n=_get(cfg, "n", 76, int),
-        n_trials=_get(cfg, "n_trials", 300, int),
-        seed=args.seed,
-        pilot_mode=cfg.get("pilot_mode", "random"),
+        cfg["modulation"], _theta(cfg["theta"]), cfg["snr_grid_db"], n=cfg["n"],
+        n_trials=cfg["n_trials"], seed=args.seed, pilot_mode=cfg["pilot_mode"],
     )
     report.to_csv(args.out)
     return EXIT_OK
 
 
 def cmd_identifiability(args) -> int:
-    cfg = _load_config(args, {"modulations", "n", "snr_db", "theta", "rank_tol"})
-    modulations = _get(cfg, "modulations", ["bpsk", "sdpsk", "qpsk", "8psk", "16qam", "64qam"],
-                       list)
-    n = _get(cfg, "n", 76, int)
-    gamma = 10.0 ** (_get(cfg, "snr_db", 20.0) / 10.0)
+    cfg = _load_config(args, {
+        "modulations": ("bpsk", "sdpsk", "qpsk", "8psk", "16qam", "64qam"), "n": 76,
+        "snr_db": 20.0, "theta": _THETA, "rank_tol": 1e-9,
+    })
+    gamma = 10.0 ** (cfg["snr_db"] / 10.0)
     # flag overrides the config value
-    rank_tol = args.rank_tol if args.rank_tol is not None else _get(cfg, "rank_tol", 1e-9)
-    p = _theta_from(cfg)
+    rank_tol = args.rank_tol if args.rank_tol is not None else cfg["rank_tol"]
+    p = _theta(cfg["theta"])
     out = {}
-    for mod in modulations:
+    for mod in cfg["modulations"]:
         c = _constellation_from(mod)
-        f = fim_numerical(c, p, n, gamma)
+        f = fim_numerical(c, p, cfg["n"], gamma)
         rep = crb_report(f, rank_tol=rank_tol)
         out[mod] = {
             "beta": moments(c).beta,
@@ -234,32 +229,10 @@ def cmd_identifiability(args) -> int:
     return EXIT_OK
 
 
-def _protocol_config(cfg: dict) -> FleetProtocolConfig:
-    unknown = set(cfg) - _PROTOCOL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = dict(cfg)
-    if "spread" in kwargs:
-        s = _get(kwargs, "spread", None, dict)
-        extra = set(s) - {"eps_range", "phi_range_deg", "alpha3_mag_range"}
-        if extra:
-            raise ConfigError(f"unknown spread keys: {sorted(extra)}")
-        kwargs["spread"] = FleetSpread(**{k: _get(s, k, None, _pair) for k in s})
-    if "n_acc_grid" in kwargs:
-        kwargs["n_acc_grid"] = _get(kwargs, "n_acc_grid", None, lambda v: tuple(map(int, v)))
-    # the remaining keys take the type of their default (a number for rician_k_db)
-    defaults = FleetProtocolConfig()
-    for key in sorted(kwargs.keys() - {"spread", "n_acc_grid"}):
-        default = getattr(defaults, key)
-        if kwargs[key] is not None or default is not None:
-            kwargs[key] = _get(kwargs, key, None, float if default is None else type(default))
-    return FleetProtocolConfig(**kwargs)
-
-
 def cmd_fleet_sim(args) -> int:
-    cfg = _load_config(args, _FLEET_SIM_KEYS)
-    n_bursts = _get(cfg, "n_bursts", 60, int)
-    proto = _protocol_config({k: v for k, v in cfg.items() if k != "n_bursts"})
+    cfg = _load_config(args, _FLEET_SIM)
+    n_bursts = cfg.pop("n_bursts")
+    proto = FleetProtocolConfig(**cfg)
     fleet = generate_fleet(proto.n_sats, proto.spread, seed=args.seed)
     table = simulate_campaign(fleet, proto, campaign_seed=args.seed, n_bursts=n_bursts)
     table.to_csv(os.path.join(args.out_dir, "features.csv"))
@@ -275,23 +248,23 @@ def cmd_fleet_sim(args) -> int:
 
 
 def cmd_dr_analysis(args) -> int:
-    cfg = _load_config(args, {"n_bal", "n_trials"})
+    cfg = _load_config(args, {"n_bal": 30, "n_trials": 30})
     table = FeatureTable.from_csv(args.features)
-    dr = balanced_dr(table, n_bal=_get(cfg, "n_bal", 30, int),
-                     n_trials=_get(cfg, "n_trials", 30, int), seed=args.seed)
+    dr = balanced_dr(table, n_bal=cfg["n_bal"], n_trials=cfg["n_trials"], seed=args.seed)
     dr.to_csv(args.out)
     return EXIT_OK
 
 
 def cmd_authenticate(args) -> int:
-    cfg = _load_config(args, _PROTOCOL_KEYS)
+    proto = _load_config(args, FleetProtocolConfig())
     if args.paper_dr:
-        with open(args.paper_dr) as fh:
-            drs = json.load(fh)
-        w = iwat_weights(drs, tuple(drs.keys()), mode="dr2")
+        drs = _read_json(args.paper_dr)
+        if not isinstance(drs, dict):
+            raise ConfigError("--paper-dr must hold a JSON object {feature: dr}")
+        drs = {k: from_json(0.0, v, k) for k, v in drs.items()}
+        w = iwat_weights(drs, tuple(drs), mode="dr2")
         _write_json(args.out or os.path.join(args.out_dir, "weights.json"), w.as_dict())
         return EXIT_OK
-    proto = _protocol_config(cfg)
     report = run_auth_experiment(proto, seed=args.seed)
     _write_json(os.path.join(args.out_dir, "auth_report.json"), report.to_json_dict())
     rows = []
@@ -362,8 +335,7 @@ def main(argv=None) -> int:
         args.out = os.path.join(args.out_dir, args.out)
     try:
         return args.fn(args)
-    except (ConfigError, InvalidConstellationError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RankDeficientError, np.linalg.LinAlgError, ArithmeticError, ValueError) as exc:

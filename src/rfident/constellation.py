@@ -31,7 +31,15 @@ _KIND_ALIASES = {
 }
 
 
-class InvalidConstellationError(ValueError):
+class ConfigError(ValueError):
+    """A configuration value or input file is malformed or out of range.
+
+    Every config dataclass and entry point raises it from its own value
+    checks, so a caller can tell bad configuration from a failure that
+    depends on the data."""
+
+
+class InvalidConstellationError(ConfigError):
     """Raised when an alphabet is empty, zero-power, or has duplicate points."""
 
 

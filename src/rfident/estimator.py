@@ -8,14 +8,13 @@ bound, not blind acquisition.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation, make_constellation, moments
+from .constellation import ConfigError, Constellation, make_constellation, moments
 from .fim_crb import crb_report, fim_closed_form, fim_numerical, pa_subblock_crb
 from .signal_model import (
     PARAM_NAMES,
@@ -26,6 +25,7 @@ from .signal_model import (
     iridium_known_symbols,
     random_known_symbols,
     synthesize_burst,
+    write_csv_atomic,
 )
 
 
@@ -38,9 +38,9 @@ class NlsOptions:
 
     def __post_init__(self):
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.x_tol <= 0.0 or self.f_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+            raise ConfigError("max_iters must be >= 1")
+        if not (self.x_tol > 0.0 and self.f_tol > 0.0):
+            raise ConfigError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -272,16 +272,13 @@ class McReport:
     rows: list
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["snr_db", "param", "mse", "crb", "ratio", "n_trials", "status"])
-            for row in self.rows:
-                for i, name in enumerate(PARAM_NAMES):
-                    w.writerow([
-                        f"{row.snr_db:g}", name, f"{row.mse[i]:.10e}",
-                        f"{row.crb[i]:.10e}", f"{row.ratio[i]:.6g}",
-                        row.n_trials, row.status,
-                    ])
+        write_csv_atomic(
+            path,
+            ["snr_db", "param", "mse", "crb", "ratio", "n_trials", "status"],
+            ([f"{row.snr_db:g}", name, f"{row.mse[i]:.10e}", f"{row.crb[i]:.10e}",
+              f"{row.ratio[i]:.6g}", row.n_trials, row.status]
+             for row in self.rows for i, name in enumerate(PARAM_NAMES)),
+        )
 
 
 def mc_crb_validation(
@@ -305,6 +302,10 @@ def mc_crb_validation(
     generator, and each SNR point fits all its trials in one ``fit_batch``
     call.
     """
+    if pilot_mode not in ("random", "iridium"):
+        raise ConfigError(f"unknown pilot_mode {pilot_mode!r}; use 'random' or 'iridium'")
+    if n < 1 or n_trials < 1:
+        raise ConfigError("need n >= 1 and n_trials >= 1")
     if n_trials < 50:
         warnings.warn("fewer than 50 trials gives a noisy MSE estimate")
     c = modulation if isinstance(modulation, Constellation) else make_constellation(modulation)

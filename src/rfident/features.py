@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation
+from .constellation import ConfigError, Constellation
 from .signal_model import Burst
 
 FEATURE_NAMES = (
@@ -58,10 +58,14 @@ class PipelineConfig:
     strip_power: int | None = None  # None: 2 for real alphabets, else 4
 
     def __post_init__(self):
+        if self.n_known < 4:
+            raise ConfigError("n_known must be >= 4 for the phase fit")
+        if not 1 <= self.acf_lag < self.n_known:
+            raise ConfigError("need 1 <= acf_lag < n_known")
         if not (0.0 <= self.percentile_lo < self.percentile_hi <= 100.0):
-            raise ValueError("need 0 <= lo < hi <= 100")
+            raise ConfigError("need 0 <= lo < hi <= 100")
         if self.strip_power not in (None, 2, 4):
-            raise ValueError("strip_power must be 2 or 4")
+            raise ConfigError("strip_power must be 2 or 4")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .constellation import Constellation, Moments, directional_sensitivities
+from .constellation import ConfigError, Constellation, Moments, directional_sensitivities
 from .signal_model import PARAM_NAMES, HwiParams, apply_hwi, hwi_jacobian, iq_coefficients
 
 _PARAM_INDEX = {name: i for i, name in enumerate(PARAM_NAMES)}
@@ -134,8 +134,8 @@ def fim_closed_form(m: Moments, p: HwiParams, n: int, gamma: float) -> Fim:
     For beta = 0 alphabets the block cross-term formula is invalid (it needs
     E[|x|^2 x^2] = 0), so the exact rank-2 collapse construction is used.
     """
-    if n < 1 or gamma <= 0.0:
-        raise ValueError("need n >= 1 and gamma > 0")
+    if n < 1 or not gamma > 0.0:
+        raise ConfigError("need n >= 1 and gamma > 0")
     scale = 2.0 * n * gamma
     if m.beta < 1e-12:
         g = _collapse_gradient(m.mu20, p)
@@ -194,8 +194,8 @@ def fim_numerical(
     Passing ``symbols`` evaluates the literal per-symbol sum instead
     (source tag "numerical_sum").
     """
-    if n < 1 or gamma <= 0.0:
-        raise ValueError("need n >= 1 and gamma > 0")
+    if n < 1 or not gamma > 0.0:
+        raise ConfigError("need n >= 1 and gamma > 0")
     if symbols is not None:
         x = np.asarray(symbols, dtype=complex).ravel()
         weight = 2.0 * gamma

@@ -8,14 +8,18 @@ reproducible for a fixed seed.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
+import os
 import struct
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constellation import Constellation
+from .constellation import ConfigError, Constellation
 
 PARAM_NAMES = ("eps", "phi", "re_alpha3", "im_alpha3")
 
@@ -148,6 +152,14 @@ class ChannelConfig:
     rician_k_db: float | None = None
     cfo_rad_per_symbol: float = 0.0
     random_phase: bool = False
+
+    def __post_init__(self):
+        # built once per burst, so only O(1) checks; NaN is the one value
+        # unequal to itself, and None (noise-free, no Rician draw) passes
+        for name in ("snr_db", "rician_k_db", "cfo_rad_per_symbol"):
+            v = getattr(self, name)
+            if v != v:
+                raise ConfigError(f"channel {name} is NaN")
 
     @property
     def noise_free(self) -> bool:
@@ -307,9 +319,10 @@ class FleetSpread:
     alpha3_mag_range: tuple = (0.02, 0.05)
 
     def __post_init__(self):
-        for lo, hi in (self.eps_range, self.phi_range_deg, self.alpha3_mag_range):
-            if lo > hi:
-                raise ValueError(f"degenerate range ({lo}, {hi})")
+        for name in ("eps_range", "phi_range_deg", "alpha3_mag_range"):
+            r = getattr(self, name)
+            if len(r) != 2 or not all(math.isfinite(v) for v in r) or r[0] > r[1]:
+                raise ConfigError(f"{name} must be two finite numbers low <= high, got {r!r}")
 
 
 def generate_fleet(n_sats: int, spread: FleetSpread | None = None, seed=0):
@@ -330,7 +343,33 @@ def generate_fleet(n_sats: int, spread: FleetSpread | None = None, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Burst file interchange: JSON and packed binary.
+# File output: atomic text and CSV writers, burst interchange in JSON and
+# packed binary.
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` as is (no newline translation) through a
+    temporary file in the same directory and a rename, so that a reader
+    never sees a partly written file."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def write_csv_atomic(path, header, rows, lineterminator: str = "\r\n") -> None:
+    """One header row and the given rows, written by ``write_text_atomic``."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator=lineterminator)
+    w.writerow(header)
+    w.writerows(rows)
+    write_text_atomic(path, buf.getvalue())
 
 
 def _burst_header(b: Burst) -> dict:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rfident.auth import (
     ALL6_FEATURES,
@@ -29,7 +30,7 @@ from rfident.auth import (
     run_auth_experiment,
     simulate_campaign,
 )
-from rfident.constellation import make_constellation
+from rfident.constellation import ConfigError, make_constellation
 from rfident.features import FEATURE_NAMES, PipelineConfig
 from rfident.signal_model import (
     ChannelConfig,
@@ -161,6 +162,10 @@ def test_balanced_dr_exclusion_and_errors():
     assert dr.excluded_satellites == ("C",)
     with pytest.raises(AuthConfigError):
         balanced_dr(_table(ids[:50], matrix[:50]), n_bal=30, n_trials=5, seed=0)
+    # too small a split or no trials is bad configuration whatever the data
+    for n_bal, n_trials in ((1, 5), (30, 0)):
+        with pytest.raises(ConfigError):
+            balanced_dr(_table(ids, matrix), n_bal=n_bal, n_trials=n_trials, seed=0)
 
 
 def test_verdict_banding():
@@ -444,6 +449,39 @@ def test_feature_table_csv_roundtrip(tmp_path):
     assert np.allclose(back.matrix, table.matrix)
     assert list(back.satellite_ids) == list(ids)
     assert back.feature_names == FEATURE_NAMES
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.lists(st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                         max_size=5), max_size=6),
+    n_feat=st.integers(0, 4),
+    data=st.data(),
+)
+def test_feature_table_csv_roundtrip_property(tmp_path_factory, ids, n_feat, data):
+    n = len(ids)
+    table = FeatureTable(
+        satellite_ids=np.asarray(ids, dtype=str),
+        burst_index=np.asarray(data.draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n)),
+                               dtype=int),
+        snr_db=np.asarray(data.draw(st.lists(st.floats(-50.0, 60.0) | st.just(math.inf),
+                                             min_size=n, max_size=n)), dtype=float),
+        matrix=np.asarray(data.draw(st.lists(st.floats(-1e300, 1e300), min_size=n * n_feat,
+                                             max_size=n * n_feat)), dtype=float).reshape(n, n_feat),
+        feature_names=FEATURE_NAMES[:n_feat],
+    )
+    path = tmp_path_factory.mktemp("csv") / "features.csv"
+    table.to_csv(path)
+    back = FeatureTable.from_csv(path)
+    assert list(back.satellite_ids) == ids
+    assert np.array_equal(back.burst_index, table.burst_index)
+    # the file keeps 6 significant digits of the SNR and 11 of each feature
+    assert np.allclose(back.snr_db, table.snr_db, rtol=5e-6, atol=0.0)
+    assert np.allclose(back.matrix, table.matrix, rtol=1e-10, atol=1e-300)
+    assert back.feature_names == table.feature_names
+    first = path.read_bytes()
+    back.to_csv(path)
+    assert path.read_bytes() == first
 
 
 def test_run_auth_experiment_smoke():

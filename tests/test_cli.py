@@ -1,8 +1,16 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rfident.cli import EXIT_CONFIG, EXIT_OK, main
+from rfident import ConfigError, FeatureTable, FleetProtocolConfig, PipelineConfig
+from rfident.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, from_json, main
+
+# a small authenticate config, so a missing check shows as a run, not a stall
+SMALL = {"n_sats": 4, "n_enroll": 30, "n_probe": 30, "n_bal": 30, "n_dr_trials": 2,
+         "probe_acc": 15}
 
 
 def run(args):
@@ -61,12 +69,75 @@ def test_unknown_config_keys_rejected(tmp_path):
     ("authenticate", {"rician_k_db": "high"}),
     ("authenticate", ["n_sats"]),
     ("fleet-sim", {"n_bursts": [34]}),
+    ("authenticate", {"n_probe": 10}),
+    ("fleet-sim", {"burst_mode": "iridum"}),
+    ("fleet-sim", {"n_sats": 1}),
+    ("fleet-sim", {"n_known": 2}),
+    ("fleet-sim", {"n_sats": float("inf")}),
+    ("authenticate", {**SMALL, "n_acc_grid": [0]}),
+    ("authenticate", {**SMALL, "target_fa": 5}),
+    ("authenticate", {**SMALL, "spread": {"eps_range": [0.01, float("nan")]}}),
+    ("mc-validate", {"pilot_mode": "iridum"}),
+    ("mc-validate", {"n_trials": 0}),
+    ("mc-validate", {"snr_grid_db": ["a"]}),
+    ("crb-curves", {"modulations": [5]}),
+    ("crb-curves", {"n_grid": [0]}),
+    # the two inputs that are not config files: a --paper-dr table ...
+    ("--paper-dr", ["amp_var"]),
+    ("--paper-dr", {"amp_var": "x"}),
+    # ... and the feature table of dr-analysis, given as CSV text
+    ("features", ""),
+    ("features", "satellite_id,burst_index,snr_db,amp_var\r\nA,0,12,1.0\r\nA,1\r\n"),
+    ("features", "satellite_id,burst_index,snr_db,amp_var\r\nA,0,12,1.0\r\nB,0,12,1.0,2.0\r\n"),
+    ("features", "satellite_id,burst_index,snr_db,amp_var\r\nA,zero,12,1.0\r\n"),
 ])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    assert run(["--out-dir", tmp_path, command, "--config", cfg]) == EXIT_CONFIG
-    assert "configuration error" in capsys.readouterr().err
+    cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+    argv = {"--paper-dr": ["authenticate", "--paper-dr", cfg],
+            "features": ["dr-analysis", cfg]}.get(command, [command, "--config", cfg])
+    assert run(["--out-dir", tmp_path, *argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+def test_data_dependent_failure_is_a_numerical_failure(tmp_path, capsys):
+    # 30 bursts per satellite cannot fill n_bal = 100: the config is fine,
+    # the table is too small for it
+    ids = np.repeat(["SAT00", "SAT01", "SAT02"], 30)
+    FeatureTable(satellite_ids=ids, burst_index=np.tile(np.arange(30), 3),
+                 snr_db=np.full(90, 12.0),
+                 matrix=np.random.default_rng(0).normal(size=(90, 13))).to_csv(
+        tmp_path / "features.csv")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_bal": 100}))
+    assert run(["--out-dir", tmp_path, "dr-analysis", tmp_path / "features.csv",
+                "--config", cfg]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 200) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cls=st.sampled_from([FleetProtocolConfig, PipelineConfig]), data=st.data())
+def test_config_parse_builds_or_raises_config_error(cls, data):
+    keys = [f.name for f in dataclasses.fields(cls)] + ["bogus"]
+    # in-range numbers as well, so that some draws build a config
+    values = _JSON | st.integers(1, 130) | st.floats(0.0, 1.0)
+    spread = st.dictionaries(st.sampled_from(["eps_range", "phi_range_deg", "alpha3_mag_range"]),
+                             _JSON, max_size=2)
+    obj = data.draw(st.dictionaries(st.sampled_from(keys), values | spread, max_size=4) | _JSON)
+    try:
+        cfg = from_json(cls(), json.loads(json.dumps(obj)))
+    except ConfigError:
+        return
+    assert isinstance(cfg, cls)
 
 
 def test_type_error_in_a_command_is_not_a_config_error(monkeypatch):
