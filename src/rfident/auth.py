@@ -532,6 +532,8 @@ def simulate_campaign(
     qpsk = make_constellation("qpsk")
     pilots = np.resize(iridium_known_symbols(), cfg.n_known)
     n_bursts = n_bursts if n_bursts is not None else cfg.n_enroll
+    if n_bursts < 1:
+        raise ConfigError(f"a campaign needs n_bursts >= 1, got {n_bursts}")
 
     def bursts():
         for si, (sat, p) in enumerate(fleet):

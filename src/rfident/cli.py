@@ -75,8 +75,9 @@ def from_json(default, value, key: str = "config"):
     dataclass is then built, and its own checks judge the values. A tuple
     takes a JSON array and converts each element like the default's first
     one. A string takes only a string; a number is converted with int() or
-    float() (float for a None default, which also keeps None). Anything
-    else raises ``ConfigError``.
+    float() (float for a None default, which also keeps None), and an int
+    default takes no float with a fractional part. Anything else raises
+    ``ConfigError``.
     """
     if dataclasses.is_dataclass(default):
         return type(default)(**from_json(_fields(default), value, key))
@@ -97,6 +98,8 @@ def from_json(default, value, key: str = "config"):
         return value
     if default is None and value is None:
         return None
+    if type(default) is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"config key {key} must be an integer, got {value!r}")
     try:
         return (float if default is None else type(default))(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -208,14 +211,12 @@ def cmd_identifiability(args) -> int:
         "snr_db": 20.0, "theta": _THETA, "rank_tol": 1e-9,
     })
     gamma = 10.0 ** (cfg["snr_db"] / 10.0)
-    # flag overrides the config value
-    rank_tol = args.rank_tol if args.rank_tol is not None else cfg["rank_tol"]
     p = _theta(cfg["theta"])
     out = {}
     for mod in cfg["modulations"]:
         c = _constellation_from(mod)
         f = fim_numerical(c, p, cfg["n"], gamma)
-        rep = crb_report(f, rank_tol=rank_tol)
+        rep = crb_report(f, rank_tol=cfg["rank_tol"])
         out[mod] = {
             "beta": moments(c).beta,
             "rank": rep.rank,
@@ -259,8 +260,8 @@ def cmd_authenticate(args) -> int:
     proto = _load_config(args, FleetProtocolConfig())
     if args.paper_dr:
         drs = _read_json(args.paper_dr)
-        if not isinstance(drs, dict):
-            raise ConfigError("--paper-dr must hold a JSON object {feature: dr}")
+        if not isinstance(drs, dict) or not drs:
+            raise ConfigError("--paper-dr must hold a non-empty JSON object {feature: dr}")
         drs = {k: from_json(0.0, v, k) for k, v in drs.items()}
         w = iwat_weights(drs, tuple(drs), mode="dr2")
         _write_json(args.out or os.path.join(args.out_dir, "weights.json"), w.as_dict())
@@ -304,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identifiability", help="rank/null-space diagnostics per modulation")
     p.add_argument("--config", default=None)
     p.add_argument("--out", default="identifiability.json")
-    p.add_argument("--rank-tol", type=float, default=None,
-                   help="relative eigenvalue threshold for the rank decision (default 1e-9)")
     p.set_defaults(fn=cmd_identifiability)
 
     p = sub.add_parser("fleet-sim", help="synthesize a fleet feature table")

@@ -14,6 +14,10 @@ import numpy as np
 
 _POWER_TOL = 1e-12
 
+# beta = 1 - |E[x^2]|^2 below this counts as zero: the symbols lie on one line
+# through the origin and IQ imbalance is unidentifiable (rank-2 information)
+_BETA_TOL = 1e-9
+
 SUPPORTED_KINDS = ("bpsk", "sdpsk", "qpsk", "dqpsk", "8psk", "16qam", "64qam", "custom")
 
 _KIND_ALIASES = {
@@ -74,11 +78,6 @@ class Constellation:
     @property
     def size(self) -> int:
         return int(self.points.size)
-
-    @property
-    def is_real(self) -> bool:
-        """True for purely real alphabets (the collapse regime)."""
-        return bool(np.all(np.abs(self.points.imag) < 1e-12))
 
 
 @dataclass(frozen=True)
@@ -189,6 +188,16 @@ def directional_sensitivities(m: Moments, eps: float, phi: float) -> Directional
     return DirectionalSensitivity(beta_eps=beta_eps, beta_phi=beta_phi, j_epsphi=j_epsphi)
 
 
-def predicted_fim_rank(m: Moments, tol: float = 1e-9) -> int:
+def predicted_fim_rank(m: Moments) -> int:
     """Predicted information-matrix rank: 2 when beta vanishes, else 4."""
-    return 2 if m.beta < tol else 4
+    return 2 if m.beta < _BETA_TOL else 4
+
+
+def beta_vanishes(x) -> np.ndarray:
+    """Whether beta = 1 - |E[x^2]|^2 of symbols x (taken at unit power)
+    vanishes, by the tolerance of ``predicted_fim_rank``: the symbols lie on
+    one line through the origin, the rank-2 case. Evaluated along the last
+    axis; all-zero symbols do not count."""
+    x = np.asarray(x, dtype=complex)
+    power = np.sum(np.abs(x) ** 2, axis=-1)
+    return np.abs(np.sum(x * x, axis=-1)) ** 2 > (1.0 - _BETA_TOL) * power ** 2

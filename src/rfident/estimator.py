@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import ConfigError, Constellation, make_constellation, moments
+from .constellation import ConfigError, Constellation, beta_vanishes, make_constellation, moments
 from .fim_crb import crb_report, fim_closed_form, fim_numerical, pa_subblock_crb
 from .signal_model import (
     PARAM_NAMES,
@@ -60,15 +60,6 @@ class BatchFit:
     converged: np.ndarray
     iterations: np.ndarray
     residual: np.ndarray
-
-
-def _beta_vanishes(x: np.ndarray) -> np.ndarray:
-    """beta = 1 - |E[x^2]|^2 of the known symbols (at unit power) is below the
-    tolerance of ``predicted_fim_rank``: the symbols lie on one line through
-    the origin, the rank-2 case. Evaluated along the last axis; all-zero
-    symbols do not count."""
-    power = np.sum(np.abs(x) ** 2, axis=-1)
-    return np.abs(np.sum(x * x, axis=-1)) ** 2 > (1.0 - 1e-9) * power ** 2
 
 
 def _sum_sq(e: np.ndarray) -> np.ndarray:
@@ -181,7 +172,7 @@ def fit_batch(r, h, x, theta0, opts: NlsOptions | None = None) -> BatchFit:
     converged = np.ones(n_trials, dtype=bool)
     iters = np.zeros(n_trials, dtype=int)
     cost = np.empty(n_trials)
-    real = _beta_vanishes(x)
+    real = beta_vanishes(x)
     for blk in np.split(np.arange(n_trials), range(_BLOCK_TRIALS, n_trials, _BLOCK_TRIALS)):
         fa, lm = blk[real[blk]], blk[~real[blk]]
         if fa.size:

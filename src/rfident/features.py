@@ -9,12 +9,12 @@ normalization to unit mean power, then 13 scalar features.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constellation import ConfigError, Constellation
-from .signal_model import Burst
+from .constellation import ConfigError, Constellation, beta_vanishes
+from .signal_model import Burst, apply_hwi
 
 FEATURE_NAMES = (
     "amp_var",
@@ -41,8 +41,9 @@ FEATURE_GROUPS = {
     "pa_cross": ("pa_cross",),
 }
 
-# Real alphabets are stripped by squaring; everything else by the fourth power.
-_REAL_MODULATIONS = {"bpsk", "sdpsk", "iridium"}
+# amp_range spans these percentiles of the amplitude
+_PERCENTILE_LO = 5.0
+_PERCENTILE_HI = 95.0
 
 
 class DegenerateInputError(ValueError):
@@ -52,20 +53,10 @@ class DegenerateInputError(ValueError):
 @dataclass(frozen=True)
 class PipelineConfig:
     n_known: int = 76
-    percentile_lo: float = 5.0
-    percentile_hi: float = 95.0
-    acf_lag: int = 1
-    strip_power: int | None = None  # None: 2 for real alphabets, else 4
 
     def __post_init__(self):
         if self.n_known < 4:
             raise ConfigError("n_known must be >= 4 for the phase fit")
-        if not 1 <= self.acf_lag < self.n_known:
-            raise ConfigError("need 1 <= acf_lag < n_known")
-        if not (0.0 <= self.percentile_lo < self.percentile_hi <= 100.0):
-            raise ConfigError("need 0 <= lo < hi <= 100")
-        if self.strip_power not in (None, 2, 4):
-            raise ConfigError("strip_power must be 2 or 4")
 
 
 @dataclass(frozen=True)
@@ -122,12 +113,12 @@ def normalize_amplitude(samples) -> np.ndarray:
     return z / math.sqrt(power)
 
 
-def _acf1(x: np.ndarray, lag: int) -> tuple[float, bool]:
+def _acf1(x: np.ndarray) -> tuple[float, bool]:
     d = x - np.mean(x)
     denom = float(np.sum(d * d))
     if denom <= 1e-30:
         return 0.0, True
-    val = float(np.sum(d[:-lag] * d[lag:]) / denom)
+    val = float(np.sum(d[:-1] * d[1:]) / denom)
     return max(-1.0, min(1.0, val)), False
 
 
@@ -139,17 +130,18 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, bool]:
     return float(np.sum(dx * dy) / math.sqrt(sx * sy)), False
 
 
-def _image_ratio(z: np.ndarray, x: np.ndarray) -> tuple[complex, bool]:
+def _image_ratio(z: np.ndarray, x: np.ndarray, collinear: bool) -> tuple[complex, bool]:
     """Least-squares image-leakage ratio K2_hat / K1_hat from known symbols.
 
-    For real pilots the regressors x and x* are collinear and the ratio is
-    unidentifiable; fall back to the channel-equalized circularity moment,
-    whose emptiness is exactly the predicted behavior (degenerate flag set).
+    When the known symbols have beta = 0 (``collinear``; real pilots, say)
+    the regressors x and x* are collinear and the ratio is unidentifiable;
+    fall back to the channel-equalized circularity moment, whose emptiness
+    is exactly the predicted behavior (degenerate flag set).
     """
     s_xx = complex(np.sum(np.abs(x) ** 2))
-    s_x2 = complex(np.sum(x * x))
-    det = abs(s_xx) ** 2 - abs(s_x2) ** 2
-    if det > 1e-6 * abs(s_xx) ** 2:
+    if not collinear:
+        s_x2 = complex(np.sum(x * x))
+        det = abs(s_xx) ** 2 - abs(s_x2) ** 2
         rhs1 = complex(np.sum(z * np.conj(x)))
         rhs2 = complex(np.sum(z * x))
         # solve [[s_xx, s_x2*], [s_x2, s_xx]] [k1, k2] = [rhs1, rhs2]
@@ -169,17 +161,23 @@ def _image_ratio(z: np.ndarray, x: np.ndarray) -> tuple[complex, bool]:
 
 
 def extract_features(b: Burst, cfg: PipelineConfig | None = None) -> FeatureVector:
-    """Compute the 13 per-burst features from the first n_known samples."""
+    """Compute the 13 per-burst features from the first n_known samples.
+
+    The CFO fit strips the modulation by squaring when the known symbols lie
+    on one line through the origin (beta = 0, such as the Iridium pilots),
+    otherwise by the fourth power."""
     cfg = cfg or PipelineConfig()
     if b.n < cfg.n_known:
         raise DegenerateInputError(f"burst has {b.n} samples, needs {cfg.n_known}")
-    strip = cfg.strip_power or (2 if b.meta.modulation in _REAL_MODULATIONS else 4)
     raw = b.samples[: cfg.n_known]
     x = b.known_symbols[: cfg.n_known]
     if not np.all(np.isfinite(x)):
         raise DegenerateInputError("non-finite known symbol")
+    if not np.any(x):
+        raise DegenerateInputError("known symbols are all zero")
+    collinear = beta_vanishes(x)
 
-    derot, cfo_hat = remove_cfo(raw, strip_power=strip)
+    derot, cfo_hat = remove_cfo(raw, strip_power=2 if collinear else 4)
     z = normalize_amplitude(derot)
     degenerate = set()
 
@@ -188,26 +186,26 @@ def extract_features(b: Burst, cfg: PipelineConfig | None = None) -> FeatureVect
     a_var = float(np.var(a))
     amp_var = a_var / a_mean**2
     amp_range = float(
-        np.percentile(a, cfg.percentile_hi) - np.percentile(a, cfg.percentile_lo)
+        np.percentile(a, _PERCENTILE_HI) - np.percentile(a, _PERCENTILE_LO)
     )
     if a_var <= 1e-30:
         amp_kurtosis = 0.0
         degenerate.add("amp_kurtosis")
     else:
         amp_kurtosis = float(np.mean((a - a_mean) ** 4) / a_var**2 - 3.0)
-    amp_acf1, flag = _acf1(a, cfg.acf_lag)
+    amp_acf1, flag = _acf1(a)
     if flag:
         degenerate.add("amp_acf1")
 
     psi = np.unwrap(np.angle((z / a) ** 4))
-    phase_acf1, flag = _acf1(psi, cfg.acf_lag)
+    phase_acf1, flag = _acf1(psi)
     if flag:
         degenerate.add("phase_acf1")
     phase_var = float(np.var(psi))
 
     evm = float(np.sqrt(np.mean(np.abs(z - x) ** 2) / np.mean(np.abs(x) ** 2)))
 
-    rho, flag = _image_ratio(z, x)
+    rho, flag = _image_ratio(z, x, collinear)
     if flag:
         degenerate.add("iq")
     iq_eps_hat = -2.0 * rho.real
@@ -240,8 +238,6 @@ def extract_features(b: Burst, cfg: PipelineConfig | None = None) -> FeatureVect
 def noise_free_amp_var(c: Constellation, p, n_reps: int = 1) -> float:
     """Noise-free normalized amplitude variance over the alphabet under the
     impairment map (the quantity the PA proxy analysis bounds)."""
-    from .signal_model import apply_hwi
-
     y = apply_hwi(np.tile(c.points, n_reps), p)
     a = np.abs(y)
     return float(np.var(a) / np.mean(a) ** 2)
@@ -249,11 +245,7 @@ def noise_free_amp_var(c: Constellation, p, n_reps: int = 1) -> float:
 
 def pa_input_power_variance(c: Constellation, p) -> float:
     """Var(|x_iq|^2) over the alphabet: the PA input power variation."""
-    from .signal_model import iq_coefficients
-
-    k = iq_coefficients(p)
-    x = c.points
-    u = np.abs(k.k1 * x + k.k2 * np.conj(x)) ** 2
+    u = np.abs(apply_hwi(c.points, replace(p, alpha3=0j))) ** 2
     return float(np.var(u))
 
 

@@ -4,9 +4,11 @@ fingerprint [eps, phi, Re(alpha3), Im(alpha3)].
 Three routes to the 4x4 information matrix:
 
 * ``fim_closed_form`` assembles the small-impairment block formulas from the
-  alphabet moments. Real alphabets (beta = 0) are handled through the exact
-  scalar-collapse construction, which keeps the matrix positive semidefinite
-  and rank-2 by construction; the generic block formula for the PA/IQ cross
+  alphabet moments. Alphabets with beta = 0 lie on one line through the
+  origin; their matrix is the Gram matrix of the model's sensitivities at
+  x0 = sqrt(mu20), positive semidefinite and rank-2 by construction, and
+  exact for constant modulus, where every symbol is +-x0 and the model
+  collapses to r = h c x. The generic block formula for the PA/IQ cross
   term does not apply there.
 * ``fim_numerical`` evaluates the defining sum/expectation with exact analytic
   sensitivities of the full nonlinear map ("moment" mode) or with central
@@ -19,13 +21,19 @@ Three routes to the 4x4 information matrix:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erfc
 
-from .constellation import ConfigError, Constellation, Moments, directional_sensitivities
-from .signal_model import PARAM_NAMES, HwiParams, apply_hwi, hwi_jacobian, iq_coefficients
+from .constellation import (
+    ConfigError,
+    Constellation,
+    Moments,
+    directional_sensitivities,
+    predicted_fim_rank,
+)
+from .signal_model import PARAM_NAMES, HwiParams, apply_hwi, hwi_jacobian
 
 _PARAM_INDEX = {name: i for i, name in enumerate(PARAM_NAMES)}
 
@@ -110,36 +118,19 @@ class DiscriminationResult:
 # Closed form
 
 
-def _collapse_gradient(mu20: complex, p: HwiParams) -> np.ndarray:
-    """Exact d c / d theta for alphabets with |mu20| = 1 (x* = conj(mu20) x)."""
-    rot = np.conj(mu20)
-    k = iq_coefficients(p)
-    e_p = np.exp(1j * p.phi)
-    e_m = np.exp(-1j * p.phi)
-    kappa = k.k1 + k.k2 * rot
-    dk_deps = 0.5 * (e_p - e_m * rot)
-    dk_dphi = 0.5j * (1.0 + p.eps) * (e_p + e_m * rot)
-    u = abs(kappa) ** 2
-    pa = 1.0 + p.alpha3 * u
-
-    def dc(dk):
-        return dk * pa + p.alpha3 * kappa * 2.0 * np.real(np.conj(kappa) * dk)
-
-    return np.array([dc(dk_deps), dc(dk_dphi), u * kappa, 1j * u * kappa])
-
-
 def fim_closed_form(m: Moments, p: HwiParams, n: int, gamma: float) -> Fim:
     """Small-impairment block assembly 2 N gamma [[J_IQ, J_x], [J_x^T, J_PA]].
 
     For beta = 0 alphabets the block cross-term formula is invalid (it needs
-    E[|x|^2 x^2] = 0), so the exact rank-2 collapse construction is used.
+    E[|x|^2 x^2] = 0), so the rank-2 collapse construction is used: the
+    Gram matrix of ``hwi_jacobian`` at the unit-modulus symbol
+    x0 = sqrt(mu20), exact when every symbol is +-x0 (constant modulus).
     """
     if n < 1 or not gamma > 0.0:
         raise ConfigError("need n >= 1 and gamma > 0")
     scale = 2.0 * n * gamma
-    if m.beta < 1e-12:
-        g = _collapse_gradient(m.mu20, p)
-        mat = scale * np.real(np.outer(np.conj(g), g))
+    if predicted_fim_rank(m) == 2:
+        mat = _gram(hwi_jacobian(np.sqrt(m.mu20), p), scale)
     else:
         ds = directional_sensitivities(m, p.eps, p.phi)
         j_iq = np.array(
@@ -349,9 +340,7 @@ def discrimination(theta_a: HwiParams, theta_b: HwiParams, f: Fim) -> Discrimina
 def pa_fifth_order_confounding(c: Constellation, p: HwiParams) -> float:
     """Column correlation between the cubic and a hypothetical fifth-order PA
     sensitivity. Near 1 for constant-modulus alphabets, lower for QAM."""
-    k = iq_coefficients(p)
-    x = c.points
-    x_iq = k.k1 * x + k.k2 * np.conj(x)
+    x_iq = apply_hwi(c.points, replace(p, alpha3=0j))
     u = np.abs(x_iq) ** 2
     d3 = u * x_iq
     d5 = u**2 * x_iq

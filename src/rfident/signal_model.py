@@ -160,6 +160,9 @@ class ChannelConfig:
             v = getattr(self, name)
             if v != v:
                 raise ConfigError(f"channel {name} is NaN")
+        # +inf and None are noise-free; -inf would be pure noise
+        if self.snr_db == -math.inf:
+            raise ConfigError("channel snr_db is -inf")
 
     @property
     def noise_free(self) -> bool:
@@ -450,8 +453,8 @@ def _read_complex(fh, n: int, what: str) -> np.ndarray:
     if len(raw) != 16 * n:
         raise BurstError(f"header says n = {n} but the file holds {len(raw) // 16} "
                          f"{what} ({len(raw)} of {16 * n} bytes); truncated file?")
-    flat = np.frombuffer(raw, dtype="<f8")
-    return flat[0::2] + 1j * flat[1::2]
+    # read as complex pairs: rebuilding re + 1j * im would turn -0.0 into 0.0
+    return np.frombuffer(raw, dtype="<c16")
 
 
 def read_burst_binary(path) -> Burst:

@@ -90,6 +90,11 @@ def test_unknown_config_keys_rejected(tmp_path):
     ("features", "satellite_id,burst_index,snr_db,amp_var\r\nA,0,12,1.0\r\nA,1\r\n"),
     ("features", "satellite_id,burst_index,snr_db,amp_var\r\nA,0,12,1.0\r\nB,0,12,1.0,2.0\r\n"),
     ("features", "satellite_id,burst_index,snr_db,amp_var\r\nA,zero,12,1.0\r\n"),
+    # cases added later go last, so that the ids of the cases above stay as they are
+    ("fleet-sim", {"n_sats": 2, "n_bursts": 2, "snr_db": float("-inf")}),
+    ("fleet-sim", {"n_sats": 2.7, "n_bursts": 2}),
+    ("fleet-sim", {"n_sats": 2, "n_bursts": -3}),
+    ("--paper-dr", {}),
 ])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "cfg.json"
@@ -138,6 +143,11 @@ def test_config_parse_builds_or_raises_config_error(cls, data):
     except ConfigError:
         return
     assert isinstance(cfg, cls)
+
+
+def test_integer_keys_take_integral_floats_and_numeric_strings():
+    cfg = from_json(FleetProtocolConfig(), {"n_sats": 5.0, "n_enroll": "60", "n_bal": 30})
+    assert (cfg.n_sats, cfg.n_enroll) == (5, 60) and type(cfg.n_sats) is int
 
 
 def test_type_error_in_a_command_is_not_a_config_error(monkeypatch):

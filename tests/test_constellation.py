@@ -6,6 +6,7 @@ import pytest
 
 from rfident.constellation import (
     InvalidConstellationError,
+    beta_vanishes,
     directional_sensitivities,
     load_constellation_json,
     make_constellation,
@@ -73,8 +74,14 @@ def test_moments_table_values():
 
 def test_predicted_rank_matches_beta():
     for kind in ALL_KINDS:
-        m = moments(make_constellation(kind))
+        c = make_constellation(kind)
+        m = moments(c)
         assert predicted_fim_rank(m) == (2 if kind in ("bpsk", "sdpsk") else 4)
+        # the per-symbol rule agrees, and ignores scale and symbol order
+        assert beta_vanishes(c.points) == (kind in ("bpsk", "sdpsk"))
+        assert beta_vanishes(3.0 * c.points[::-1]) == (kind in ("bpsk", "sdpsk"))
+    x = np.array([[1, -1, 1, 1], [1, 1j, -1, -1j], [0, 0, 0, 0], [2j, -1j, 0, 1j]])
+    assert beta_vanishes(x).tolist() == [True, False, False, True]
 
 
 def test_moments_brute_force_self_oracle():

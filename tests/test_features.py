@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from rfident.constellation import make_constellation
+from rfident.constellation import ConfigError, make_constellation
 from rfident.features import (
     DegenerateInputError,
     FEATURE_NAMES,
@@ -100,6 +101,12 @@ def test_extract_features_rejects_non_finite_known_symbol(bad):
     x[10] = bad
     with pytest.raises(DegenerateInputError, match="non-finite"):
         extract_features(Burst(samples=b.samples, known_symbols=x, meta=b.meta))
+
+
+def test_extract_features_rejects_all_zero_known_symbols():
+    b = _burst(snr_db=20.0, mode="qpsk", seed=3)
+    with pytest.raises(DegenerateInputError, match="all zero"):
+        extract_features(Burst(samples=b.samples, known_symbols=np.zeros(b.n), meta=b.meta))
 
 
 def test_normalize_amplitude():
@@ -224,7 +231,18 @@ def test_burst_too_short():
 
 
 def test_pipeline_config_validation():
-    with pytest.raises(ValueError):
-        PipelineConfig(percentile_lo=95.0, percentile_hi=5.0)
-    with pytest.raises(ValueError):
-        PipelineConfig(strip_power=3)
+    assert PipelineConfig(n_known=4).n_known == 4
+    with pytest.raises(ConfigError):
+        PipelineConfig(n_known=3)
+
+
+def test_strip_power_follows_the_known_symbols_not_the_label():
+    # real pilots are stripped by squaring whatever the burst is labelled; at
+    # 5 dB the squared and fourth-power CFO fits differ (at high SNR they can
+    # agree bit for bit, since the powers differ by a factor of two)
+    b = _burst(HwiParams(eps=0.02, phi=0.03, alpha3=0.03 + 0.01j), snr_db=5.0, cfo=0.004)
+    relabelled = Burst(samples=b.samples, known_symbols=b.known_symbols,
+                       meta=dataclasses.replace(b.meta, modulation="custom"))
+    want, got = extract_features(b), extract_features(relabelled)
+    assert np.array_equal(got.as_array(), want.as_array())
+    assert got.degenerate == want.degenerate

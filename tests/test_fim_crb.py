@@ -1,10 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
-from rfident.constellation import make_constellation, moments
+from rfident.constellation import make_constellation, moments, predicted_fim_rank
 from rfident.fim_crb import (
     Fim,
     RankDeficientError,
@@ -85,6 +86,26 @@ def test_closed_form_bpsk_is_exact_collapse():
     f_c = fim_closed_form(moments(BPSK), MC_TRUTH, N, GAMMA)
     f_n = fim_numerical(BPSK, MC_TRUTH, N, GAMMA)
     assert np.max(np.abs(f_c.matrix - f_n.matrix)) < 1e-10 * np.max(np.abs(f_n.matrix))
+
+
+def test_closed_form_rank_follows_the_beta_rule():
+    # beta = 2e-10: below the rank tolerance, so the rank-2 collapse applies
+    # (the generic block formula is not PSD here)
+    c = make_constellation("custom", points=[1, -1, 1e-5j])
+    m = moments(c)
+    assert 0.0 < m.beta < 1e-9
+    rank = crb_report(fim_closed_form(m, MC_TRUTH, N, GAMMA)).rank
+    assert rank == predicted_fim_rank(m) == crb_report(fim_numerical(c, MC_TRUTH, N, GAMMA)).rank
+    assert rank == 2
+
+
+def test_closed_form_rotated_line_is_exact_collapse():
+    # any line through the origin: the collapse at x0 = sqrt(mu20)
+    for theta in (0.3, math.pi / 2, 2.5):
+        c = make_constellation("custom", points=[cmath.exp(1j * theta), -cmath.exp(1j * theta)])
+        f_c = fim_closed_form(moments(c), MC_TRUTH, N, GAMMA)
+        f_n = fim_numerical(c, MC_TRUTH, N, GAMMA)
+        assert np.max(np.abs(f_c.matrix - f_n.matrix)) < 1e-10 * np.max(np.abs(f_n.matrix))
 
 
 def test_scaling_law_in_n_and_gamma():

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rfident.constellation import make_constellation
 from rfident.signal_model import (
     Burst,
     BurstError,
+    BurstMeta,
     ChannelConfig,
     FleetSpread,
     HwiParams,
@@ -267,6 +270,35 @@ def test_burst_file_roundtrip_binary(tmp_path):
     assert np.array_equal(back.samples, b.samples)
     assert np.array_equal(back.known_symbols, b.known_symbols)
     assert back.meta.modulation == "qpsk"
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), n=st.integers(1, 200),
+       sat=st.text(alphabet=st.sampled_from('"\'\\ aZ0éß中\n'), max_size=8),
+       snr_db=st.none() | _FINITE,
+       truth=st.none() | st.builds(HwiParams, eps=_FINITE, phi=_FINITE,
+                                   alpha3=st.complex_numbers(allow_nan=False,
+                                                             allow_infinity=False)),
+       modulation=st.sampled_from(["qpsk", "iridium", "custom"]))
+def test_burst_files_roundtrip_property(tmp_path, data, n, sat, snr_db, truth, modulation):
+    # (re, im) pairs with signed zeros mixed in; the files must keep every bit
+    pairs = arrays(np.float64, (2, n, 2), elements=st.sampled_from([0.0, -0.0]) | _FINITE)
+    samples, known = data.draw(pairs).view(complex)[..., 0]
+    b = Burst(samples=samples, known_symbols=known,
+              meta=BurstMeta(satellite_id=sat, truth=truth, modulation=modulation,
+                             channel=ChannelConfig(snr_db=snr_db)))
+    for write, read, name in ((write_burst_json, read_burst_json, "b.json"),
+                              (write_burst_binary, read_burst_binary, "b.bin")):
+        write(b, tmp_path / name)
+        back = read(tmp_path / name)
+        for got, want in ((back.samples, b.samples), (back.known_symbols, b.known_symbols)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+        assert back.meta == b.meta
 
 
 @pytest.mark.parametrize("cut", [1, 16, 16 * 76, 16 * 76 + 8])
