@@ -10,14 +10,16 @@ feature carrying no satellite information scores near 1/sqrt(2) = 0.707.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from .constellation import ConfigError, make_constellation, moments
-from .features import FEATURE_NAMES, PipelineConfig, extract_features
+# extract_features is not called here; it stays importable from this module,
+# where perfbench's span tracing rebinds it
+from .features import FEATURE_NAMES, PipelineConfig, _extract_bursts, extract_features  # noqa: F401
 from .signal_model import (
     ChannelConfig,
     FleetSpread,
@@ -41,6 +43,10 @@ CRB4_FEATURES = PA3_FEATURES + ("phase_acf1",)
 ALL6_FEATURES = CRB4_FEATURES + ("amp_kurtosis", "evm")
 IQ2_FEATURES = ("iq_eps_hat", "iq_phi_hat")
 OSC2_FEATURES = ("phase_acf1", "phase_var")
+
+# bursts per feature-extraction block: large enough that numpy's per-call
+# overhead is spread thin, small enough that a campaign streams in flat memory
+_BLOCK = 256
 
 
 class AuthConfigError(ValueError):
@@ -238,6 +244,8 @@ def cross_stability(fingerprints_a, fingerprints_b) -> dict:
     common = sorted(set(by_id_a) & set(by_id_b))
     if len(common) < 3:
         raise AuthConfigError("need at least 3 common satellites")
+    from scipy import stats  # loaded on first use: it is most of `import rfident`
+
     a = np.asarray([by_id_a[s].mean for s in common])
     b = np.asarray([by_id_b[s].mean for s in common])
     out = {}
@@ -245,7 +253,7 @@ def cross_stability(fingerprints_a, fingerprints_b) -> dict:
         if np.std(a[:, j]) <= 1e-300 or np.std(b[:, j]) <= 1e-300:
             out[name] = StabilityRow(r=float("nan"), p_value=float("nan"), defined=False)
         else:
-            r, p = sps.pearsonr(a[:, j], b[:, j])
+            r, p = stats.pearsonr(a[:, j], b[:, j])
             out[name] = StabilityRow(r=float(r), p_value=float(p), defined=True)
     return out
 
@@ -677,19 +685,23 @@ def feature_table_from_bursts(bursts, pipeline: PipelineConfig | None = None) ->
 
 def _feature_table(bursts, pipeline: PipelineConfig) -> FeatureTable:
     """One feature row per burst of an iterable, numbered per satellite in
-    arrival order, with the SNR the burst metadata records."""
-    ids, idxs, snrs, rows = [], [], [], []
+    arrival order, with the SNR the burst metadata records. The iterable is
+    read and extracted in blocks of ``_BLOCK`` bursts, so a stream of bursts
+    is never held in memory at once."""
+    ids, idxs, snrs, blocks = [], [], [], []
     counters: dict = {}
-    for b in bursts:
-        sat = b.meta.satellite_id or "unknown"
-        counters[sat] = counters.get(sat, -1) + 1
-        rows.append(extract_features(b, pipeline).as_array())
-        ids.append(sat)
-        idxs.append(counters[sat])
-        snrs.append(b.meta.channel.snr_db if b.meta.channel.snr_db is not None else math.inf)
+    stream = iter(bursts)
+    while block := list(itertools.islice(stream, _BLOCK)):
+        blocks.append(_extract_bursts(block, pipeline.n_known, first=len(ids))[0])
+        for b in block:
+            sat = b.meta.satellite_id or "unknown"
+            counters[sat] = counters.get(sat, -1) + 1
+            ids.append(sat)
+            idxs.append(counters[sat])
+            snrs.append(b.meta.channel.snr_db if b.meta.channel.snr_db is not None else math.inf)
     return FeatureTable(
         satellite_ids=np.asarray(ids),
         burst_index=np.asarray(idxs),
         snr_db=np.asarray(snrs, dtype=float),
-        matrix=np.asarray(rows),
+        matrix=np.concatenate(blocks) if blocks else np.empty((0, len(FEATURE_NAMES))),
     )

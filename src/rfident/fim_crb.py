@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erfc
 
 from .constellation import (
     ConfigError,
@@ -48,6 +47,8 @@ class RankDeficientError(ValueError):
 
 def qfunc(x):
     """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
+    from scipy.special import erfc  # loaded on first use: it is most of `import rfident`
+
     return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 

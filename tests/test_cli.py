@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rfident
 from rfident import ConfigError, FeatureTable, FleetProtocolConfig, PipelineConfig
 from rfident.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, from_json, main
 
@@ -282,3 +286,12 @@ def test_config_roundtrip_identity(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert json.loads(json.dumps(json.loads(path.read_text()))) == cfg
+
+
+def test_import_does_not_load_scipy():
+    # scipy is most of the start-up time and only two library functions use it
+    src = os.path.dirname(os.path.dirname(rfident.__file__))
+    code = "import sys, rfident; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from rfident.auth import feature_table_from_bursts
 from rfident.constellation import ConfigError, make_constellation
 from rfident.features import (
+    _FLAGS,
+    _extract_bursts,
     DegenerateInputError,
     FEATURE_NAMES,
     PipelineConfig,
@@ -246,3 +249,140 @@ def test_strip_power_follows_the_known_symbols_not_the_label():
     want, got = extract_features(b), extract_features(relabelled)
     assert np.array_equal(got.as_array(), want.as_array())
     assert got.degenerate == want.degenerate
+
+
+def _mixed_bursts(count=300):
+    """Iridium pilots, QPSK and 4-PAM bursts at several SNRs, every tenth one
+    noise-free with constant modulus, every seventh longer than n_known. Of
+    these 300, a few have an amp_var whose mean squared by numpy rounds
+    differently from the float square, so that shortcut shows too."""
+    rng = np.random.default_rng(42)
+    pam4 = make_constellation("custom", points=[-3.0, -1.0, 1.0, 3.0])
+    out = []
+    for i in range(count):
+        n = 76 + (int(rng.integers(1, 40)) if i % 7 == 0 else 0)
+        kind = i % 3
+        if i % 10 == 0:
+            x, p, snr = np.ones(n, dtype=complex), HwiParams(), None
+        else:
+            if kind == 0:
+                x = np.resize(iridium_known_symbols(), n)
+            else:
+                x = random_known_symbols(QPSK if kind == 1 else pam4, n, rng)
+            p = HwiParams(eps=rng.uniform(-0.04, 0.04), phi=rng.uniform(-0.05, 0.05),
+                          alpha3=complex(rng.uniform(-0.04, 0.04), rng.uniform(-0.04, 0.04)))
+            snr = (3.0, 12.0, 25.0)[i % 3]
+        ch = ChannelConfig(snr_db=snr, cfo_rad_per_symbol=float(rng.uniform(-0.01, 0.01)),
+                           random_phase=i % 10 != 0)
+        out.append(synthesize_burst(x, p, ch, rng=rng, satellite_id=f"S{i % 5}"))
+    return out
+
+
+def _reference_features(b, n_known=76):
+    """The per-burst formulas, one numpy call at a time: the oracle the
+    block extractor must match bit for bit."""
+    z, x = b.samples[:n_known], b.known_symbols[:n_known]
+    collinear = abs(np.sum(x * x)) ** 2 > (1.0 - 1e-9) * np.sum(np.abs(x) ** 2) ** 2
+    sp = 2 if collinear else 4
+    n = np.arange(z.size)
+    slope = np.polyfit(n, np.unwrap(np.angle((z / np.abs(z)) ** sp)), 1)[0] / sp
+    z = z * np.exp(-1j * slope * n)
+    z = z / math.sqrt(float(np.mean(np.abs(z) ** 2)))
+    flags = set()
+
+    def acf1(v, name):
+        d = v - np.mean(v)
+        denom = float(np.sum(d * d))
+        if denom <= 1e-30:
+            flags.add(name)
+            return 0.0
+        return max(-1.0, min(1.0, float(np.sum(d[:-1] * d[1:]) / denom)))
+
+    a = np.abs(z)
+    a_mean, a_var = float(np.mean(a)), float(np.var(a))
+    if a_var <= 1e-30:
+        kurtosis = 0.0
+        flags.add("amp_kurtosis")
+    else:
+        kurtosis = float(np.mean((a - a_mean) ** 4) / a_var**2 - 3.0)
+    psi = np.unwrap(np.angle((z / a) ** 4))
+    s_xx = complex(np.sum(np.abs(x) ** 2))
+    rho = 0j
+    if collinear:
+        flags.add("iq")
+        h = complex(np.sum(z * np.conj(x)) / s_xx)
+        if abs(h) >= 1e-12:
+            rho = complex(np.mean((z / h) ** 2)) / 2.0
+    else:
+        s_x2, rhs1, rhs2 = (complex(np.sum(v)) for v in (x * x, z * np.conj(x), z * x))
+        det = abs(s_xx) ** 2 - abs(s_x2) ** 2
+        k1 = (s_xx * rhs1 - np.conj(s_x2) * rhs2) / det
+        k2 = (s_xx * rhs2 - s_x2 * rhs1) / det
+        if abs(k1) < 1e-12:
+            flags.add("iq")
+        else:
+            rho = k2 / k1
+    dx, dy = a - np.mean(a), psi - np.mean(psi)
+    sx, sy = float(np.sum(dx * dx)), float(np.sum(dy * dy))
+    if sx <= 1e-30 or sy <= 1e-30:
+        flags.add("pa_cross")
+        pa_cross = 0.0
+    else:
+        pa_cross = float(np.sum(dx * dy) / math.sqrt(sx * sy))
+    dc = complex(np.mean(z))
+    row = [a_var / a_mean**2, float(np.percentile(a, 95.0) - np.percentile(a, 5.0)), kurtosis,
+           acf1(a, "amp_acf1"), acf1(psi, "phase_acf1"), float(np.var(psi)), float(slope),
+           float(np.sqrt(np.mean(np.abs(z - x) ** 2) / np.mean(np.abs(x) ** 2))),
+           -2.0 * rho.real, 2.0 * rho.imag, dc.real, dc.imag, pa_cross]
+    return np.array(row), flags
+
+
+def test_block_extraction_is_bit_identical_to_per_burst():
+    # the table reads blocks of 256 bursts, so 300 cross a block boundary;
+    # blocks this large also make numpy reuse temporaries as outputs, which
+    # must not change a bit of any feature
+    bursts = _mixed_bursts()
+    per_burst = [extract_features(b) for b in bursts]
+    want = np.array([fv.as_array() for fv in per_burst])
+    reference = [_reference_features(b) for b in bursts]
+    assert np.array_equal(want, np.array([row for row, _ in reference]))
+    assert [set(fv.degenerate) for fv in per_burst] == [flags for _, flags in reference]
+    assert np.array_equal(feature_table_from_bursts(bursts).matrix, want)
+    matrix, mask = _extract_bursts(bursts, 76)
+    assert np.array_equal(matrix, want)
+    assert [{f for f, m in zip(_FLAGS, row) if m} for row in mask] == \
+        [set(fv.degenerate) for fv in per_burst]
+    # the degenerate branches are exercised: noise-free constant modulus and
+    # the beta = 0 pilots both set flags, the QPSK bursts leave "iq" clear
+    assert {"amp_kurtosis", "amp_acf1", "iq", "pa_cross"} <= set(per_burst[0].degenerate)
+    assert "iq" not in per_burst[1].degenerate
+
+
+def _bad(b, samples=None, known=None, n=None):
+    s = np.array(b.samples if samples is None else samples)
+    x = np.array(b.known_symbols if known is None else known)
+    return Burst(samples=s[:n], known_symbols=x[:n], meta=b.meta)
+
+
+def _with(values, index, value):
+    out = np.array(values)
+    out[index] = value
+    return out
+
+
+@pytest.mark.parametrize("make_bad, message", [
+    (lambda b: _bad(b, samples=_with(b.samples, 7, np.nan)), "non-finite sample"),
+    (lambda b: _bad(b, samples=_with(b.samples, 0, 0.0)), "zero-amplitude sample"),
+    (lambda b: _bad(b, n=40), "has 40 samples, needs 76"),
+    (lambda b: _bad(b, known=_with(b.known_symbols, 3, np.inf)), "non-finite known symbol"),
+    (lambda b: _bad(b, known=np.zeros(b.n)), "known symbols are all zero"),
+])
+def test_table_error_names_the_first_bad_burst(make_bad, message):
+    # two bad bursts, both past the first block: the error names the first
+    bursts = _mixed_bursts(280)
+    for i in (270, 275):
+        bursts[i] = make_bad(bursts[i])
+    with pytest.raises(DegenerateInputError, match=f"^burst 270: {message}$"):
+        feature_table_from_bursts(bursts)
+    with pytest.raises(DegenerateInputError, match=message):
+        extract_features(bursts[275])
