@@ -19,14 +19,21 @@ import numpy as np
 from .constellation import ConfigError, make_constellation, moments
 # extract_features is not called here; it stays importable from this module,
 # where perfbench's span tracing rebinds it
-from .features import FEATURE_NAMES, PipelineConfig, _extract_bursts, extract_features  # noqa: F401
+from .features import (  # noqa: F401
+    FEATURE_NAMES,
+    PipelineConfig,
+    _extract_bursts,
+    _extract_stack,
+    extract_features,
+)
 from .signal_model import (
     ChannelConfig,
     FleetSpread,
+    _draw_channel_noise,
+    _synthesize_rows,
     generate_fleet,
     iridium_known_symbols,
     random_known_symbols,
-    synthesize_burst,
     write_csv_atomic,
 )
 
@@ -480,9 +487,12 @@ class FleetProtocolConfig:
             raise ConfigError("ridge must be >= 0")
         if self.n_dr_trials < 1:
             raise ConfigError("n_dr_trials must be >= 1")
+        # each burst draws its CFO uniformly from [-cfo_jitter, cfo_jitter]
+        if not (self.cfo_jitter >= 0.0 and math.isfinite(2.0 * self.cfo_jitter)):
+            raise ConfigError(f"cfo_jitter must be >= 0 with a finite 2 * cfo_jitter, "
+                              f"got {self.cfo_jitter!r}")
         # the burst channel and the feature pipeline check their own values
-        ChannelConfig(snr_db=self.snr_db, rician_k_db=self.rician_k_db,
-                      cfo_rad_per_symbol=self.cfo_jitter)
+        ChannelConfig(snr_db=self.snr_db, rician_k_db=self.rician_k_db)
         PipelineConfig(n_known=self.n_known)
 
 
@@ -536,29 +546,32 @@ def simulate_campaign(
     fleet, cfg: FleetProtocolConfig, campaign_seed: int, n_bursts: int | None = None
 ) -> FeatureTable:
     """One recording campaign: fresh noise, channel phases, and CFO per burst;
-    the fleet fingerprints stay fixed."""
+    the fleet fingerprints stay fixed.
+
+    Burst ``bi`` of satellite ``si`` takes its CFO, its QPSK symbols (unless
+    the Iridium pilots are sent), its channel and its noise, in that order,
+    from ``default_rng((campaign_seed, si, bi))``; each satellite's bursts
+    are then synthesized and their features extracted as one stack."""
     qpsk = make_constellation("qpsk")
-    pilots = np.resize(iridium_known_symbols(), cfg.n_known)
     n_bursts = n_bursts if n_bursts is not None else cfg.n_enroll
     if n_bursts < 1:
         raise ConfigError(f"a campaign needs n_bursts >= 1, got {n_bursts}")
-
-    def bursts():
-        for si, (sat, p) in enumerate(fleet):
-            for bi in range(n_bursts):
-                rng = np.random.default_rng((campaign_seed, si, bi))
-                cfo = rng.uniform(-cfg.cfo_jitter, cfg.cfo_jitter)
-                ch = ChannelConfig(snr_db=cfg.snr_db, rician_k_db=cfg.rician_k_db,
-                                   cfo_rad_per_symbol=float(cfo), random_phase=True)
-                if cfg.burst_mode == "iridium":
-                    symbols, mod = pilots, "iridium"
-                else:
-                    symbols, mod = random_known_symbols(qpsk, cfg.n_known, rng), "qpsk"
-                yield synthesize_burst(symbols, p, ch, rng=rng, satellite_id=sat, modulation=mod)
-
-    # the table code behind feature_table_from_bursts, called directly so
-    # that span traces show synthesis and extraction as children of this call
-    return _feature_table(bursts(), PipelineConfig(n_known=cfg.n_known))
+    # one channel for every burst: the per-burst CFO is passed on its own
+    ch = ChannelConfig(snr_db=cfg.snr_db, rician_k_db=cfg.rician_k_db, random_phase=True)
+    x = np.tile(np.resize(iridium_known_symbols(), cfg.n_known), (n_bursts, 1))
+    ids, blocks = [], []
+    for si, (sat, p) in enumerate(fleet):
+        cfo, draws = [], []
+        for bi in range(n_bursts):
+            rng = np.random.default_rng((campaign_seed, si, bi))
+            cfo.append(float(rng.uniform(-cfg.cfo_jitter, cfg.cfo_jitter)))
+            if cfg.burst_mode != "iridium":
+                x[bi] = random_known_symbols(qpsk, cfg.n_known, rng)
+            draws.append(_draw_channel_noise(ch, rng, cfg.n_known))
+        samples = _synthesize_rows(x, p, ch, cfo, draws)
+        blocks.append(_extract_stack(samples, x, first=len(ids))[0])
+        ids += [sat or "unknown"] * n_bursts
+    return _table(ids, [cfg.snr_db if cfg.snr_db is not None else math.inf] * len(ids), blocks)
 
 
 def _grouped_means(ids, matrix: np.ndarray, start: int = 0, stop: int | None = None,
@@ -688,17 +701,24 @@ def _feature_table(bursts, pipeline: PipelineConfig) -> FeatureTable:
     arrival order, with the SNR the burst metadata records. The iterable is
     read and extracted in blocks of ``_BLOCK`` bursts, so a stream of bursts
     is never held in memory at once."""
-    ids, idxs, snrs, blocks = [], [], [], []
-    counters: dict = {}
+    ids, snrs, blocks = [], [], []
     stream = iter(bursts)
     while block := list(itertools.islice(stream, _BLOCK)):
         blocks.append(_extract_bursts(block, pipeline.n_known, first=len(ids))[0])
         for b in block:
-            sat = b.meta.satellite_id or "unknown"
-            counters[sat] = counters.get(sat, -1) + 1
-            ids.append(sat)
-            idxs.append(counters[sat])
+            ids.append(b.meta.satellite_id or "unknown")
             snrs.append(b.meta.channel.snr_db if b.meta.channel.snr_db is not None else math.inf)
+    return _table(ids, snrs, blocks)
+
+
+def _table(ids: list, snrs: list, blocks: list) -> FeatureTable:
+    """The table of per-burst satellite ids, SNRs and feature blocks, with
+    each satellite's bursts numbered in arrival order."""
+    counters: dict = {}
+    idxs = []
+    for sat in ids:
+        counters[sat] = counters.get(sat, -1) + 1
+        idxs.append(counters[sat])
     return FeatureTable(
         satellite_ids=np.asarray(ids),
         burst_index=np.asarray(idxs),

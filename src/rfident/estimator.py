@@ -21,10 +21,11 @@ from .signal_model import (
     Burst,
     ChannelConfig,
     HwiParams,
+    _draw_channel_noise,
+    _synthesize_rows,
     hwi_model_and_jacobian,
     iridium_known_symbols,
     random_known_symbols,
-    synthesize_burst,
     write_csv_atomic,
 )
 
@@ -318,19 +319,24 @@ def mc_crb_validation(
             crb_exact = np.full(4, math.inf)
             crb_exact[2:] = pa_subblock_crb(fim_exact)
             status = "rank_deficient_pa_subblock"
-        r = np.empty((n_trials, n), dtype=complex)
-        x = np.empty((n_trials, n), dtype=complex)
-        theta0 = np.empty((n_trials, 4))
         ch = ChannelConfig(h=1.0 + 0.0j, snr_db=float(snr_db))
-        for t in range(n_trials):
-            rng = np.random.default_rng((seed, k, t))
-            if pilot_mode == "iridium":
-                symbols = np.resize(iridium_known_symbols(), n)
-            else:
-                symbols = random_known_symbols(c, n, rng)
-            r[t] = synthesize_burst(symbols, truth, ch, rng=rng, modulation=mod_name).samples
-            x[t] = symbols
-            theta0[t] = _oracle_init(truth, rng)
+        x = np.empty((n_trials, n), dtype=complex)
+        if pilot_mode == "iridium":
+            x[:] = np.resize(iridium_known_symbols(), n)
+        r = np.empty_like(x)
+        theta0 = np.empty((n_trials, 4))
+        # synthesized in blocks, so that the noise draws never span all trials
+        for start in range(0, n_trials, _BLOCK_TRIALS):
+            stop = min(start + _BLOCK_TRIALS, n_trials)
+            draws = []
+            for t in range(start, stop):
+                rng = np.random.default_rng((seed, k, t))
+                if pilot_mode == "random":
+                    x[t] = random_known_symbols(c, n, rng)
+                draws.append(_draw_channel_noise(ch, rng, n))
+                theta0[t] = _oracle_init(truth, rng)
+            r[start:stop] = _synthesize_rows(x[start:stop], truth, ch,
+                                             [ch.cfo_rad_per_symbol] * len(draws), draws)
         fit = fit_batch(r, np.ones(n_trials), x, theta0, opts)
         mse = np.mean((fit.theta - truth.as_vector()) ** 2, axis=0)
         n_unconverged = int(np.count_nonzero(~fit.converged))

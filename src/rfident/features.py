@@ -249,10 +249,8 @@ def _feature_block(samples: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _extract_bursts(bursts, n_known: int, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """``_feature_block`` over the first n_known samples of a list of
-    bursts. A bad burst raises DegenerateInputError naming its index, counted
-    from ``first``; with several, the first one and its first failing check,
-    as a burst-by-burst loop would meet them."""
+    """``_extract_stack`` over the first n_known samples of a list of
+    bursts; a burst shorter than n_known fails its length check."""
     lengths = np.array([b.n for b in bursts])
     samples = np.zeros((len(bursts), n_known), dtype=complex)
     known = np.zeros_like(samples)
@@ -260,10 +258,28 @@ def _extract_bursts(bursts, n_known: int, first: int = 0) -> tuple[np.ndarray, n
         if lengths[i] >= n_known:
             samples[i] = b.samples[:n_known]
             known[i] = b.known_symbols[:n_known]
+    return _extract_stack(samples, known, first, lengths)
+
+
+def _extract_stack(samples: np.ndarray, known: np.ndarray, first: int = 0,
+                   lengths: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``_feature_block`` over (bursts, n_known) stacks of samples and known
+    symbols, after the input checks; ``lengths`` holds each burst's length
+    before truncation (n_known by default). A bad burst raises
+    DegenerateInputError naming its index, counted from ``first``; with
+    several, the first one and its first failing check, as a burst-by-burst
+    loop would meet them."""
+    n_known = samples.shape[1]
+    if lengths is None:
+        lengths = np.full(samples.shape[0], n_known)
+    with np.errstate(over="ignore"):
+        # finite samples whose mean power overflows would normalize to zero
+        power = np.mean(np.abs(samples) ** 2, axis=1)
     checks = [(lengths < n_known, f"has {{n}} samples, needs {n_known}"),
               (~np.all(np.isfinite(known), axis=1), "non-finite known symbol"),
               (~np.any(known, axis=1), "known symbols are all zero"),
-              *_sample_checks(samples)]
+              *_sample_checks(samples),
+              (~np.isfinite(power), "sample power overflows")]
     _raise_first_bad(checks, first, n=lengths)
     return _feature_block(samples, known)
 

@@ -93,9 +93,15 @@ def apply_hwi(x, p: HwiParams):
     """
     k = iq_coefficients(p)
     x = np.asarray(x, dtype=complex)
-    x_iq = k.k1 * x + k.k2 * np.conj(x)
+    # operands of complex products bound to names: numpy reuses a temporary
+    # of 256 KiB or more as the output and swaps the operands, and its
+    # complex multiply is not bitwise commutative, so a large stack would
+    # round differently from one row
+    xc = np.conj(x)
+    x_iq = k.k1 * x + k.k2 * xc
     u = np.abs(x_iq) ** 2
-    y = x_iq * (1.0 + p.alpha3 * u)
+    pa = 1.0 + p.alpha3 * u
+    y = x_iq * pa
     return complex(y) if y.ndim == 0 else y
 
 
@@ -248,6 +254,36 @@ def random_known_symbols(c: Constellation, n: int, rng: np.random.Generator) -> 
     return c.points[rng.integers(0, c.size, size=n)]
 
 
+def _draw_channel_noise(ch: ChannelConfig, rng: np.random.Generator, n: int) -> tuple:
+    """One burst's channel coefficient and its (2, n) standard normal noise
+    draws (real parts, then imaginary parts; None when noise-free), taken
+    from ``rng`` in the order synthesis has always used."""
+    h = draw_channel(ch, rng)
+    return h, None if ch.noise_free else rng.standard_normal((2, n))
+
+
+def _synthesize_rows(x: np.ndarray, p: HwiParams, ch: ChannelConfig, cfo, draws) -> np.ndarray:
+    """Row i of the (bursts, n) result is
+    h_i * apply_hwi(x[i], p) * e^{j cfo[i] n} + sigma (g_i[0] + j g_i[1]),
+    bit for bit what the row alone gives, for the (h_i, g_i) pairs ``draws``
+    from ``_draw_channel_noise`` and the noise level of ``ch``."""
+    h = np.array([d[0] for d in draws], dtype=complex)
+    n_idx = np.arange(x.shape[1])
+    # j cfo formed per row as a Python complex, as for a single burst
+    jc = np.array([1j * c for c in cfo], dtype=complex)
+    ramp = np.exp(jc[:, None] * n_idx)
+    # operands bound to names, in the one-row order (see ``apply_hwi``)
+    y = apply_hwi(x, p)
+    hy = h[:, None] * y
+    clean = hy * ramp
+    if ch.noise_free:
+        return clean
+    g = np.stack([d[1] for d in draws])
+    sigma = math.sqrt(ch.noise_variance / 2.0)
+    w = sigma * (g[:, 0] + 1j * g[:, 1])
+    return clean + w
+
+
 def synthesize_burst(
     symbols,
     p: HwiParams,
@@ -257,28 +293,22 @@ def synthesize_burst(
     modulation: str = "qpsk",
     rng: np.random.Generator | None = None,
 ) -> Burst:
-    """r(n) = h * apply_hwi(x(n)) * e^{j cfo n} + w(n), w ~ CN(0, sigma^2)."""
+    """r(n) = h * apply_hwi(x(n)) * e^{j cfo n} + w(n), w ~ CN(0, sigma^2):
+    the one-row case of the block synthesizer."""
     x = np.asarray(symbols, dtype=complex).ravel()
     if x.size == 0:
         raise BurstError("empty symbol list")
     if rng is None:
         rng = np.random.default_rng(seed)
-    h = draw_channel(ch, rng)
-    n_idx = np.arange(x.size)
-    clean = h * apply_hwi(x, p) * np.exp(1j * ch.cfo_rad_per_symbol * n_idx)
-    if ch.noise_free:
-        r = clean
-    else:
-        sigma = math.sqrt(ch.noise_variance / 2.0)
-        w = sigma * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
-        r = clean + w
+    draw = _draw_channel_noise(ch, rng, x.size)
+    r = _synthesize_rows(x[None], p, ch, [ch.cfo_rad_per_symbol], [draw])[0]
     meta = BurstMeta(
         satellite_id=satellite_id,
         truth=p,
         channel=ch,
         seed=seed,
         modulation=modulation,
-        h_realized=complex(h),
+        h_realized=complex(draw[0]),
     )
     return Burst(samples=r, known_symbols=x, meta=meta)
 

@@ -425,10 +425,12 @@ def test_make_fingerprint_and_simulate_campaign_smoke():
     assert np.all(np.isfinite(fp.mean))
     one_pass = make_fingerprint("SAT0", iter(table.matrix[:12]), table.snr_db[:12])
     assert np.array_equal(one_pass.mean, fp.mean) and np.array_equal(one_pass.var, fp.var)
-    # the campaign table is the generic burst-file table over the same bursts
-    for burst_mode in ("iridium", "qpsk_pilots"):
+    # the campaign table is the generic burst-file table over the same
+    # bursts, with noise, Rician channel draws or neither
+    for burst_mode, channel in itertools.product(
+            ("iridium", "qpsk_pilots"), ({}, {"rician_k_db": 6.0}, {"snr_db": math.inf})):
         cfg = FleetProtocolConfig(n_sats=3, n_enroll=40, n_probe=60, probe_acc=30, n_bal=30,
-                                  burst_mode=burst_mode)
+                                  burst_mode=burst_mode, **channel)
         table = simulate_campaign(fleet, cfg, campaign_seed=1, n_bursts=12)
         ref = feature_table_from_bursts(_campaign_bursts(fleet, cfg, 1, 12),
                                         PipelineConfig(n_known=cfg.n_known))

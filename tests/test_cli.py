@@ -99,6 +99,10 @@ def test_unknown_config_keys_rejected(tmp_path):
     ("fleet-sim", {"n_sats": 2.7, "n_bursts": 2}),
     ("fleet-sim", {"n_sats": 2, "n_bursts": -3}),
     ("--paper-dr", {}),
+    ("fleet-sim", {"n_sats": 2, "n_bursts": 3, "cfo_jitter": -0.01}),
+    ("fleet-sim", {"n_sats": 2, "n_bursts": 3, "cfo_jitter": 1e308}),
+    ("fleet-sim", {"n_sats": 2, "n_bursts": 3, "cfo_jitter": float("inf")}),
+    ("fleet-sim", {"n_sats": 2, "n_bursts": 3, "cfo_jitter": float("nan")}),
 ])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "cfg.json"

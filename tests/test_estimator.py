@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from rfident.constellation import make_constellation
-from rfident.estimator import NlsOptions, fit_batch, mc_crb_validation, nls_estimate
+from rfident.estimator import (
+    NlsOptions,
+    _oracle_init,
+    fit_batch,
+    mc_crb_validation,
+    nls_estimate,
+)
 from rfident.signal_model import (
     Burst,
     ChannelConfig,
@@ -148,6 +154,38 @@ def test_mc_validation_deterministic():
     a = mc_crb_validation("qpsk", TRUTH, [20.0], n=76, n_trials=50, seed=4)
     b = mc_crb_validation("qpsk", TRUTH, [20.0], n=76, n_trials=50, seed=4)
     assert np.array_equal(a.rows[0].mse, b.rows[0].mse)
+
+
+@pytest.mark.parametrize("modulation, pilot_mode, status", [
+    ("qpsk", "random", "ok"),
+    ("bpsk", "iridium", "rank_deficient_pa_subblock"),
+])
+def test_mc_validation_equals_per_trial_synthesis(modulation, pilot_mode, status):
+    # 70 trials cross the 64-trial synthesis block; the reference draws each
+    # trial from its own stream and synthesizes it as one burst
+    grid, seed, n_trials = (0.0, 25.0), 3, 70
+    rep = mc_crb_validation(modulation, TRUTH, grid, n=76, n_trials=n_trials, seed=seed,
+                            pilot_mode=pilot_mode)
+    c = make_constellation(modulation)
+    for k, (snr_db, row) in enumerate(zip(grid, rep.rows)):
+        ch = ChannelConfig(h=1.0 + 0.0j, snr_db=snr_db)
+        r, x, theta0 = [], [], []
+        for t in range(n_trials):
+            rng = np.random.default_rng((seed, k, t))
+            symbols = (np.resize(iridium_known_symbols(), 76) if pilot_mode == "iridium"
+                       else random_known_symbols(c, 76, rng))
+            r.append(synthesize_burst(symbols, TRUTH, ch, rng=rng).samples)
+            x.append(symbols)
+            theta0.append(_oracle_init(TRUTH, rng))
+        fit = fit_batch(np.array(r), np.ones(n_trials), np.array(x), np.array(theta0))
+        mse = np.mean((fit.theta - TRUTH.as_vector()) ** 2, axis=0)
+        n_unconverged = int(np.count_nonzero(~fit.converged))
+        with np.errstate(invalid="ignore"):
+            ratio_exact = np.where(np.isfinite(row.crb_exact), mse / row.crb_exact, np.nan)
+        assert np.array_equal(row.mse, mse)
+        assert np.array_equal(row.ratio_exact, ratio_exact, equal_nan=True)
+        assert row.status == status + ("+budget" if n_unconverged else "")
+        assert row.n_unconverged == n_unconverged
 
 
 def test_mc_validation_bpsk_rank_deficient_pairing():

@@ -376,6 +376,8 @@ def _with(values, index, value):
     (lambda b: _bad(b, n=40), "has 40 samples, needs 76"),
     (lambda b: _bad(b, known=_with(b.known_symbols, 3, np.inf)), "non-finite known symbol"),
     (lambda b: _bad(b, known=np.zeros(b.n)), "known symbols are all zero"),
+    # cases added later go last, so that the ids of the cases above stay as they are
+    (lambda b: _bad(b, samples=b.samples * 1e160), "sample power overflows"),
 ])
 def test_table_error_names_the_first_bad_burst(make_bad, message):
     # two bad bursts, both past the first block: the error names the first
@@ -386,3 +388,15 @@ def test_table_error_names_the_first_bad_burst(make_bad, message):
         feature_table_from_bursts(bursts)
     with pytest.raises(DegenerateInputError, match=message):
         extract_features(bursts[275])
+
+
+def test_overflowing_sample_power_is_degenerate():
+    # finite samples whose mean power overflows: normalizing would zero them
+    ch = ChannelConfig(snr_db=20.0, cfo_rad_per_symbol=0.003, random_phase=True)
+    b = synthesize_burst(iridium_known_symbols(), HwiParams(eps=0.02), ch, seed=1)
+    huge = _bad(b, samples=b.samples * 1e160)
+    assert np.all(np.isfinite(huge.samples))
+    with pytest.raises(DegenerateInputError, match="^burst 0: sample power overflows$"):
+        extract_features(huge)
+    # large samples whose power stays finite still give finite features
+    assert np.all(np.isfinite(extract_features(_bad(b, samples=b.samples * 1e150)).as_array()))

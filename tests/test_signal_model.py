@@ -8,6 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from rfident.constellation import make_constellation
 from rfident.signal_model import (
+    _draw_channel_noise,
+    _synthesize_rows,
     Burst,
     BurstError,
     BurstMeta,
@@ -16,6 +18,7 @@ from rfident.signal_model import (
     HwiParams,
     apply_hwi,
     bpsk_collapse,
+    draw_channel,
     generate_fleet,
     hwi_jacobian,
     hwi_model_and_jacobian,
@@ -157,6 +160,61 @@ def test_cfo_ramp_applied():
     ch = ChannelConfig(h=1.0, snr_db=None, cfo_rad_per_symbol=0.02)
     b = synthesize_burst(x, HwiParams(), ch, seed=0)
     assert np.allclose(b.samples, np.exp(1j * 0.02 * np.arange(16)), atol=1e-14)
+
+
+def _reference_burst(x, p, ch, rng):
+    """The per-burst synthesis formula, one numpy call at a time on one
+    burst: the oracle the block synthesizer must match bit for bit. Returns
+    the drawn channel coefficient and the samples."""
+    h = draw_channel(ch, rng)
+    k = iq_coefficients(p)
+    x_iq = k.k1 * x + k.k2 * np.conj(x)
+    u = np.abs(x_iq) ** 2
+    y = x_iq * (1.0 + p.alpha3 * u)
+    clean = h * y * np.exp(1j * ch.cfo_rad_per_symbol * np.arange(x.size))
+    if ch.noise_free:
+        return h, clean
+    sigma = math.sqrt(ch.noise_variance / 2.0)
+    return h, clean + sigma * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
+
+
+_P = HwiParams(eps=0.03, phi=-0.02, alpha3=0.04 - 0.03j)
+
+
+@pytest.mark.parametrize("ch", [
+    ChannelConfig(snr_db=None, cfo_rad_per_symbol=0.004),
+    ChannelConfig(snr_db=math.inf, rician_k_db=3.0, random_phase=True),
+    ChannelConfig(snr_db=8.0, rician_k_db=6.0, random_phase=True, cfo_rad_per_symbol=0.01),
+    ChannelConfig(h=0.6 - 0.9j, snr_db=15.0, cfo_rad_per_symbol=0.002),
+    ChannelConfig(h=1.3j, snr_db=25.0, random_phase=True, cfo_rad_per_symbol=-0.0093),
+])
+def test_synthesize_burst_is_bit_identical_to_the_reference(ch):
+    x = random_known_symbols(make_constellation("16qam"), 76, np.random.default_rng(3))
+    for seed in range(4):
+        b = synthesize_burst(x, _P, ch, seed=seed)
+        h, want = _reference_burst(x, _P, ch, np.random.default_rng(seed))
+        assert np.array_equal(b.samples, want)
+        assert b.meta.h_realized == h
+
+
+def test_block_synthesis_is_bit_identical_row_by_row():
+    # 300 x 76 complex samples are 365 KB: above the 256 KiB from which
+    # numpy reuses temporaries as outputs, which must not change a bit
+    rows, n = 300, 76
+    ch = ChannelConfig(snr_db=12.0, rician_k_db=4.0, random_phase=True)
+    # Gaussian symbols: on a small alphabet the swapped products can agree
+    sym_rng = np.random.default_rng(11)
+    x = (sym_rng.standard_normal((rows, n)) + 1j * sym_rng.standard_normal((rows, n))) / 2.0
+    cfo = sym_rng.uniform(-0.02, 0.02, rows).tolist()
+    draws = [_draw_channel_noise(ch, np.random.default_rng(i), n) for i in range(rows)]
+    block = _synthesize_rows(x, _P, ch, cfo, draws)
+    assert block.nbytes > 256 * 1024
+    for i in range(rows):
+        row_ch = ChannelConfig(snr_db=12.0, rician_k_db=4.0, random_phase=True,
+                               cfo_rad_per_symbol=cfo[i])
+        h, want = _reference_burst(x[i], _P, row_ch, np.random.default_rng(i))
+        assert draws[i][0] == h
+        assert np.array_equal(block[i], want)
 
 
 def test_rician_mean_power():
