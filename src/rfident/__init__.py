@@ -73,11 +73,9 @@ from .features import (
     remove_cfo,
 )
 from .auth import (
-    AuthDecision,
     AuthReport,
     DrTable,
     FeatureTable,
-    Fingerprint,
     FleetProtocolConfig,
     RocCurve,
     StabilityRow,
@@ -89,7 +87,6 @@ from .auth import (
     glrt_score,
     iwat_score,
     iwat_weights,
-    make_fingerprint,
     roc_auc,
     run_auth_experiment,
     simulate_campaign,

@@ -62,27 +62,10 @@ class AuthConfigError(ValueError):
     ``ConfigError`` instead."""
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    """Accumulated per-satellite feature means (SNR-weighted) with the
-    unweighted per-feature variance kept for diagnostics."""
-
-    satellite_id: str
-    mean: np.ndarray
-    var: np.ndarray
-    n_messages: int
-
-    def __post_init__(self):
-        if self.n_messages < 1:
-            raise ValueError("a fingerprint needs at least one message")
-        if np.any(np.asarray(self.var) < -1e-12):
-            raise ValueError("variances must be nonnegative")
-
-
-def accumulate(features, snrs_db) -> "Fingerprint | np.ndarray":
-    """SNR-weighted mean of per-burst feature vectors (weights prop. to the
-    linear per-burst SNR). Returns the weighted mean array; wrap in a
-    Fingerprint via ``make_fingerprint`` or manually."""
+def accumulate(features, snrs_db) -> np.ndarray:
+    """SNR-weighted mean of per-burst feature vectors, each weighted by its
+    burst's linear SNR. ``features`` is a (bursts x features) array or a
+    sequence of ``FeatureVector``s."""
     x = np.asarray(
         [f.as_array() if hasattr(f, "as_array") else np.asarray(f, dtype=float) for f in features]
     )
@@ -94,12 +77,6 @@ def accumulate(features, snrs_db) -> "Fingerprint | np.ndarray":
     if total <= 0.0:
         raise ValueError("all-zero accumulation weights")
     return (w[:, None] * x).sum(axis=0) / total
-
-
-def make_fingerprint(satellite_id: str, features, snrs_db) -> Fingerprint:
-    # convert once, so that features may also be a one-pass iterable
-    x = np.asarray([f.as_array() if hasattr(f, "as_array") else f for f in features], dtype=float)
-    return Fingerprint(satellite_id, accumulate(x, snrs_db), np.var(x, axis=0), x.shape[0])
 
 
 @dataclass(frozen=True)
@@ -243,18 +220,23 @@ class StabilityRow:
     defined: bool
 
 
-def cross_stability(fingerprints_a, fingerprints_b) -> dict:
+def cross_stability(a: tuple, b: tuple) -> dict:
     """Per-feature Pearson correlation of fingerprint means across the
-    satellites common to two campaigns."""
-    by_id_a = {f.satellite_id: f for f in fingerprints_a}
-    by_id_b = {f.satellite_id: f for f in fingerprints_b}
-    common = sorted(set(by_id_a) & set(by_id_b))
+    satellites common to two campaigns. Each campaign is an ``(ids, means)``
+    pair, one row of means per satellite, as ``_grouped_means`` returns."""
+    by_id = []
+    for ids, means in (a, b):
+        uniq, counts = np.unique(ids, return_counts=True)
+        if np.any(counts > 1):
+            raise AuthConfigError(f"satellite {uniq[np.argmax(counts > 1)]} appears more than "
+                                  "once in a campaign")
+        by_id.append(dict(zip(np.asarray(ids).tolist(), np.asarray(means, dtype=float))))
+    common = sorted(by_id[0].keys() & by_id[1].keys())
     if len(common) < 3:
         raise AuthConfigError("need at least 3 common satellites")
     from scipy import stats  # loaded on first use: it is most of `import rfident`
 
-    a = np.asarray([by_id_a[s].mean for s in common])
-    b = np.asarray([by_id_b[s].mean for s in common])
+    a, b = (np.asarray([m[s] for s in common]) for m in by_id)
     out = {}
     for j, name in enumerate(FEATURE_NAMES):
         if np.std(a[:, j]) <= 1e-300 or np.std(b[:, j]) <= 1e-300:
@@ -305,40 +287,29 @@ def iwat_weights(dr: DrTable | dict, feature_names, mode: str = "dr2") -> Weight
     return WeightVector(feature_names=names, weights=raw / total)
 
 
-@dataclass(frozen=True)
-class AuthDecision:
-    scores: dict
-    claimed_id: str
-    threshold: float
-    accepted: bool
-
-
-def _columns(x, feature_names, normalizer: tuple | None = None) -> np.ndarray:
+def _columns(x, feature_names, normalizer: tuple) -> np.ndarray:
     """The named feature columns of x (last axis), z-scored with the
-    (mean, std) pair of ``normalizer`` when one is given."""
+    (mean, std) pair of ``normalizer``."""
     idx = [FEATURE_NAMES.index(k) for k in feature_names]
-    x = np.asarray(x, dtype=float)[..., idx]
-    if normalizer is None:
-        return x
     mu, sd = normalizer
-    return (x - mu[idx]) / sd[idx]
+    return (np.asarray(x, dtype=float)[..., idx] - mu[idx]) / sd[idx]
 
 
-def _iwat_matrix(probes: np.ndarray, refs: np.ndarray, weights) -> np.ndarray:
-    """(probes x refs) weighted squared distances. Accumulating one feature
-    at a time keeps the temporaries at (probes x refs) size and, for fewer
-    than eight features, adds in the same order as a per-pair ``np.sum``."""
-    out = np.zeros((probes.shape[0], refs.shape[0]))
+def iwat_score(probes: np.ndarray, enrollment: np.ndarray, weights) -> np.ndarray:
+    """(probes x enrollment) weighted squared distances between the rows of
+    two fingerprint arrays. Accumulating one feature at a time keeps the
+    temporaries at (probes x enrollment) size and, for fewer than eight
+    features, adds in the same order as a per-pair ``np.sum``."""
+    out = np.zeros((probes.shape[0], enrollment.shape[0]))
     for f, w_f in enumerate(weights):
-        out += w_f * (probes[:, None, f] - refs[None, :, f]) ** 2
+        out += w_f * (probes[:, None, f] - enrollment[None, :, f]) ** 2
     return out
 
 
 def _glrt_precision(x: np.ndarray, ids, ridge: float) -> np.ndarray:
     """Inverse of the ridge-regularized covariance of the rows of x, each row
-    centred on its satellite's mean when ``ids`` is given."""
-    if ids is not None:
-        x = x - _grouped_means(ids, x)[1][np.unique(ids, return_inverse=True)[1]]
+    centred on the mean of its satellite's rows."""
+    x = x - _grouped_means(ids, x)[1][np.unique(ids, return_inverse=True)[1]]
     cov = np.atleast_2d(np.cov(x, rowvar=False, ddof=1)) + ridge * np.eye(x.shape[1])
     cond = np.linalg.cond(cov)
     if not np.isfinite(cond) or cond > 1e14:
@@ -346,10 +317,11 @@ def _glrt_precision(x: np.ndarray, ids, ridge: float) -> np.ndarray:
     return np.linalg.inv(cov)
 
 
-def _glrt_matrix(probes: np.ndarray, refs: np.ndarray, prec: np.ndarray) -> np.ndarray:
-    """(probes x refs) Mahalanobis distances under one precision matrix."""
-    d = probes[:, None, :] - refs[None, :, :]
-    return np.einsum("prk,kl,prl->pr", d, prec, d)
+def glrt_score(probes: np.ndarray, enrollment: np.ndarray, precision: np.ndarray) -> np.ndarray:
+    """(probes x enrollment) Mahalanobis distances under one precision
+    matrix, such as ``_glrt_precision`` of the per-burst enrollment rows."""
+    d = probes[:, None, :] - enrollment[None, :, :]
+    return np.einsum("prk,kl,prl->pr", d, precision, d)
 
 
 def _genuine_impostor(scores: np.ndarray, probe_ids, ref_ids) -> tuple:
@@ -360,61 +332,6 @@ def _genuine_impostor(scores: np.ndarray, probe_ids, ref_ids) -> tuple:
         raise AuthConfigError(f"probe satellite {probe_ids[np.argmax(missing)]} not enrolled")
     same = probe_ids[:, None] == ref_ids[None, :]
     return scores[same], scores[~same]
-
-
-def iwat_score(
-    test: Fingerprint,
-    enrollment,
-    w: WeightVector,
-    tau: float,
-    normalizer: tuple | None = None,
-) -> AuthDecision:
-    """Weighted squared distance to each enrollment fingerprint; claim the
-    argmin and accept when its score is below tau.
-
-    ``normalizer`` is the (mean, std) pair from enrollment statistics used to
-    z-score features globally; pass None for raw features.
-    """
-    if not enrollment:
-        raise AuthConfigError("empty enrollment")
-    row = _iwat_matrix(
-        _columns(test.mean[None], w.feature_names, normalizer),
-        _columns([f.mean for f in enrollment], w.feature_names, normalizer),
-        w.weights,
-    )[0]
-    scores = {ref.satellite_id: float(s) for ref, s in zip(enrollment, row)}
-    claimed = min(scores, key=scores.get)
-    return AuthDecision(scores=scores, claimed_id=claimed, threshold=tau,
-                        accepted=scores[claimed] < tau)
-
-
-def glrt_score(
-    test: Fingerprint,
-    enrollment,
-    feature_subset,
-    ridge: float = 1e-6,
-    per_burst_matrix: np.ndarray | None = None,
-    per_burst_ids: np.ndarray | None = None,
-    normalizer: tuple | None = None,
-) -> dict:
-    """Mahalanobis distance with a regularized pooled enrollment covariance.
-
-    The covariance pools per-burst features centered per satellite; when no
-    per-burst data is supplied, the enrollment fingerprint means are pooled
-    instead (requires more satellites than features or a positive ridge).
-    """
-    if not enrollment:
-        raise AuthConfigError("empty enrollment")
-    refs = _columns([f.mean for f in enrollment], feature_subset, normalizer)
-    if per_burst_matrix is not None:
-        x = _columns(per_burst_matrix, feature_subset, normalizer)
-        prec = _glrt_precision(x, per_burst_ids, ridge)
-    else:
-        if refs.shape[0] <= refs.shape[1] and ridge <= 0.0:
-            raise AuthConfigError("enrollment count must exceed feature dimension or ridge > 0")
-        prec = _glrt_precision(refs, None, ridge)
-    row = _glrt_matrix(_columns(test.mean[None], feature_subset, normalizer), refs, prec)[0]
-    return {ref.satellite_id: float(s) for ref, s in zip(enrollment, row)}
 
 
 @dataclass(frozen=True)
@@ -615,8 +532,8 @@ def run_auth_experiment(cfg: FleetProtocolConfig | None = None, seed: int = 0) -
     enroll_ids, enroll = _grouped_means(table_a.satellite_ids, table_a.matrix)
 
     def iwat_split(probe_ids, probes, ref_ids, refs, w):
-        scores = _iwat_matrix(_columns(probes, w.feature_names, normalizer),
-                              _columns(refs, w.feature_names, normalizer), w.weights)
+        scores = iwat_score(_columns(probes, w.feature_names, normalizer),
+                            _columns(refs, w.feature_names, normalizer), w.weights)
         return _genuine_impostor(scores, probe_ids, ref_ids)
 
     strategies = {
@@ -640,8 +557,8 @@ def run_auth_experiment(cfg: FleetProtocolConfig | None = None, seed: int = 0) -
         else:
             prec = _glrt_precision(_columns(table_a.matrix, subset, normalizer),
                                    table_a.satellite_ids, cfg.ridge)
-            scores = _glrt_matrix(_columns(probes, subset, normalizer),
-                                  _columns(enroll, subset, normalizer), prec)
+            scores = glrt_score(_columns(probes, subset, normalizer),
+                                _columns(enroll, subset, normalizer), prec)
             genuine, impostor = _genuine_impostor(scores, probe_ids, enroll_ids)
         roc = roc_auc(genuine, impostor)
         roc_curves[name] = roc
@@ -692,19 +609,17 @@ def run_auth_experiment(cfg: FleetProtocolConfig | None = None, seed: int = 0) -
 
 def feature_table_from_bursts(bursts, pipeline: PipelineConfig | None = None) -> FeatureTable:
     """Extract a feature table from burst objects (synthetic or file-loaded),
-    so recorded data in the burst-file format can replace the simulator."""
-    return _feature_table(bursts, pipeline or PipelineConfig())
+    so recorded data in the burst-file format can replace the simulator.
 
-
-def _feature_table(bursts, pipeline: PipelineConfig) -> FeatureTable:
-    """One feature row per burst of an iterable, numbered per satellite in
-    arrival order, with the SNR the burst metadata records. The iterable is
-    read and extracted in blocks of ``_BLOCK`` bursts, so a stream of bursts
-    is never held in memory at once."""
+    One feature row per burst, numbered per satellite in arrival order, with
+    the SNR the burst metadata records. The iterable is read and extracted in
+    blocks of ``_BLOCK`` bursts, so a stream of bursts is never held in
+    memory at once."""
+    n_known = (pipeline or PipelineConfig()).n_known
     ids, snrs, blocks = [], [], []
     stream = iter(bursts)
     while block := list(itertools.islice(stream, _BLOCK)):
-        blocks.append(_extract_bursts(block, pipeline.n_known, first=len(ids))[0])
+        blocks.append(_extract_bursts(block, n_known, first=len(ids))[0])
         for b in block:
             ids.append(b.meta.satellite_id or "unknown")
             snrs.append(b.meta.channel.snr_db if b.meta.channel.snr_db is not None else math.inf)

@@ -44,7 +44,8 @@ class ConfigError(ValueError):
 
 
 class InvalidConstellationError(ConfigError):
-    """Raised when an alphabet is empty, zero-power, or has duplicate points."""
+    """Raised when an alphabet is empty, zero-power, non-finite, malformed,
+    or has duplicate points."""
 
 
 @dataclass(frozen=True)
@@ -146,6 +147,8 @@ def make_constellation(kind: str, points=None, name: str | None = None) -> Const
     pts = np.asarray(points, dtype=complex).ravel()
     if pts.size == 0:
         raise InvalidConstellationError("custom constellation is empty")
+    if not np.all(np.isfinite(pts)):
+        raise InvalidConstellationError("custom constellation has a non-finite point")
     power = float(np.mean(np.abs(pts) ** 2))
     if power <= _POWER_TOL:
         raise InvalidConstellationError("custom constellation has zero power")
@@ -154,10 +157,17 @@ def make_constellation(kind: str, points=None, name: str | None = None) -> Const
 
 
 def load_constellation_json(path) -> Constellation:
-    """Load a custom alphabet from a JSON array of [re, im] pairs."""
+    """Load a custom alphabet from a JSON array of [re, im] number pairs."""
     with open(path) as fh:
         raw = json.load(fh)
-    pts = [complex(re, im) for re, im in raw]
+    if not (isinstance(raw, list) and all(
+            isinstance(p, list) and len(p) == 2 and all(type(v) in (int, float) for v in p)
+            for p in raw)):
+        raise InvalidConstellationError(f"{path}: need a JSON array of [re, im] number pairs")
+    try:
+        pts = [complex(re, im) for re, im in raw]
+    except OverflowError:
+        raise InvalidConstellationError(f"{path}: a point is too large for a float") from None
     return make_constellation("custom", points=pts, name=str(path))
 
 

@@ -488,10 +488,24 @@ def _read_complex(fh, n: int, what: str) -> np.ndarray:
 
 
 def read_burst_binary(path) -> Burst:
+    """Read a burst written by ``write_burst_binary``; a malformed header or
+    a truncated file raises ``BurstError``."""
     with open(path, "rb") as fh:
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        hdr = json.loads(fh.read(hlen).decode("utf-8"))
-        n = int(hdr["n"])
+        head = fh.read(4)
+        if len(head) != 4:
+            raise BurstError(f"{path}: {len(head)} bytes, too short for the header length")
+        (hlen,) = struct.unpack("<I", head)
+        raw = fh.read(hlen)
+        if len(raw) != hlen:
+            raise BurstError(f"{path}: the header length says {hlen} bytes but the file "
+                             f"holds {len(raw)}")
+        try:
+            hdr = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError too
+            raise BurstError(f"{path}: malformed header: {exc}") from None
+        n = hdr.get("n") if isinstance(hdr, dict) else None
+        if type(n) is not int or n < 0:
+            raise BurstError(f"{path}: the header needs an integer n >= 0, got {n!r}")
         samples = _read_complex(fh, n, "samples")
         known = None
         if hdr.get("has_known_symbols"):

@@ -15,8 +15,9 @@ from rfident.auth import (
     DrTable,
     DrRow,
     FeatureTable,
-    Fingerprint,
     FleetProtocolConfig,
+    _genuine_impostor,
+    _glrt_precision,
     _grouped_means,
     accumulate,
     balanced_dr,
@@ -25,7 +26,6 @@ from rfident.auth import (
     glrt_score,
     iwat_score,
     iwat_weights,
-    make_fingerprint,
     roc_auc,
     run_auth_experiment,
     simulate_campaign,
@@ -108,11 +108,6 @@ def test_accumulate_errors():
         accumulate(np.ones((2, N_FEAT)), [-math.inf, -math.inf])
 
 
-def test_fingerprint_validation():
-    with pytest.raises(ValueError):
-        Fingerprint("s", np.zeros(N_FEAT), np.zeros(N_FEAT), n_messages=0)
-
-
 def test_balanced_dr_identical_feature_is_zero():
     rng = np.random.default_rng(2)
     ids = np.repeat([f"S{i}" for i in range(4)], 40)
@@ -187,17 +182,24 @@ def test_verdict_banding():
     assert [k for k, _ in table.ordered()] == ["a", "b", "c", "d", "e"]
 
 
+def _cols(x, feature_names):
+    return np.asarray(x, dtype=float)[..., [FEATURE_NAMES.index(k) for k in feature_names]]
+
+
 def _fingerprints(means, prefix="S"):
-    return [
-        Fingerprint(f"{prefix}{i}", np.asarray(m, dtype=float), np.ones(N_FEAT), 10)
-        for i, m in enumerate(means)
-    ]
+    """An (ids, means) fingerprint pair, one satellite per row of means."""
+    means = np.asarray(means, dtype=float)
+    return np.asarray([f"{prefix}{i}" for i in range(means.shape[0])]), means
 
 
 def test_cross_stability_self_correlation():
+    # campaign B lists the satellites in another order and adds one that A
+    # lacks: rows are matched by id over the common satellites
     rng = np.random.default_rng(7)
-    fps = _fingerprints(rng.normal(size=(24, N_FEAT)))
-    out = cross_stability(fps, fps)
+    ids, means = _fingerprints(rng.normal(size=(24, N_FEAT)))
+    order = rng.permutation(24)
+    out = cross_stability((ids, means), (np.append(ids[order], "X"),
+                                         np.vstack([means[order], rng.normal(size=N_FEAT)])))
     for name, row in out.items():
         assert row.defined
         assert row.r == pytest.approx(1.0, abs=1e-12)
@@ -218,13 +220,24 @@ def test_cross_stability_independent_vectors_null():
 
 
 def test_cross_stability_zero_variance_flagged():
-    fps_a = _fingerprints(np.zeros((5, N_FEAT)))
+    ids, zeros = _fingerprints(np.zeros((5, N_FEAT)))
     rng = np.random.default_rng(9)
     fps_b = _fingerprints(rng.normal(size=(5, N_FEAT)))
-    out = cross_stability(fps_a, fps_b)
+    out = cross_stability((ids, zeros), fps_b)
     assert all(not row.defined for row in out.values())
     with pytest.raises(AuthConfigError):
-        cross_stability(fps_a[:2], fps_b[:2])
+        cross_stability((ids[:2], zeros[:2]), (fps_b[0][:2], fps_b[1][:2]))
+
+
+def test_cross_stability_rejects_repeated_ids():
+    # a campaign with two rows for one satellite has no single fingerprint
+    # for it; the rows must not be silently dropped
+    rng = np.random.default_rng(23)
+    ids, means = _fingerprints(rng.normal(size=(5, N_FEAT)))
+    repeated = np.array(["S0", "S1", "S2", "S3", "S1"])
+    for a, b in (((repeated, means), (ids, means)), ((ids, means), (repeated, means))):
+        with pytest.raises(AuthConfigError, match="S1"):
+            cross_stability(a, b)
 
 
 def test_iwat_weights_published_values():
@@ -252,54 +265,66 @@ def test_iwat_weights_monotone():
 
 def test_iwat_score_identical_row():
     rng = np.random.default_rng(10)
-    enroll = _fingerprints(rng.normal(size=(5, N_FEAT)))
+    _, means = _fingerprints(rng.normal(size=(5, N_FEAT)))
     w = iwat_weights({k: 1.0 for k in ALL6_FEATURES}, ALL6_FEATURES, mode="equal")
-    probe = enroll[3]
-    dec = iwat_score(probe, enroll, w, tau=1e-9)
-    assert dec.claimed_id == "S3"
-    assert dec.scores["S3"] == 0.0
-    assert dec.accepted
+    enroll = _cols(means, w.feature_names)
+    scores = iwat_score(enroll[3:4], enroll, w.weights)
+    assert scores.shape == (1, 5)
+    assert np.argmin(scores[0]) == 3
+    assert scores[0, 3] == 0.0
+    assert np.all(np.delete(scores[0], 3) > 0.0)
 
 
 def test_iwat_score_single_feature_ranking():
     rng = np.random.default_rng(11)
-    enroll = _fingerprints(rng.normal(size=(6, N_FEAT)))
+    _, means = _fingerprints(rng.normal(size=(6, N_FEAT)))
     w = iwat_weights({"amp_var": 2.0}, ("amp_var",))
-    probe = Fingerprint("S0", enroll[0].mean + 0.1, np.ones(N_FEAT), 5)
-    dec = iwat_score(probe, enroll, w, tau=math.inf)
+    probe = means[0] + 0.1
+    scores = iwat_score(_cols(probe[None], w.feature_names),
+                        _cols(means, w.feature_names), w.weights)[0]
     j = FEATURE_NAMES.index("amp_var")
-    expected = {f.satellite_id: (probe.mean[j] - f.mean[j]) ** 2 for f in enroll}
-    order = sorted(dec.scores, key=dec.scores.get)
-    assert order == sorted(expected, key=expected.get)
+    expected = (probe[j] - means[:, j]) ** 2
+    assert np.array_equal(np.argsort(scores), np.argsort(expected))
 
 
 def test_iwat_scale_invariance_of_ranking():
     rng = np.random.default_rng(12)
-    enroll = _fingerprints(rng.normal(size=(6, N_FEAT)))
-    probe = Fingerprint("S2", rng.normal(size=N_FEAT), np.ones(N_FEAT), 5)
+    _, means = _fingerprints(rng.normal(size=(6, N_FEAT)))
+    probe = rng.normal(size=(1, N_FEAT))
     drs = {k: v for k, v in PUBLISHED_DRS.items()}
     w1 = iwat_weights(drs, tuple(drs), mode="dr2")
     scaled = {k: 3.0 * v for k, v in drs.items()}  # scales all weights equally
     w2 = iwat_weights(scaled, tuple(scaled), mode="dr2")
-    d1 = iwat_score(probe, enroll, w1, tau=math.inf)
-    d2 = iwat_score(probe, enroll, w2, tau=math.inf)
-    assert d1.claimed_id == d2.claimed_id
-    assert np.allclose(sorted(d1.scores.values()), sorted(d2.scores.values()))
+    d1, d2 = (iwat_score(_cols(probe, w.feature_names), _cols(means, w.feature_names),
+                         w.weights)[0] for w in (w1, w2))
+    assert np.argmin(d1) == np.argmin(d2)
+    assert np.allclose(sorted(d1), sorted(d2))
 
 
 def test_iwat_empty_enrollment():
+    # an empty enrollment scores to a (probes x 0) matrix, and splitting it
+    # into genuine and impostor scores finds the probe's satellite not enrolled
     w = iwat_weights({"amp_var": 1.0}, ("amp_var",))
-    probe = Fingerprint("S0", np.zeros(N_FEAT), np.ones(N_FEAT), 1)
-    with pytest.raises(AuthConfigError):
-        iwat_score(probe, [], w, tau=1.0)
+    scores = iwat_score(np.zeros((1, 1)), np.empty((0, 1)), w.weights)
+    assert scores.shape == (1, 0)
+    with pytest.raises(AuthConfigError, match="not enrolled"):
+        _genuine_impostor(scores, np.array(["S0"]), np.array([], dtype=str))
+
+
+def test_unenrolled_probe_satellite_is_rejected():
+    scores = np.arange(6.0).reshape(3, 2)
+    genuine, impostor = _genuine_impostor(scores, np.array(["A", "B", "A"]), np.array(["A", "B"]))
+    assert list(genuine) == [0.0, 3.0, 4.0] and list(impostor) == [1.0, 2.0, 5.0]
+    with pytest.raises(AuthConfigError, match="probe satellite C not enrolled"):
+        _genuine_impostor(scores, np.array(["A", "C", "A"]), np.array(["A", "B"]))
 
 
 def test_glrt_identity_covariance_is_euclidean():
     rng = np.random.default_rng(13)
-    enroll = _fingerprints(rng.normal(size=(30, N_FEAT)))
+    _, means = _fingerprints(rng.normal(size=(30, N_FEAT)))
     subset = ("amp_var", "amp_range")
     idx = [FEATURE_NAMES.index(k) for k in subset]
-    probe = Fingerprint("S0", rng.normal(size=N_FEAT), np.ones(N_FEAT), 5)
+    probe = rng.normal(size=N_FEAT)
     # per-burst rows for one satellite, whitened so the per-satellite-centered
     # sample covariance is exactly the identity
     n = 500
@@ -307,35 +332,46 @@ def test_glrt_identity_covariance_is_euclidean():
     x -= x.mean(axis=0)
     chol = np.linalg.cholesky(np.cov(x, rowvar=False, ddof=1))
     x = x @ np.linalg.inv(chol).T
-    scores = glrt_score(probe, enroll, subset, ridge=0.0,
-                        per_burst_matrix=x, per_burst_ids=np.repeat(["a"], n))
-    euclid = {f.satellite_id: float(np.sum((probe.mean[idx] - f.mean[idx]) ** 2))
-              for f in enroll}
-    for k in scores:
-        assert scores[k] == pytest.approx(euclid[k], rel=1e-9, abs=1e-12)
+
+    def glrt(rows, ids):
+        prec = _glrt_precision(_cols(rows, subset), ids, ridge=0.0)
+        return glrt_score(_cols(probe[None], subset), _cols(means, subset), prec)[0]
+
+    euclid = np.sum((probe[idx] - means[:, idx]) ** 2, axis=1)
+    assert glrt(x, np.repeat(["a"], n)) == pytest.approx(euclid, rel=1e-9, abs=1e-12)
     # two satellites far apart: centring each on its own mean leaves the same
     # rows twice, so the pooled covariance is 2(n-1)/(2n-1) times the identity
     offset = np.zeros(N_FEAT)
     offset[idx] = 100.0
-    scores = glrt_score(probe, enroll, subset, ridge=0.0,
-                        per_burst_matrix=np.vstack([x + offset, x - offset]),
-                        per_burst_ids=np.repeat(["a", "b"], n))
-    for k in scores:
-        assert scores[k] == pytest.approx(euclid[k] * (2 * n - 1) / (2 * n - 2), rel=1e-9)
+    scores = glrt(np.vstack([x + offset, x - offset]), np.repeat(["a", "b"], n))
+    assert scores == pytest.approx(euclid * (2 * n - 1) / (2 * n - 2), rel=1e-9)
 
 
 def test_glrt_identical_row_scores_zero():
     rng = np.random.default_rng(14)
-    enroll = _fingerprints(rng.normal(size=(20, N_FEAT)))
-    scores = glrt_score(enroll[4], enroll, ("amp_var", "amp_range", "amp_acf1"), ridge=1e-6)
-    assert scores["S4"] == pytest.approx(0.0, abs=1e-12)
+    subset = ("amp_var", "amp_range", "amp_acf1")
+    ids = np.repeat([f"S{i:02d}" for i in range(20)], 10)
+    rows = rng.normal(size=(ids.size, N_FEAT))
+    enroll_ids, means = _grouped_means(ids, rows)
+    prec = _glrt_precision(_cols(rows, subset), ids, ridge=1e-6)
+    enroll = _cols(means, subset)
+    scores = glrt_score(enroll[4:5], enroll, prec)[0]
+    assert enroll_ids[4] == "S04"
+    assert scores[4] == pytest.approx(0.0, abs=1e-12)
+    assert np.argmin(scores) == 4
 
 
-def test_glrt_dimension_guard():
+def test_glrt_precision_rejects_singular_covariance():
+    # a column that copies another leaves the covariance rank-deficient;
+    # only a positive ridge makes it invertible
     rng = np.random.default_rng(15)
-    enroll = _fingerprints(rng.normal(size=(3, N_FEAT)))
-    with pytest.raises(AuthConfigError):
-        glrt_score(enroll[0], enroll, ("amp_var", "amp_range", "amp_acf1"), ridge=0.0)
+    x = rng.normal(size=(50, 2))
+    x = np.column_stack([x, x[:, 0]])
+    ids = np.repeat(["a", "b"], 25)
+    with pytest.raises(AuthConfigError, match="singular regularized covariance"):
+        _glrt_precision(x, ids, ridge=0.0)
+    prec = _glrt_precision(x, ids, ridge=1e-6)
+    assert prec.shape == (3, 3) and np.all(np.isfinite(prec))
 
 
 def test_roc_auc_perfect_separation():
@@ -415,16 +451,12 @@ def _campaign_bursts(fleet, cfg, campaign_seed, n_bursts):
     return out
 
 
-def test_make_fingerprint_and_simulate_campaign_smoke():
+def test_simulate_campaign_smoke():
     fleet = generate_fleet(3, seed=5)
     cfg = FleetProtocolConfig(n_sats=3, n_enroll=40, n_probe=60, probe_acc=30, n_bal=30)
     table = simulate_campaign(fleet, cfg, campaign_seed=1, n_bursts=12)
     assert table.matrix.shape == (36, N_FEAT)
-    fp = make_fingerprint("SAT0", table.matrix[:12], table.snr_db[:12])
-    assert fp.n_messages == 12
-    assert np.all(np.isfinite(fp.mean))
-    one_pass = make_fingerprint("SAT0", iter(table.matrix[:12]), table.snr_db[:12])
-    assert np.array_equal(one_pass.mean, fp.mean) and np.array_equal(one_pass.var, fp.var)
+    assert np.all(np.isfinite(table.matrix))
     # the campaign table is the generic burst-file table over the same
     # bursts, with noise, Rician channel draws or neither
     for burst_mode, channel in itertools.product(
@@ -523,8 +555,9 @@ def test_grouped_means_chunks_follow_table_order():
 
 
 def test_run_auth_experiment_matches_per_probe_scoring():
-    # every strategy, accumulation point and the threshold recomputed with
-    # the public one-probe scorers; odd n_enroll gives a 20/21 pseudo split
+    # every strategy, accumulation point and the threshold recomputed one
+    # probe and one enrolled satellite at a time, with a precision matrix
+    # built here; odd n_enroll gives a 20/21 pseudo split
     cfg = FleetProtocolConfig(n_sats=5, n_enroll=41, n_probe=40, n_bal=30, n_dr_trials=5,
                               probe_acc=20, n_acc_grid=(1, 3, 40))
     seed = 4
@@ -534,8 +567,12 @@ def test_run_auth_experiment_matches_per_probe_scoring():
     table_b = simulate_campaign(fleet, cfg, campaign_seed=2 * seed + 1, n_bursts=cfg.n_probe)
     mu = table_a.matrix.mean(axis=0)
     sd = table_a.matrix.std(axis=0, ddof=1)
-    normalizer = (mu, np.where(sd > 1e-300, sd, 1.0))
+    sd = np.where(sd > 1e-300, sd, 1.0)
     dr = balanced_dr(table_a, n_bal=cfg.n_bal, n_trials=cfg.n_dr_trials, seed=seed + 101)
+
+    def zscored(x, names):
+        idx = [FEATURE_NAMES.index(k) for k in names]
+        return (x[..., idx] - mu[idx]) / sd[idx]
 
     def fingerprints(table, chunk=None, first=None, rest=None):
         out = []
@@ -543,20 +580,31 @@ def test_run_auth_experiment_matches_per_probe_scoring():
             sel = np.flatnonzero(table.satellite_ids == s)[rest:first]
             n = chunk or sel.size
             for c in range(sel.size // n):
-                x = table.matrix[sel[c * n:(c + 1) * n]]
-                out.append(Fingerprint(str(s), x.mean(axis=0), x.var(axis=0), n))
+                out.append((str(s), table.matrix[sel[c * n:(c + 1) * n]].mean(axis=0)))
         return out
 
     def split(probes, enrollment, score):
         genuine, impostor = [], []
-        for probe in probes:
-            for sat, value in score(probe, enrollment).items():
-                (genuine if sat == probe.satellite_id else impostor).append(value)
+        for probe_id, p in probes:
+            for ref_id, e in enrollment:
+                (genuine if ref_id == probe_id else impostor).append(score(p, e))
         return genuine, impostor
 
     def iwat(w):
-        return lambda probe, enrollment: iwat_score(probe, enrollment, w, tau=math.inf,
-                                                    normalizer=normalizer).scores
+        return lambda p, e: np.sum(w.weights * (zscored(p, w.feature_names)
+                                                - zscored(e, w.feature_names)) ** 2)
+
+    def glrt(names):
+        x = zscored(table_a.matrix, names)
+        for s in np.unique(table_a.satellite_ids):
+            rows = table_a.satellite_ids == s
+            x[rows] -= x[rows].mean(axis=0)
+        prec = np.linalg.inv(np.cov(x, rowvar=False, ddof=1) + cfg.ridge * np.eye(len(names)))
+
+        def score(p, e):
+            d = zscored(p, names) - zscored(e, names)
+            return d @ prec @ d
+        return score
 
     enrollment = fingerprints(table_a)
     probes = fingerprints(table_b, chunk=cfg.probe_acc)
@@ -566,9 +614,7 @@ def test_run_auth_experiment_matches_per_probe_scoring():
                "oscillator_only_2": (OSC2_FEATURES, "equal"),
                "iq_only_2": (IQ2_FEATURES, "equal")}
     scorers = {k: iwat(iwat_weights(dr, sub, mode=m)) for k, (sub, m) in subsets.items()}
-    scorers["glrt_crb4"] = lambda probe, enrollment: glrt_score(
-        probe, enrollment, CRB4_FEATURES, ridge=cfg.ridge, per_burst_matrix=table_a.matrix,
-        per_burst_ids=table_a.satellite_ids, normalizer=normalizer)
+    scorers["glrt_crb4"] = glrt(CRB4_FEATURES)
     assert set(rep.strategies) == set(scorers)
     for name, score in scorers.items():
         genuine, impostor = split(probes, enrollment, score)
@@ -617,13 +663,8 @@ def test_cross_campaign_stability_pattern():
                               n_dr_trials=5, probe_acc=60)
     table_a = simulate_campaign(fleet, cfg, campaign_seed=70, n_bursts=300)
     table_b = simulate_campaign(fleet, cfg, campaign_seed=71, n_bursts=300)
-    fps_a = [make_fingerprint(str(s), table_a.matrix[table_a.satellite_ids == s],
-                              table_a.snr_db[table_a.satellite_ids == s])
-             for s in np.unique(table_a.satellite_ids)]
-    fps_b = [make_fingerprint(str(s), table_b.matrix[table_b.satellite_ids == s],
-                              table_b.snr_db[table_b.satellite_ids == s])
-             for s in np.unique(table_b.satellite_ids)]
-    out = cross_stability(fps_a, fps_b)
+    out = cross_stability(_grouped_means(table_a.satellite_ids, table_a.matrix),
+                          _grouped_means(table_b.satellite_ids, table_b.matrix))
     assert out["amp_var"].r > 0.95
     assert abs(out["iq_eps_hat"].r) < 0.8
     assert abs(out["iq_phi_hat"].r) < 0.8

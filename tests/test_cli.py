@@ -103,12 +103,22 @@ def test_unknown_config_keys_rejected(tmp_path):
     ("fleet-sim", {"n_sats": 2, "n_bursts": 3, "cfo_jitter": 1e308}),
     ("fleet-sim", {"n_sats": 2, "n_bursts": 3, "cfo_jitter": float("inf")}),
     ("fleet-sim", {"n_sats": 2, "n_bursts": 3, "cfo_jitter": float("nan")}),
+    # a custom alphabet for moments: non-finite points, or not [re, im] number pairs
+    ("alphabet", [[1, 0], [float("nan"), 0]]),
+    ("alphabet", [[1, 0], [float("inf"), 0]]),
+    ("alphabet", [1, 2]),
+    ("alphabet", [["a", 0], [1, 0]]),
+    ("alphabet", [[1]]),
+    ("alphabet", [[-1, 0], [True, 0]]),
+    ("alphabet", {"re": [1, -1], "im": [0, 0]}),
+    ("alphabet", [[10**400, 0], [1, 0]]),
 ])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config if isinstance(config, str) else json.dumps(config))
     argv = {"--paper-dr": ["authenticate", "--paper-dr", cfg],
-            "features": ["dr-analysis", cfg]}.get(command, [command, "--config", cfg])
+            "features": ["dr-analysis", cfg],
+            "alphabet": ["moments", cfg]}.get(command, [command, "--config", cfg])
     assert run(["--out-dir", tmp_path, *argv]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1

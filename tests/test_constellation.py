@@ -110,6 +110,9 @@ def test_custom_errors():
         make_constellation("qpsk", points=[1.0])
     with pytest.raises(InvalidConstellationError):
         make_constellation("nosuch")
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        with pytest.raises(InvalidConstellationError, match="non-finite"):
+            make_constellation("custom", points=[1.0, bad])
 
 
 def test_duplicate_points_rejected():

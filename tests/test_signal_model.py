@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -370,6 +371,29 @@ def test_truncated_binary_burst_names_both_counts(tmp_path, cut):
     path.write_bytes(data[:-cut])
     held = (16 * 76 - cut) // 16 if cut <= 16 * 76 else (2 * 16 * 76 - cut) // 16
     with pytest.raises(BurstError, match=f"n = 76 but the file holds {held} "):
+        read_burst_binary(path)
+
+
+def _with_header(header: bytes) -> bytes:
+    return struct.pack("<I", len(header)) + header
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"", "0 bytes, too short"),
+    (b"\x05\x00", "2 bytes, too short"),
+    (struct.pack("<I", 40) + b'{"n": 1}', "says 40 bytes but the file holds 8"),
+    (_with_header(b'{"n": '), "malformed header"),
+    (_with_header(b"\xff\xfe"), "malformed header"),
+    (_with_header(b'{"satellite_id": "S"}'), "got None"),
+    (_with_header(b'{"n": -2}'), "got -2"),
+    (_with_header(b'{"n": 2.5}'), "got 2.5"),
+    (_with_header(b'{"n": "76"}'), "got '76'"),
+    (_with_header(b"[76]"), "got None"),
+])
+def test_malformed_binary_burst_header(tmp_path, data, message):
+    path = tmp_path / "burst.bin"
+    path.write_bytes(data)
+    with pytest.raises(BurstError, match=message):
         read_burst_binary(path)
 
 
