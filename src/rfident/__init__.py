@@ -64,7 +64,6 @@ from .estimator import (
     nls_estimate,
 )
 from .features import (
-    FEATURE_GROUPS,
     FEATURE_NAMES,
     FeatureVector,
     PipelineConfig,

@@ -37,7 +37,7 @@ from .signal_model import (
     write_csv_atomic,
 )
 
-DEFAULT_VERDICT_BANDS = (
+_VERDICT_BANDS = (
     (3.0, "strong"),
     (1.5, "moderate"),
     (1.0, "detectable"),
@@ -50,6 +50,19 @@ CRB4_FEATURES = PA3_FEATURES + ("phase_acf1",)
 ALL6_FEATURES = CRB4_FEATURES + ("amp_kurtosis", "evm")
 IQ2_FEATURES = ("iq_eps_hat", "iq_phi_hat")
 OSC2_FEATURES = ("phase_acf1", "phase_var")
+
+# Scoring strategies: name -> (feature subset, ``iwat_weights`` mode). A mode
+# of None scores by the Mahalanobis baseline (``glrt_score``) instead.
+STRATEGIES = {
+    "dr2_iwat_all6": (ALL6_FEATURES, "dr2"),
+    "dr_iwat_all6": (ALL6_FEATURES, "dr"),
+    "equal_weight_all6": (ALL6_FEATURES, "equal"),
+    "crb_guided_4": (CRB4_FEATURES, "equal"),
+    "pa_only_3": (PA3_FEATURES, "equal"),
+    "oscillator_only_2": (OSC2_FEATURES, "equal"),
+    "iq_only_2": (IQ2_FEATURES, "equal"),
+    "glrt_crb4": (CRB4_FEATURES, None),
+}
 
 # bursts per feature-extraction block: large enough that numpy's per-call
 # overhead is spread thin, small enough that a campaign streams in flat memory
@@ -155,9 +168,9 @@ class DrTable:
         )
 
 
-def _verdict(dr: float, bands=DEFAULT_VERDICT_BANDS) -> str:
+def _verdict(dr: float) -> str:
     # strong needs a strict > 3; the lower bands are half-open [lo, hi)
-    for k, (threshold, label) in enumerate(bands):
+    for k, (threshold, label) in enumerate(_VERDICT_BANDS):
         if (dr > threshold) if k == 0 else (dr >= threshold):
             return label
     return "not_discriminative"
@@ -168,7 +181,6 @@ def balanced_dr(
     n_bal: int = 30,
     n_trials: int = 30,
     seed: int = 0,
-    verdict_bands=DEFAULT_VERDICT_BANDS,
 ) -> DrTable:
     """Balanced bootstrap discrimination ratios.
 
@@ -208,7 +220,7 @@ def balanced_dr(
             mean=mean,
             std=float(np.std(drs[:, j], ddof=1)) if n_trials > 1 else 0.0,
             n_trials=n_trials,
-            verdict=_verdict(mean, verdict_bands),
+            verdict=_verdict(mean),
         )
     return DrTable(rows=rows, excluded_satellites=excluded)
 
@@ -341,9 +353,10 @@ class RocCurve:
     pd_at_fa: dict
 
 
-def roc_auc(genuine_scores, impostor_scores, fa_targets=(0.01, 0.1)) -> RocCurve:
+def roc_auc(genuine_scores, impostor_scores) -> RocCurve:
     """Threshold-sweep ROC for lower-is-genuine scores; AUC by the
-    rank statistic with ties counted one half."""
+    rank statistic with ties counted one half, and the detection rate at
+    false-accept rates 0.01 and 0.1."""
     g = np.sort(np.asarray(genuine_scores, dtype=float))
     i = np.sort(np.asarray(impostor_scores, dtype=float))
     if g.size == 0 or i.size == 0:
@@ -358,7 +371,7 @@ def roc_auc(genuine_scores, impostor_scores, fa_targets=(0.01, 0.1)) -> RocCurve
     pd = np.searchsorted(g, thresholds, side="left") / g.size
     points = np.column_stack([fa, pd])
     pd_at = {}
-    for target in fa_targets:
+    for target in (0.01, 0.1):
         ok = fa <= target + 1e-12
         pd_at[target] = float(np.max(pd[ok])) if np.any(ok) else 0.0
     return RocCurve(points=points, auc=auc, pd_at_fa=pd_at)
@@ -529,68 +542,44 @@ def run_auth_experiment(cfg: FleetProtocolConfig | None = None, seed: int = 0) -
 
     dr_table = balanced_dr(table_a, n_bal=cfg.n_bal, n_trials=cfg.n_dr_trials, seed=seed + 101)
     beta = moments(make_constellation("qpsk" if cfg.burst_mode != "iridium" else "bpsk")).beta
-    enroll_ids, enroll = _grouped_means(table_a.satellite_ids, table_a.matrix)
+    enrollment = _grouped_means(table_a.satellite_ids, table_a.matrix)
 
-    def iwat_split(probe_ids, probes, ref_ids, refs, w):
-        scores = iwat_score(_columns(probes, w.feature_names, normalizer),
-                            _columns(refs, w.feature_names, normalizer), w.weights)
-        return _genuine_impostor(scores, probe_ids, ref_ids)
-
-    strategies = {
-        "dr2_iwat_all6": ("iwat", ALL6_FEATURES, "dr2"),
-        "dr_iwat_all6": ("iwat", ALL6_FEATURES, "dr"),
-        "equal_weight_all6": ("iwat", ALL6_FEATURES, "equal"),
-        "crb_guided_4": ("iwat", CRB4_FEATURES, "equal"),
-        "pa_only_3": ("iwat", PA3_FEATURES, "equal"),
-        "oscillator_only_2": ("iwat", OSC2_FEATURES, "equal"),
-        "iq_only_2": ("iwat", IQ2_FEATURES, "equal"),
-        "glrt_crb4": ("glrt", CRB4_FEATURES, None),
-    }
-    probe_ids, probes = _grouped_means(table_b.satellite_ids, table_b.matrix, size=cfg.probe_acc)
-    results = {}
-    roc_curves = {}
-    weights_main = iwat_weights(dr_table, ALL6_FEATURES, mode="dr2")
-    for name, (kind, subset, mode) in strategies.items():
-        if kind == "iwat":
-            w = iwat_weights(dr_table, subset, mode=mode)
-            genuine, impostor = iwat_split(probe_ids, probes, enroll_ids, enroll, w)
-        else:
+    def split(name, probes, refs=enrollment):
+        """Genuine and impostor scores of strategy ``name`` for the
+        ``(ids, means)`` pairs of probes against references."""
+        subset, mode = STRATEGIES[name]
+        (probe_ids, p), (ref_ids, r) = probes, refs
+        p, r = _columns(p, subset, normalizer), _columns(r, subset, normalizer)
+        if mode is None:
             prec = _glrt_precision(_columns(table_a.matrix, subset, normalizer),
                                    table_a.satellite_ids, cfg.ridge)
-            scores = glrt_score(_columns(probes, subset, normalizer),
-                                _columns(enroll, subset, normalizer), prec)
-            genuine, impostor = _genuine_impostor(scores, probe_ids, enroll_ids)
-        roc = roc_auc(genuine, impostor)
-        roc_curves[name] = roc
+            scores = glrt_score(p, r, prec)
+        else:
+            scores = iwat_score(p, r, iwat_weights(dr_table, subset, mode).weights)
+        return _genuine_impostor(scores, probe_ids, ref_ids)
+
+    probes = _grouped_means(table_b.satellite_ids, table_b.matrix, size=cfg.probe_acc)
+    results = {}
+    roc_curves = {}
+    for name in STRATEGIES:
+        genuine, impostor = split(name, probes)
+        roc = roc_curves[name] = roc_auc(genuine, impostor)
         results[name] = StrategyResult(
             auc=roc.auc, pd_at_fa=roc.pd_at_fa, n_genuine=len(genuine), n_impostor=len(impostor)
         )
 
     # accumulation curves for the PA-led and IQ-only strategies
-    auc_vs_nacc = {}
-    for label, subset, mode in (
-        ("pa_only_3", PA3_FEATURES, "equal"),
-        ("dr2_iwat_all6", ALL6_FEATURES, "dr2"),
-        ("iq_only_2", IQ2_FEATURES, "equal"),
-    ):
-        w = iwat_weights(dr_table, subset, mode=mode)
-        ns, aucs = [], []
-        for n_acc in cfg.n_acc_grid:
-            if n_acc > cfg.n_probe:
-                continue
-            chunks = _grouped_means(table_b.satellite_ids, table_b.matrix, size=n_acc)
-            ns.append(int(n_acc))
-            aucs.append(roc_auc(*iwat_split(*chunks, enroll_ids, enroll, w)).auc)
-        auc_vs_nacc[label] = (ns, aucs)
+    grid = [n for n in cfg.n_acc_grid if n <= cfg.n_probe]
+    chunks = [_grouped_means(table_b.satellite_ids, table_b.matrix, size=n) for n in grid]
+    auc_vs_nacc = {name: ([int(n) for n in grid], [roc_auc(*split(name, c)).auc for c in chunks])
+                   for name in ("pa_only_3", "dr2_iwat_all6", "iq_only_2")}
 
     # enrollment-only threshold at the target false-accept rate: each
     # satellite's first half of enrollment bursts enrolls, the rest probes
     half = cfg.n_enroll // 2
-    _, impostor = iwat_split(
-        *_grouped_means(table_a.satellite_ids, table_a.matrix, start=half),
-        *_grouped_means(table_a.satellite_ids, table_a.matrix, stop=half),
-        weights_main,
-    )
+    _, impostor = split("dr2_iwat_all6",
+                        _grouped_means(table_a.satellite_ids, table_a.matrix, start=half),
+                        refs=_grouped_means(table_a.satellite_ids, table_a.matrix, stop=half))
     impostor = np.sort(impostor)
     k = int(math.floor(cfg.target_fa * impostor.size))
     threshold = float(impostor[k] if k < impostor.size else math.inf)
@@ -598,7 +587,7 @@ def run_auth_experiment(cfg: FleetProtocolConfig | None = None, seed: int = 0) -
     return AuthReport(
         strategies=results,
         dr_table=dr_table,
-        weights=weights_main,
+        weights=iwat_weights(dr_table, *STRATEGIES["dr2_iwat_all6"]),
         auc_vs_nacc=auc_vs_nacc,
         threshold=threshold,
         fleet=fleet,

@@ -127,6 +127,8 @@ def _write_json(path: str, obj) -> None:
 def _theta(theta: dict) -> HwiParams:
     if len(theta["alpha3"]) != 2:
         raise ConfigError("config key alpha3 must be a [re, im] pair")
+    if not all(map(math.isfinite, (theta["eps"], theta["phi_deg"], *theta["alpha3"]))):
+        raise ConfigError(f"config key theta must hold finite numbers, got {theta!r}")
     return HwiParams(eps=theta["eps"], phi=math.radians(theta["phi_deg"]),
                      alpha3=complex(*theta["alpha3"]))
 
@@ -208,7 +210,7 @@ def cmd_mc_validate(args) -> int:
 def cmd_identifiability(args) -> int:
     cfg = _load_config(args, {
         "modulations": ("bpsk", "sdpsk", "qpsk", "8psk", "16qam", "64qam"), "n": 76,
-        "snr_db": 20.0, "theta": _THETA, "rank_tol": 1e-9,
+        "snr_db": 20.0, "theta": _THETA,
     })
     gamma = 10.0 ** (cfg["snr_db"] / 10.0)
     p = _theta(cfg["theta"])
@@ -216,7 +218,7 @@ def cmd_identifiability(args) -> int:
     for mod in cfg["modulations"]:
         c = _constellation_from(mod)
         f = fim_numerical(c, p, cfg["n"], gamma)
-        rep = crb_report(f, rank_tol=cfg["rank_tol"])
+        rep = crb_report(f)
         out[mod] = {
             "beta": moments(c).beta,
             "rank": rep.rank,

@@ -18,21 +18,8 @@ _POWER_TOL = 1e-12
 # through the origin and IQ imbalance is unidentifiable (rank-2 information)
 _BETA_TOL = 1e-9
 
-SUPPORTED_KINDS = ("bpsk", "sdpsk", "qpsk", "dqpsk", "8psk", "16qam", "64qam", "custom")
-
-_KIND_ALIASES = {
-    "bpsk": "bpsk",
-    "sdpsk": "sdpsk",
-    "qpsk": "qpsk",
-    "dqpsk": "dqpsk",
-    "8psk": "8psk",
-    "psk8": "8psk",
-    "16qam": "16qam",
-    "qam16": "16qam",
-    "64qam": "64qam",
-    "qam64": "64qam",
-    "custom": "custom",
-}
+_KINDS = ("bpsk", "sdpsk", "qpsk", "dqpsk", "8psk", "16qam", "64qam", "custom")
+_ALIASES = {"psk8": "8psk", "qam16": "16qam", "qam64": "64qam"}
 
 
 class ConfigError(ValueError):
@@ -135,8 +122,9 @@ def make_constellation(kind: str, points=None, name: str | None = None) -> Const
     Custom points are accepted un-normalized; they are scaled to unit mean
     power and the applied scale is recorded on the result.
     """
-    key = _KIND_ALIASES.get(str(kind).strip().lower())
-    if key is None:
+    key = str(kind).strip().lower()
+    key = _ALIASES.get(key, key)
+    if key not in _KINDS:
         raise InvalidConstellationError(f"unsupported constellation {kind!r}")
     if key != "custom":
         if points is not None:
@@ -156,18 +144,27 @@ def make_constellation(kind: str, points=None, name: str | None = None) -> Const
     return Constellation(kind="custom", points=pts * scale, name=name or "custom", scale=scale)
 
 
-def load_constellation_json(path) -> Constellation:
-    """Load a custom alphabet from a JSON array of [re, im] number pairs."""
-    with open(path) as fh:
-        raw = json.load(fh)
+def _json_pairs(raw) -> np.ndarray | None:
+    """The complex values of a parsed JSON array of [re, im] number pairs, or
+    None when ``raw`` is not one (booleans are not numbers) or a number is
+    too large for a float."""
     if not (isinstance(raw, list) and all(
             isinstance(p, list) and len(p) == 2 and all(type(v) in (int, float) for v in p)
             for p in raw)):
-        raise InvalidConstellationError(f"{path}: need a JSON array of [re, im] number pairs")
+        return None
     try:
-        pts = [complex(re, im) for re, im in raw]
+        return np.array([complex(re, im) for re, im in raw], dtype=complex)
     except OverflowError:
-        raise InvalidConstellationError(f"{path}: a point is too large for a float") from None
+        return None
+
+
+def load_constellation_json(path) -> Constellation:
+    """Load a custom alphabet from a JSON array of [re, im] number pairs."""
+    with open(path) as fh:
+        pts = _json_pairs(json.load(fh))
+    if pts is None:
+        raise InvalidConstellationError(f"{path}: need a JSON array of [re, im] number "
+                                        "pairs, each number within float range")
     return make_constellation("custom", points=pts, name=str(path))
 
 

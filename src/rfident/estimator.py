@@ -303,6 +303,11 @@ def mc_crb_validation(
     c = modulation if isinstance(modulation, Constellation) else make_constellation(modulation)
     mod_name = c.name
     mom = moments(c)
+    # the Iridium pilots are +-1 symbols: only an alphabet with their moments
+    # gives the bound that their fit attains
+    if pilot_mode == "iridium" and mom != moments(make_constellation("bpsk")):
+        raise ConfigError(f"pilot_mode 'iridium' sends +-1 pilots and needs an alphabet "
+                          f"with BPSK moments, got {mod_name!r}")
     rows = []
     for k, snr_db in enumerate(np.atleast_1d(np.asarray(snr_grid_db, dtype=float))):
         gamma = 10.0 ** (snr_db / 10.0)

@@ -34,15 +34,6 @@ FEATURE_NAMES = (
     "pa_cross",
 )
 
-FEATURE_GROUPS = {
-    "pa": ("amp_var", "amp_range", "amp_kurtosis", "amp_acf1"),
-    "oscillator": ("phase_acf1", "phase_var", "cfo_hat"),
-    "constellation": ("evm",),
-    "iq": ("iq_eps_hat", "iq_phi_hat"),
-    "dc": ("dc_i", "dc_q"),
-    "pa_cross": ("pa_cross",),
-}
-
 # amp_range spans these percentiles of the amplitude
 _PERCENTILE_LO = 5.0
 _PERCENTILE_HI = 95.0
@@ -296,10 +287,10 @@ def extract_features(b: Burst, cfg: PipelineConfig | None = None) -> FeatureVect
                          degenerate=frozenset(f for f, m in zip(_FLAGS, mask[0]) if m))
 
 
-def noise_free_amp_var(c: Constellation, p, n_reps: int = 1) -> float:
+def noise_free_amp_var(c: Constellation, p) -> float:
     """Noise-free normalized amplitude variance over the alphabet under the
     impairment map (the quantity the PA proxy analysis bounds)."""
-    y = apply_hwi(np.tile(c.points, n_reps), p)
+    y = apply_hwi(c.points, p)
     a = np.abs(y)
     return float(np.var(a) / np.mean(a) ** 2)
 
@@ -310,15 +301,15 @@ def pa_input_power_variance(c: Constellation, p) -> float:
     return float(np.var(u))
 
 
-def amp_var_crb_transfer(
-    c: Constellation, p, n: int, gamma: float, step: float = 1e-4
-) -> float:
+def amp_var_crb_transfer(c: Constellation, p, n: int, gamma: float) -> float:
     """Delta-method bound for the amplitude-variance feature:
     (d amp_var / d |alpha3|)^2 * CRB(|alpha3|), with the slope taken by
-    central differences of the noise-free map |alpha3| -> amp_var."""
+    central differences of step 1e-4 on the noise-free map
+    |alpha3| -> amp_var."""
     from .fim_crb import fim_numerical
     from .signal_model import HwiParams
 
+    step = 1e-4
     mag = abs(p.alpha3)
     if mag <= step:
         raise ValueError("need |alpha3| > step for the central difference")

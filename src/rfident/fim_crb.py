@@ -99,7 +99,6 @@ class CrbReport:
     rank: int
     null_basis: np.ndarray
     condition_number: float
-    coupling: np.ndarray
     identifiable: np.ndarray
     pinv_diag: np.ndarray
 
@@ -127,8 +126,8 @@ def fim_closed_form(m: Moments, p: HwiParams, n: int, gamma: float) -> Fim:
     Gram matrix of ``hwi_jacobian`` at the unit-modulus symbol
     x0 = sqrt(mu20), exact when every symbol is +-x0 (constant modulus).
     """
-    if n < 1 or not gamma > 0.0:
-        raise ConfigError("need n >= 1 and gamma > 0")
+    if n < 1 or not 0.0 < gamma < math.inf:
+        raise ConfigError("need n >= 1 and a finite gamma > 0")
     scale = 2.0 * n * gamma
     if predicted_fim_rank(m) == 2:
         mat = _gram(hwi_jacobian(np.sqrt(m.mu20), p), scale)
@@ -186,8 +185,8 @@ def fim_numerical(
     Passing ``symbols`` evaluates the literal per-symbol sum instead
     (source tag "numerical_sum").
     """
-    if n < 1 or not gamma > 0.0:
-        raise ConfigError("need n >= 1 and gamma > 0")
+    if n < 1 or not 0.0 < gamma < math.inf:
+        raise ConfigError("need n >= 1 and a finite gamma > 0")
     if symbols is not None:
         x = np.asarray(symbols, dtype=complex).ravel()
         weight = 2.0 * gamma
@@ -242,13 +241,19 @@ def marginalize_channel(c: Constellation, p: HwiParams, n: int, gamma: float) ->
 # Bound reports and diagnostics
 
 
-def crb_report(f: Fim, rank_tol: float = 1e-9, null_proj_tol: float = 1e-6) -> CrbReport:
+# an eigenvalue at most _RANK_TOL times the largest counts as zero, and a
+# parameter whose null-space projection exceeds _NULL_PROJ_TOL is unbounded
+_RANK_TOL = 1e-9
+_NULL_PROJ_TOL = 1e-6
+
+
+def crb_report(f: Fim) -> CrbReport:
     m = f.matrix
     if not np.all(np.isfinite(m)):
         raise ValueError("non-finite information matrix")
     eig, vec = np.linalg.eigh(m)
     lam_max = max(eig[-1], 0.0)
-    keep = eig > rank_tol * max(lam_max, 1e-300)
+    keep = eig > _RANK_TOL * max(lam_max, 1e-300)
     rank = int(np.sum(keep))
     null_basis = vec[:, ~keep].T.copy()
     cond = math.inf if rank < 4 else float(eig[-1] / eig[0])
@@ -262,22 +267,14 @@ def crb_report(f: Fim, rank_tol: float = 1e-9, null_proj_tol: float = 1e-6) -> C
         identifiable = np.ones(4, dtype=bool)
     else:
         proj = np.sqrt(np.sum(null_basis**2, axis=0)) if null_basis.size else np.zeros(4)
-        identifiable = proj <= null_proj_tol
+        identifiable = proj <= _NULL_PROJ_TOL
         crb = np.where(identifiable, pinv_diag, math.inf)
-
-    diag = np.diag(m)
-    denom = np.sqrt(np.outer(diag, diag))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        coupling = np.where(denom > 0.0, np.abs(m) / np.where(denom > 0.0, denom, 1.0), 0.0)
-    np.fill_diagonal(coupling, 1.0)
-    coupling = np.clip(coupling, 0.0, 1.0)
 
     return CrbReport(
         crb=crb,
         rank=rank,
         null_basis=null_basis,
         condition_number=cond,
-        coupling=coupling,
         identifiable=identifiable,
         pinv_diag=pinv_diag,
     )

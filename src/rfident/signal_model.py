@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constellation import ConfigError, Constellation
+from .constellation import ConfigError, Constellation, _json_pairs
 
 PARAM_NAMES = ("eps", "phi", "re_alpha3", "im_alpha3")
 
@@ -240,8 +240,9 @@ class Burst:
         return int(self.samples.size)
 
 
-def uw_symbols(pattern: int = UW_PATTERN_HEX, n_bits: int = N_UW) -> np.ndarray:
-    bits = [(pattern >> (n_bits - 1 - i)) & 1 for i in range(n_bits)]
+def uw_symbols() -> np.ndarray:
+    """The unique word UW_PATTERN_HEX, most significant bit first."""
+    bits = [(UW_PATTERN_HEX >> (N_UW - 1 - i)) & 1 for i in range(N_UW)]
     return np.array([1.0 - 2.0 * b for b in bits], dtype=complex)
 
 
@@ -423,11 +424,17 @@ def _burst_header(b: Burst) -> dict:
     return hdr
 
 
-def _burst_from_parts(hdr: dict, samples: np.ndarray, known: np.ndarray | None) -> Burst:
-    truth = None
-    if hdr.get("truth") is not None:
-        t = hdr["truth"]
-        truth = HwiParams(eps=t["eps"], phi=t["phi"], alpha3=complex(*t["alpha3"]))
+def _burst_from_parts(hdr: dict, samples: np.ndarray, known: np.ndarray | None,
+                      path) -> Burst:
+    truth, t, snr_db = None, hdr.get("truth"), hdr.get("snr_db")
+    if t is not None:
+        alpha3 = _json_pairs([t.get("alpha3")]) if isinstance(t, dict) else None
+        if alpha3 is None or not all(type(t.get(k)) in (int, float) for k in ("eps", "phi")):
+            raise BurstError(f"{path}: truth must be null or hold numbers eps and phi and "
+                             f"an [re, im] number pair alpha3, got {t!r}")
+        truth = HwiParams(eps=t["eps"], phi=t["phi"], alpha3=complex(alpha3[0]))
+    if snr_db is not None and type(snr_db) not in (int, float):
+        raise BurstError(f"{path}: snr_db must be null or a number, got {snr_db!r}")
     modulation = hdr.get("modulation", "qpsk")
     if known is None:
         if modulation == "iridium":
@@ -437,7 +444,7 @@ def _burst_from_parts(hdr: dict, samples: np.ndarray, known: np.ndarray | None) 
     meta = BurstMeta(
         satellite_id=hdr.get("satellite_id", ""),
         truth=truth,
-        channel=ChannelConfig(snr_db=hdr.get("snr_db")),
+        channel=ChannelConfig(snr_db=snr_db),
         modulation=modulation,
     )
     return Burst(samples=samples, known_symbols=known, meta=meta)
@@ -452,13 +459,22 @@ def write_burst_json(b: Burst, path) -> None:
 
 
 def read_burst_json(path) -> Burst:
+    """Read a burst written by ``write_burst_json``; malformed content raises
+    ``BurstError``."""
     with open(path) as fh:
         payload = json.load(fh)
-    samples = np.array([complex(re, im) for re, im in payload["samples"]])
-    known = None
-    if "known_symbols" in payload:
-        known = np.array([complex(re, im) for re, im in payload["known_symbols"]])
-    return _burst_from_parts(payload, samples, known)
+    if not isinstance(payload, dict):
+        raise BurstError(f"{path}: need a JSON object")
+
+    def pairs(key):
+        x = _json_pairs(payload.get(key))
+        if x is None:
+            raise BurstError(f"{path}: {key} must be a JSON array of [re, im] number pairs")
+        return x
+
+    samples = pairs("samples")
+    known = pairs("known_symbols") if "known_symbols" in payload else None
+    return _burst_from_parts(payload, samples, known, path)
 
 
 def write_burst_binary(b: Burst, path) -> None:
@@ -510,4 +526,4 @@ def read_burst_binary(path) -> Burst:
         known = None
         if hdr.get("has_known_symbols"):
             known = _read_complex(fh, n, "known symbols")
-    return _burst_from_parts(hdr, samples, known)
+    return _burst_from_parts(hdr, samples, known, path)

@@ -112,6 +112,13 @@ def test_unknown_config_keys_rejected(tmp_path):
     ("alphabet", [[-1, 0], [True, 0]]),
     ("alphabet", {"re": [1, -1], "im": [0, 0]}),
     ("alphabet", [[10**400, 0], [1, 0]]),
+    # non-finite theta or SNR values, a removed key, and pilots of another alphabet
+    ("crb-curves", {"theta": {"eps": float("nan")}}),
+    ("crb-curves", {"theta": {"alpha3": [0.02, float("inf")]}}),
+    ("mc-validate", {"snr_grid_db": [float("inf")]}),
+    ("identifiability", {"theta": {"eps": float("inf")}}),
+    ("identifiability", {"rank_tol": 1e-9}),
+    ("mc-validate", {"pilot_mode": "iridium"}),
 ])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "cfg.json"

@@ -115,6 +115,21 @@ def test_custom_errors():
             make_constellation("custom", points=[1.0, bad])
 
 
+@pytest.mark.parametrize("spelling, kind", [
+    ("psk8", "8psk"), ("qam16", "16qam"), ("qam64", "64qam"),
+    (" QPSK ", "qpsk"), ("BPSK", "bpsk"), ("\tQam64\n", "64qam"),
+])
+def test_kind_spellings_give_the_canonical_alphabet(spelling, kind):
+    c = make_constellation(spelling)
+    assert (c.kind, c.name) == (kind, kind)
+    assert np.array_equal(c.points, make_constellation(kind).points)
+
+
+def test_unknown_kind_names_the_spelling():
+    with pytest.raises(InvalidConstellationError, match="unsupported constellation 'psk 8'"):
+        make_constellation("psk 8")
+
+
 def test_duplicate_points_rejected():
     with pytest.raises(InvalidConstellationError):
         make_constellation("custom", points=[1.0, 1.0, -1.0])

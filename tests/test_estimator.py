@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rfident.constellation import make_constellation
+from rfident.constellation import ConfigError, make_constellation
 from rfident.estimator import (
     NlsOptions,
     _oracle_init,
@@ -186,6 +186,16 @@ def test_mc_validation_equals_per_trial_synthesis(modulation, pilot_mode, status
         assert np.array_equal(row.ratio_exact, ratio_exact, equal_nan=True)
         assert row.status == status + ("+budget" if n_unconverged else "")
         assert row.n_unconverged == n_unconverged
+
+
+def test_mc_validation_iridium_pilots_need_bpsk_moments():
+    for modulation in ("qpsk", "16qam", "8psk"):
+        with pytest.raises(ConfigError, match="needs an alphabet with BPSK moments"):
+            mc_crb_validation(modulation, TRUTH, [20.0], n=76, n_trials=50, pilot_mode="iridium")
+    # an alphabet with the pilots' own moments keeps its bound
+    for same in ("sdpsk", make_constellation("custom", points=[2, -2])):
+        rep = mc_crb_validation(same, TRUTH, [20.0], n=76, n_trials=50, pilot_mode="iridium")
+        assert rep.rows[0].status.startswith("rank_deficient")
 
 
 def test_mc_validation_bpsk_rank_deficient_pairing():

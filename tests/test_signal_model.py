@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import struct
 
@@ -389,12 +390,37 @@ def _with_header(header: bytes) -> bytes:
     (_with_header(b'{"n": 2.5}'), "got 2.5"),
     (_with_header(b'{"n": "76"}'), "got '76'"),
     (_with_header(b"[76]"), "got None"),
+    (_with_header(b'{"n": 0, "truth": {}}'), "truth must be null or hold"),
+    (_with_header(b'{"n": 0, "snr_db": "abc"}'), "snr_db must be null or a number"),
 ])
 def test_malformed_binary_burst_header(tmp_path, data, message):
     path = tmp_path / "burst.bin"
     path.write_bytes(data)
     with pytest.raises(BurstError, match=message):
         read_burst_binary(path)
+
+
+_ONE = {"samples": [[1, 0]], "known_symbols": [[1, 0]]}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"samples": [1, 2]}, "samples must be a JSON array"),
+    ({"known_symbols": [[1, 0]]}, "samples must be a JSON array"),
+    ({"samples": [[1, 0]], "known_symbols": [[1, True]]}, "known_symbols must be a JSON array"),
+    ({"samples": [[1e308, 10**400]]}, "samples must be a JSON array"),
+    ([[1, 0]], "need a JSON object"),
+    ({**_ONE, "truth": {}}, "truth must be null or hold"),
+    ({**_ONE, "truth": [0, 0, [0, 0]]}, "truth must be null or hold"),
+    ({**_ONE, "truth": {"eps": 0, "phi": 0, "alpha3": [1]}}, "truth must be null or hold"),
+    ({**_ONE, "truth": {"eps": "0", "phi": 0, "alpha3": [1, 0]}}, "truth must be null or hold"),
+    ({**_ONE, "truth": {"eps": 0, "phi": False, "alpha3": [1, 0]}}, "truth must be null or hold"),
+    ({**_ONE, "snr_db": "abc"}, "snr_db must be null or a number"),
+])
+def test_malformed_json_burst(tmp_path, payload, message):
+    path = tmp_path / "burst.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(BurstError, match=message):
+        read_burst_json(path)
 
 
 def test_burst_length_mismatch():
