@@ -426,7 +426,8 @@ def _burst_header(b: Burst) -> dict:
 
 def _burst_from_parts(hdr: dict, samples: np.ndarray, known: np.ndarray | None,
                       path) -> Burst:
-    truth, t, snr_db = None, hdr.get("truth"), hdr.get("snr_db")
+    t, snr_db = hdr.get("truth"), hdr.get("snr_db")
+    truth = None
     if t is not None:
         alpha3 = _json_pairs([t.get("alpha3")]) if isinstance(t, dict) else None
         if alpha3 is None or not all(type(t.get(k)) in (int, float) for k in ("eps", "phi")):
