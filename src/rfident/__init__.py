@@ -65,7 +65,6 @@ from .estimator import (
 )
 from .features import (
     FEATURE_NAMES,
-    FeatureVector,
     PipelineConfig,
     extract_features,
     normalize_amplitude,

@@ -76,15 +76,13 @@ class AuthConfigError(ValueError):
 
 
 def accumulate(features, snrs_db) -> np.ndarray:
-    """SNR-weighted mean of per-burst feature vectors, each weighted by its
-    burst's linear SNR. ``features`` is a (bursts x features) array or a
-    sequence of ``FeatureVector``s."""
-    x = np.asarray(
-        [f.as_array() if hasattr(f, "as_array") else np.asarray(f, dtype=float) for f in features]
-    )
+    """SNR-weighted mean of the rows of a (bursts x features) array, each
+    weighted by its burst's linear SNR."""
+    x = np.asarray(features, dtype=float)
     snrs_db = np.asarray(snrs_db, dtype=float)
-    if x.size == 0 or x.shape[0] != snrs_db.size:
-        raise ValueError("features and snrs must be non-empty and equal length")
+    if x.ndim != 2 or x.size == 0 or x.shape[0] != snrs_db.size:
+        raise ValueError("features must be a non-empty (bursts x features) array with one "
+                         "snr per row")
     w = 10.0 ** (snrs_db / 10.0)
     total = float(np.sum(w))
     if total <= 0.0:
@@ -464,11 +462,7 @@ class AuthReport:
                 for k, r in self.dr_table.rows.items()
             },
             "auc_vs_nacc": {k: dict(zip(("n_acc", "auc"), v)) for k, v in self.auc_vs_nacc.items()},
-            "fleet": [
-                {"satellite_id": s, "eps": p.eps, "phi": p.phi,
-                 "alpha3": [p.alpha3.real, p.alpha3.imag]}
-                for s, p in self.fleet
-            ],
+            "fleet": [{"satellite_id": s, **p.as_json()} for s, p in self.fleet],
         }
 
 

@@ -239,14 +239,8 @@ def cmd_fleet_sim(args) -> int:
     fleet = generate_fleet(proto.n_sats, proto.spread, seed=args.seed)
     table = simulate_campaign(fleet, proto, campaign_seed=args.seed, n_bursts=n_bursts)
     table.to_csv(os.path.join(args.out_dir, "features.csv"))
-    _write_json(
-        os.path.join(args.out_dir, "fleet.json"),
-        [
-            {"satellite_id": s, "eps": p.eps, "phi": p.phi,
-             "alpha3": [p.alpha3.real, p.alpha3.imag]}
-            for s, p in fleet
-        ],
-    )
+    _write_json(os.path.join(args.out_dir, "fleet.json"),
+                [{"satellite_id": s, **p.as_json()} for s, p in fleet])
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,34 +53,7 @@ class PipelineConfig:
             raise ConfigError("n_known must be >= 4 for the phase fit")
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    amp_var: float
-    amp_range: float
-    amp_kurtosis: float
-    amp_acf1: float
-    phase_acf1: float
-    phase_var: float
-    cfo_hat: float
-    evm: float
-    iq_eps_hat: float
-    iq_phi_hat: float
-    dc_i: float
-    dc_q: float
-    pa_cross: float
-    degenerate: frozenset = frozenset()
-
-    def __post_init__(self):
-        if self.amp_var < 0 or self.amp_range < 0 or self.evm < 0:
-            raise ValueError("amplitude variance, range, and EVM must be nonnegative")
-        if abs(self.amp_acf1) > 1 + 1e-9 or abs(self.phase_acf1) > 1 + 1e-9:
-            raise ValueError("autocorrelations must lie in [-1, 1]")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, k) for k in FEATURE_NAMES])
-
-
-# the degenerate mask's columns; FeatureVector.degenerate holds the set ones
+# the degenerate mask's columns; ``extract_features`` names the set ones
 _FLAGS = ("amp_kurtosis", "amp_acf1", "phase_acf1", "iq", "pa_cross")
 
 
@@ -275,16 +249,25 @@ def _extract_stack(samples: np.ndarray, known: np.ndarray, first: int = 0,
     return _feature_block(samples, known)
 
 
-def extract_features(b: Burst, cfg: PipelineConfig | None = None) -> FeatureVector:
-    """Compute the 13 per-burst features from the first n_known samples.
+class BurstFeatures(NamedTuple):
+    """One burst's features: ``values`` is its (13,) row of the feature
+    matrix, in FEATURE_NAMES order, and ``degenerate`` the names in
+    ``_FLAGS`` whose features fell back to a default."""
+
+    values: np.ndarray
+    degenerate: frozenset
+
+
+def extract_features(b: Burst, cfg: PipelineConfig | None = None) -> BurstFeatures:
+    """Compute the 13 per-burst features from the first n_known samples: the
+    one-burst case of the block extractor behind the feature tables.
 
     The CFO fit strips the modulation by squaring when the known symbols lie
     on one line through the origin (beta = 0, such as the Iridium pilots),
     otherwise by the fourth power."""
     cfg = cfg or PipelineConfig()
     row, mask = _extract_bursts([b], cfg.n_known)
-    return FeatureVector(**dict(zip(FEATURE_NAMES, row[0].tolist())),
-                         degenerate=frozenset(f for f, m in zip(_FLAGS, mask[0]) if m))
+    return BurstFeatures(row[0], frozenset(f for f, m in zip(_FLAGS, mask[0]) if m))
 
 
 def noise_free_amp_var(c: Constellation, p) -> float:

@@ -43,15 +43,11 @@ class HwiParams:
     phi: float = 0.0
     alpha3: complex = 0.0 + 0.0j
 
-    SMALL_LIMIT = 0.2
-
-    @property
-    def in_small_regime(self) -> bool:
-        return (
-            abs(self.eps) <= self.SMALL_LIMIT
-            and abs(self.phi) <= self.SMALL_LIMIT
-            and abs(self.alpha3) <= self.SMALL_LIMIT
-        )
+    def as_json(self) -> dict:
+        """The JSON form of burst headers, fleet files and reports:
+        {"eps", "phi", "alpha3": [re, im]}."""
+        return {"eps": self.eps, "phi": self.phi,
+                "alpha3": [self.alpha3.real, self.alpha3.imag]}
 
     def as_vector(self) -> np.ndarray:
         return np.array([self.eps, self.phi, self.alpha3.real, self.alpha3.imag])
@@ -212,7 +208,6 @@ class BurstMeta:
     satellite_id: str = ""
     truth: HwiParams | None = None
     channel: ChannelConfig = field(default_factory=ChannelConfig)
-    seed: int | tuple | None = None
     modulation: str = "qpsk"
     h_realized: complex = 1.0 + 0.0j
 
@@ -307,7 +302,6 @@ def synthesize_burst(
         satellite_id=satellite_id,
         truth=p,
         channel=ch,
-        seed=seed,
         modulation=modulation,
         h_realized=complex(draw[0]),
     )
@@ -408,20 +402,13 @@ def write_csv_atomic(path, header, rows, lineterminator: str = "\r\n") -> None:
 
 def _burst_header(b: Burst) -> dict:
     truth = b.meta.truth
-    hdr = {
+    return {
         "satellite_id": b.meta.satellite_id,
         "n": b.n,
         "snr_db": b.meta.channel.snr_db,
         "modulation": b.meta.modulation,
-        "truth": None,
+        "truth": None if truth is None else truth.as_json(),
     }
-    if truth is not None:
-        hdr["truth"] = {
-            "eps": truth.eps,
-            "phi": truth.phi,
-            "alpha3": [truth.alpha3.real, truth.alpha3.imag],
-        }
-    return hdr
 
 
 def _burst_from_parts(hdr: dict, samples: np.ndarray, known: np.ndarray | None,
@@ -434,14 +421,16 @@ def _burst_from_parts(hdr: dict, samples: np.ndarray, known: np.ndarray | None,
             raise BurstError(f"{path}: truth must be null or hold numbers eps and phi and "
                              f"an [re, im] number pair alpha3, got {t!r}")
         truth = HwiParams(eps=t["eps"], phi=t["phi"], alpha3=complex(alpha3[0]))
-    if snr_db is not None and type(snr_db) not in (int, float):
-        raise BurstError(f"{path}: snr_db must be null or a number, got {snr_db!r}")
+    # null and +Infinity read as noise-free; NaN and -Infinity fail
+    if snr_db is not None and (type(snr_db) not in (int, float) or not snr_db > -math.inf):
+        raise BurstError(f"{path}: snr_db must be null or a number > -Infinity, got {snr_db!r}")
     modulation = hdr.get("modulation", "qpsk")
     if known is None:
         if modulation == "iridium":
             known = iridium_known_symbols()[: samples.size]
         else:
-            raise BurstError("burst file lacks known symbols and the pattern is not implied")
+            raise BurstError(f"{path}: the file lacks known symbols and the modulation "
+                             f"{modulation!r} does not imply them")
     meta = BurstMeta(
         satellite_id=hdr.get("satellite_id", ""),
         truth=truth,
@@ -449,6 +438,13 @@ def _burst_from_parts(hdr: dict, samples: np.ndarray, known: np.ndarray | None,
         modulation=modulation,
     )
     return Burst(samples=samples, known_symbols=known, meta=meta)
+
+
+def _parse_json(raw: bytes, path, what: str):
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError too
+        raise BurstError(f"{path}: malformed {what}: {exc}") from None
 
 
 def write_burst_json(b: Burst, path) -> None:
@@ -462,8 +458,8 @@ def write_burst_json(b: Burst, path) -> None:
 def read_burst_json(path) -> Burst:
     """Read a burst written by ``write_burst_json``; malformed content raises
     ``BurstError``."""
-    with open(path) as fh:
-        payload = json.load(fh)
+    with open(path, "rb") as fh:
+        payload = _parse_json(fh.read(), path, "JSON")
     if not isinstance(payload, dict):
         raise BurstError(f"{path}: need a JSON object")
 
@@ -495,10 +491,10 @@ def write_burst_binary(b: Burst, path) -> None:
         fh.write(inter.astype("<f8").tobytes())
 
 
-def _read_complex(fh, n: int, what: str) -> np.ndarray:
+def _read_complex(fh, n: int, what: str, path) -> np.ndarray:
     raw = fh.read(16 * n)
     if len(raw) != 16 * n:
-        raise BurstError(f"header says n = {n} but the file holds {len(raw) // 16} "
+        raise BurstError(f"{path}: the header says n = {n} but the file holds {len(raw) // 16} "
                          f"{what} ({len(raw)} of {16 * n} bytes); truncated file?")
     # read as complex pairs: rebuilding re + 1j * im would turn -0.0 into 0.0
     return np.frombuffer(raw, dtype="<c16")
@@ -516,15 +512,12 @@ def read_burst_binary(path) -> Burst:
         if len(raw) != hlen:
             raise BurstError(f"{path}: the header length says {hlen} bytes but the file "
                              f"holds {len(raw)}")
-        try:
-            hdr = json.loads(raw.decode("utf-8"))
-        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError too
-            raise BurstError(f"{path}: malformed header: {exc}") from None
+        hdr = _parse_json(raw, path, "header")
         n = hdr.get("n") if isinstance(hdr, dict) else None
         if type(n) is not int or n < 0:
             raise BurstError(f"{path}: the header needs an integer n >= 0, got {n!r}")
-        samples = _read_complex(fh, n, "samples")
+        samples = _read_complex(fh, n, "samples", path)
         known = None
         if hdr.get("has_known_symbols"):
-            known = _read_complex(fh, n, "known symbols")
+            known = _read_complex(fh, n, "known symbols", path)
     return _burst_from_parts(hdr, samples, known, path)

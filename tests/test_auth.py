@@ -106,6 +106,8 @@ def test_accumulate_errors():
         accumulate(np.ones((0, N_FEAT)), [])
     with pytest.raises(ValueError):
         accumulate(np.ones((2, N_FEAT)), [-math.inf, -math.inf])
+    with pytest.raises(ValueError, match="bursts x features"):
+        accumulate(np.ones(N_FEAT), np.full(N_FEAT, 10.0))
 
 
 def test_balanced_dr_identical_feature_is_zero():
@@ -451,12 +453,22 @@ def _campaign_bursts(fleet, cfg, campaign_seed, n_bursts):
     return out
 
 
+def _assert_feature_ranges(matrix):
+    """The range checks of a feature row: amplitude variance, amplitude range
+    and EVM are nonnegative, autocorrelations lie in [-1, 1]."""
+    for name in ("amp_var", "amp_range", "evm"):
+        assert np.all(matrix[:, FEATURE_NAMES.index(name)] >= 0.0), name
+    for name in ("amp_acf1", "phase_acf1"):
+        assert np.all(np.abs(matrix[:, FEATURE_NAMES.index(name)]) <= 1.0), name
+
+
 def test_simulate_campaign_smoke():
     fleet = generate_fleet(3, seed=5)
     cfg = FleetProtocolConfig(n_sats=3, n_enroll=40, n_probe=60, probe_acc=30, n_bal=30)
     table = simulate_campaign(fleet, cfg, campaign_seed=1, n_bursts=12)
     assert table.matrix.shape == (36, N_FEAT)
     assert np.all(np.isfinite(table.matrix))
+    _assert_feature_ranges(table.matrix)
     # the campaign table is the generic burst-file table over the same
     # bursts, with noise, Rician channel draws or neither
     for burst_mode, channel in itertools.product(
@@ -471,6 +483,7 @@ def test_simulate_campaign_smoke():
         assert np.array_equal(table.burst_index, ref.burst_index)
         assert np.array_equal(table.snr_db, ref.snr_db)
         assert np.array_equal(table.matrix, ref.matrix)
+        _assert_feature_ranges(table.matrix)
 
 
 def test_feature_table_csv_roundtrip(tmp_path):

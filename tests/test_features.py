@@ -125,21 +125,26 @@ def test_normalize_amplitude():
         normalize_amplitude(np.zeros(4, dtype=complex))
 
 
+def _feature(values, name):
+    return values[FEATURE_NAMES.index(name)]
+
+
 def test_ideal_noise_free_features():
-    fv = extract_features(_burst())
-    assert fv.amp_var == pytest.approx(0.0, abs=1e-12)
-    assert fv.evm == pytest.approx(0.0, abs=1e-9)
-    assert fv.amp_range == pytest.approx(0.0, abs=1e-9)
+    values, degenerate = extract_features(_burst())
+    assert _feature(values, "amp_var") == pytest.approx(0.0, abs=1e-12)
+    assert _feature(values, "evm") == pytest.approx(0.0, abs=1e-9)
+    assert _feature(values, "amp_range") == pytest.approx(0.0, abs=1e-9)
     # dc equals the mean known symbol up to the unresolved carrier phase
     known = iridium_known_symbols()
-    assert math.hypot(fv.dc_i, fv.dc_q) == pytest.approx(abs(np.mean(known)), abs=1e-9)
-    assert "amp_acf1" in fv.degenerate  # constant amplitude
+    assert math.hypot(_feature(values, "dc_i"), _feature(values, "dc_q")) == \
+        pytest.approx(abs(np.mean(known)), abs=1e-9)
+    assert "amp_acf1" in degenerate  # constant amplitude
 
 
 def test_feature_extraction_is_pure():
     b = _burst(HwiParams(eps=0.02, phi=0.01, alpha3=0.02 + 0.01j), snr_db=15.0, seed=5)
-    f1 = extract_features(b).as_array()
-    f2 = extract_features(b).as_array()
+    f1 = extract_features(b).values
+    f2 = extract_features(b).values
     assert np.array_equal(f1, f2)
 
 
@@ -148,8 +153,8 @@ def test_scale_invariance_all_features():
     p = HwiParams(eps=0.02, phi=0.015, alpha3=0.03 + 0.01j)
     b = _burst(p, snr_db=18.0, cfo=0.004, mode="qpsk", seed=7)
     scaled = Burst(samples=3.7 * b.samples, known_symbols=b.known_symbols, meta=b.meta)
-    f_ref = extract_features(b).as_array()
-    f_scaled = extract_features(scaled).as_array()
+    f_ref = extract_features(b).values
+    f_scaled = extract_features(scaled).values
     assert np.max(np.abs(f_ref - f_scaled)) < 1e-9
 
 
@@ -158,27 +163,27 @@ def test_phase_rotation_invariance_of_invariant_features():
     b = _burst(p, snr_db=18.0, cfo=0.004, mode="qpsk", seed=7)
     rotated = Burst(samples=np.exp(1j * 1.234) * b.samples, known_symbols=b.known_symbols,
                     meta=b.meta)
-    f_ref = extract_features(b)
-    f_rot = extract_features(rotated)
+    f_ref = extract_features(b).values
+    f_rot = extract_features(rotated).values
     for name in PHASE_INVARIANT:
-        assert abs(getattr(f_ref, name) - getattr(f_rot, name)) < 1e-9, name
+        assert abs(_feature(f_ref, name) - _feature(f_rot, name)) < 1e-9, name
 
 
 def test_iq_estimator_recovers_truth_on_qpsk_pilots():
     p = HwiParams(eps=0.03, phi=math.radians(2.0))
     b = _burst(p, snr_db=None, mode="qpsk", seed=2, h=0.8 * np.exp(1j * 0.9))
-    fv = extract_features(b)
-    assert fv.iq_eps_hat == pytest.approx(0.03, abs=2e-3)
-    assert fv.iq_phi_hat == pytest.approx(math.radians(2.0), abs=2e-3)
-    assert "iq" not in fv.degenerate
+    values, degenerate = extract_features(b)
+    assert _feature(values, "iq_eps_hat") == pytest.approx(0.03, abs=2e-3)
+    assert _feature(values, "iq_phi_hat") == pytest.approx(math.radians(2.0), abs=2e-3)
+    assert "iq" not in degenerate
 
 
 def test_iq_estimator_degenerate_on_real_pilots():
     p = HwiParams(eps=0.03, phi=math.radians(2.0), alpha3=0.02 + 0.01j)
-    fv = extract_features(_burst(p, snr_db=None, mode="iridium", seed=2))
-    assert "iq" in fv.degenerate
+    values, degenerate = extract_features(_burst(p, snr_db=None, mode="iridium", seed=2))
+    assert "iq" in degenerate
     # the fallback reports the collapse constant, not the true parameters
-    assert fv.iq_eps_hat == pytest.approx(-1.0, abs=1e-6)
+    assert _feature(values, "iq_eps_hat") == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_amp_var_identity_at_zero_phase_imbalance():
@@ -221,9 +226,9 @@ def test_amp_var_crb_transfer_positive_and_scales():
 
 
 def test_degenerate_acf_flagged():
-    fv = extract_features(_burst())
-    assert fv.amp_acf1 == 0.0
-    assert "amp_acf1" in fv.degenerate
+    values, degenerate = extract_features(_burst())
+    assert _feature(values, "amp_acf1") == 0.0
+    assert "amp_acf1" in degenerate
 
 
 def test_burst_too_short():
@@ -247,7 +252,7 @@ def test_strip_power_follows_the_known_symbols_not_the_label():
     relabelled = Burst(samples=b.samples, known_symbols=b.known_symbols,
                        meta=dataclasses.replace(b.meta, modulation="custom"))
     want, got = extract_features(b), extract_features(relabelled)
-    assert np.array_equal(got.as_array(), want.as_array())
+    assert np.array_equal(got.values, want.values)
     assert got.degenerate == want.degenerate
 
 
@@ -276,6 +281,15 @@ def _mixed_bursts(count=300):
                            random_phase=i % 10 != 0)
         out.append(synthesize_burst(x, p, ch, rng=rng, satellite_id=f"S{i % 5}"))
     return out
+
+
+def _assert_feature_ranges(matrix):
+    """Every row holds a nonnegative amplitude variance, amplitude range and
+    EVM, and autocorrelations in [-1, 1]."""
+    for name in ("amp_var", "amp_range", "evm"):
+        assert np.all(matrix[:, FEATURE_NAMES.index(name)] >= 0.0), name
+    for name in ("amp_acf1", "phase_acf1"):
+        assert np.all(np.abs(matrix[:, FEATURE_NAMES.index(name)]) <= 1.0), name
 
 
 def _reference_features(b, n_known=76):
@@ -343,11 +357,12 @@ def test_block_extraction_is_bit_identical_to_per_burst():
     # must not change a bit of any feature
     bursts = _mixed_bursts()
     per_burst = [extract_features(b) for b in bursts]
-    want = np.array([fv.as_array() for fv in per_burst])
+    want = np.array([fv.values for fv in per_burst])
     reference = [_reference_features(b) for b in bursts]
     assert np.array_equal(want, np.array([row for row, _ in reference]))
     assert [set(fv.degenerate) for fv in per_burst] == [flags for _, flags in reference]
-    assert np.array_equal(feature_table_from_bursts(bursts).matrix, want)
+    table = feature_table_from_bursts(bursts).matrix
+    assert np.array_equal(table, want)
     matrix, mask = _extract_bursts(bursts, 76)
     assert np.array_equal(matrix, want)
     assert [{f for f, m in zip(_FLAGS, row) if m} for row in mask] == \
@@ -356,6 +371,7 @@ def test_block_extraction_is_bit_identical_to_per_burst():
     # the beta = 0 pilots both set flags, the QPSK bursts leave "iq" clear
     assert {"amp_kurtosis", "amp_acf1", "iq", "pa_cross"} <= set(per_burst[0].degenerate)
     assert "iq" not in per_burst[1].degenerate
+    _assert_feature_ranges(table)
 
 
 def _bad(b, samples=None, known=None, n=None):
@@ -399,4 +415,4 @@ def test_overflowing_sample_power_is_degenerate():
     with pytest.raises(DegenerateInputError, match="^burst 0: sample power overflows$"):
         extract_features(huge)
     # large samples whose power stays finite still give finite features
-    assert np.all(np.isfinite(extract_features(_bad(b, samples=b.samples * 1e150)).as_array()))
+    assert np.all(np.isfinite(extract_features(_bad(b, samples=b.samples * 1e150)).values))

@@ -339,7 +339,7 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), n=st.integers(1, 200),
        sat=st.text(alphabet=st.sampled_from('"\'\\ aZ0éß中\n'), max_size=8),
-       snr_db=st.none() | _FINITE,
+       snr_db=st.none() | st.just(math.inf) | _FINITE,
        truth=st.none() | st.builds(HwiParams, eps=_FINITE, phi=_FINITE,
                                    alpha3=st.complex_numbers(allow_nan=False,
                                                              allow_infinity=False)),
@@ -392,12 +392,17 @@ def _with_header(header: bytes) -> bytes:
     (_with_header(b"[76]"), "got None"),
     (_with_header(b'{"n": 0, "truth": {}}'), "truth must be null or hold"),
     (_with_header(b'{"n": 0, "snr_db": "abc"}'), "snr_db must be null or a number"),
+    # cases added later go last, so that the ids of the cases above stay as they are
+    (_with_header(b'{"n": 0, "snr_db": NaN}'), "snr_db must be null or a number .* got nan"),
+    (_with_header(b'{"n": 0, "snr_db": -Infinity}'), "snr_db must be null .* got -inf"),
+    (_with_header(b'{"n": 1}') + bytes(16), "lacks known symbols"),
 ])
 def test_malformed_binary_burst_header(tmp_path, data, message):
     path = tmp_path / "burst.bin"
     path.write_bytes(data)
-    with pytest.raises(BurstError, match=message):
+    with pytest.raises(BurstError, match=message) as info:
         read_burst_binary(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 _ONE = {"samples": [[1, 0]], "known_symbols": [[1, 0]]}
@@ -415,12 +420,20 @@ _ONE = {"samples": [[1, 0]], "known_symbols": [[1, 0]]}
     ({**_ONE, "truth": {"eps": "0", "phi": 0, "alpha3": [1, 0]}}, "truth must be null or hold"),
     ({**_ONE, "truth": {"eps": 0, "phi": False, "alpha3": [1, 0]}}, "truth must be null or hold"),
     ({**_ONE, "snr_db": "abc"}, "snr_db must be null or a number"),
+    # cases added later go last, so that the ids of the cases above stay as they are
+    (b'{"samples": [[1, 0]', "malformed JSON"),
+    (b'\xff\xfe{}', "malformed JSON"),
+    ({**_ONE, "snr_db": math.nan}, "snr_db must be null or a number .* got nan"),
+    ({**_ONE, "snr_db": -math.inf}, "snr_db must be null .* got -inf"),
+    ({"samples": [[1, 0]]}, "lacks known symbols"),
 ])
 def test_malformed_json_burst(tmp_path, payload, message):
+    # bytes are written as they are, anything else as JSON
     path = tmp_path / "burst.json"
-    path.write_text(json.dumps(payload))
-    with pytest.raises(BurstError, match=message):
+    path.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
+    with pytest.raises(BurstError, match=message) as info:
         read_burst_json(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_burst_length_mismatch():
@@ -428,7 +441,3 @@ def test_burst_length_mismatch():
         Burst(samples=np.ones(3, dtype=complex), known_symbols=np.ones(4, dtype=complex),
               meta=synthesize_burst([1.0], HwiParams(), ChannelConfig(snr_db=None), seed=0).meta)
 
-
-def test_small_regime_flag():
-    assert HwiParams(eps=0.1, phi=0.1, alpha3=0.1).in_small_regime
-    assert not HwiParams(eps=0.5).in_small_regime
