@@ -58,7 +58,6 @@ from .estimator import (
     EstimateStatus,
     McReport,
     McRow,
-    NlsOptions,
     fit_batch,
     mc_crb_validation,
     nls_estimate,

@@ -37,16 +37,10 @@ class InvalidConstellationError(ConfigError):
 
 @dataclass(frozen=True)
 class Constellation:
-    """Unit-power symbol alphabet.
+    """Unit-power symbol alphabet."""
 
-    ``scale`` records the factor applied to the raw input points during
-    power normalization (1.0 for the built-in alphabets).
-    """
-
-    kind: str
     points: np.ndarray
     name: str
-    scale: float = 1.0
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex)
@@ -119,8 +113,7 @@ def _builtin_points(kind: str) -> np.ndarray:
 def make_constellation(kind: str, points=None, name: str | None = None) -> Constellation:
     """Build a unit-power alphabet by name, or a custom one from raw points.
 
-    Custom points are accepted un-normalized; they are scaled to unit mean
-    power and the applied scale is recorded on the result.
+    Custom points are accepted un-normalized and scaled to unit mean power.
     """
     key = str(kind).strip().lower()
     key = _ALIASES.get(key, key)
@@ -129,7 +122,7 @@ def make_constellation(kind: str, points=None, name: str | None = None) -> Const
     if key != "custom":
         if points is not None:
             raise InvalidConstellationError("points only allowed for kind='custom'")
-        return Constellation(kind=key, points=_builtin_points(key), name=name or key)
+        return Constellation(points=_builtin_points(key), name=name or key)
     if points is None:
         raise InvalidConstellationError("custom constellation needs points")
     pts = np.asarray(points, dtype=complex).ravel()
@@ -140,8 +133,7 @@ def make_constellation(kind: str, points=None, name: str | None = None) -> Const
     power = float(np.mean(np.abs(pts) ** 2))
     if power <= _POWER_TOL:
         raise InvalidConstellationError("custom constellation has zero power")
-    scale = 1.0 / math.sqrt(power)
-    return Constellation(kind="custom", points=pts * scale, name=name or "custom", scale=scale)
+    return Constellation(points=pts * (1.0 / math.sqrt(power)), name=name or "custom")
 
 
 def _json_pairs(raw) -> np.ndarray | None:

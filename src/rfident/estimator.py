@@ -31,20 +31,6 @@ from .signal_model import (
 
 
 @dataclass(frozen=True)
-class NlsOptions:
-    max_iters: int = 4000
-    x_tol: float = 1e-9
-    f_tol: float = 1e-12
-    init: HwiParams | None = None
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
-        if not (self.x_tol > 0.0 and self.f_tol > 0.0):
-            raise ConfigError("tolerances must be positive")
-
-
-@dataclass(frozen=True)
 class EstimateStatus:
     converged: bool
     n_evaluations: int
@@ -89,6 +75,12 @@ _LAMBDA0 = 1e-3
 _LAMBDA_DOWN = 0.1
 _LAMBDA_UP = 10.0
 
+# Levenberg-Marquardt stopping rule: iteration budget per trial, relative
+# step tolerance and relative residual-gain tolerance.
+_MAX_ITERS = 4000
+_X_TOL = 1e-9
+_F_TOL = 1e-12
+
 # Trials fitted together: bounds the (trials, 4, N) model and Jacobian
 # temporaries, so memory does not grow with the number of trials.
 _BLOCK_TRIALS = 64
@@ -107,15 +99,15 @@ def _normal_equations(r, h, x, theta):
     return _sum_sq(e), a, b
 
 
-def _fit_lm(r, h, x, theta0, opts: NlsOptions):
+def _fit_lm(r, h, x, theta0):
     """Batched Levenberg-Marquardt on the analytic Jacobian (Moré 1978).
 
     Each active trial solves (A + lambda diag(A)) delta = b at its current
     point (see ``_normal_equations``). A step is accepted only if it lowers
     that trial's residual (lambda then shrinks), otherwise lambda grows. A
-    trial stops when the step is below ``x_tol`` relative to |theta| or an
-    accepted step lowers the residual by at most ``f_tol`` relative, or when
-    it has spent ``max_iters`` iterations without either.
+    trial stops when the step is below ``_X_TOL`` relative to |theta| or an
+    accepted step lowers the residual by at most ``_F_TOL`` relative, or when
+    it has spent ``_MAX_ITERS`` iterations without either.
     """
     n_trials = theta0.shape[0]
     theta = theta0.copy()
@@ -132,25 +124,25 @@ def _fit_lm(r, h, x, theta0, opts: NlsOptions):
         cost_t, a_t, b_t = _normal_equations(r[act], h[act], x[act], trial)
         better = cost_t < cost[act]
         small_step = (np.linalg.norm(step, axis=1)
-                      <= opts.x_tol * (np.linalg.norm(theta[act], axis=1) + opts.x_tol))
-        small_gain = better & (cost[act] - cost_t <= opts.f_tol * cost[act])
+                      <= _X_TOL * (np.linalg.norm(theta[act], axis=1) + _X_TOL))
+        small_gain = better & (cost[act] - cost_t <= _F_TOL * cost[act])
         ok = act[better]
         theta[ok], cost[ok], a[ok], b[ok] = trial[better], cost_t[better], a_t[better], b_t[better]
         lam[act] *= np.where(better, _LAMBDA_DOWN, _LAMBDA_UP)
         iters[act] += 1
         stop = small_step | small_gain
         converged[act[stop]] = True
-        act = act[~stop & (iters[act] < opts.max_iters)]
+        act = act[~stop & (iters[act] < _MAX_ITERS)]
     return theta, converged, iters, cost
 
 
-def fit_batch(r, h, x, theta0, opts: NlsOptions | None = None) -> BatchFit:
+def fit_batch(r, h, x, theta0) -> BatchFit:
     """Fit T bursts at once: minimize sum_n |r(t, n) - h(t) f(theta_t; x(t, n))|^2
     for every trial t from its initial point theta0[t].
 
     ``r`` and ``x`` are (T, N) samples (CFO already removed) and known
     symbols, ``h`` the T known channel coefficients, ``theta0`` the (T, 4)
-    initial points in PARAM_NAMES order; ``opts.init`` is not read.
+    initial points in PARAM_NAMES order.
 
     Trials whose known symbols have beta > 0 get the batched
     Levenberg-Marquardt fit of all four parameters. Trials with beta = 0
@@ -163,7 +155,6 @@ def fit_batch(r, h, x, theta0, opts: NlsOptions | None = None) -> BatchFit:
     exact least-squares minimizer: the objective is flat along the IQ
     directions.
     """
-    opts = opts or NlsOptions()
     r = np.asarray(r, dtype=complex)
     x = np.asarray(x, dtype=complex)
     h = np.asarray(h, dtype=complex)
@@ -180,15 +171,16 @@ def fit_batch(r, h, x, theta0, opts: NlsOptions | None = None) -> BatchFit:
             theta[fa], cost[fa] = _fit_alpha3(r[fa], h[fa], x[fa], theta0[fa])
         if lm.size:
             theta[lm], converged[lm], iters[lm], cost[lm] = _fit_lm(
-                r[lm], h[lm], x[lm], theta0[lm], opts)
+                r[lm], h[lm], x[lm], theta0[lm])
     return BatchFit(theta=theta, converged=converged, iterations=iters, residual=cost)
 
 
 def nls_estimate(
-    b: Burst, h_known: complex, opts: NlsOptions | None = None
+    b: Burst, h_known: complex, init: HwiParams | None = None
 ) -> tuple[HwiParams, EstimateStatus]:
-    """Minimize sum |r(n) - h f(theta; n)|^2 from the initial point: the
-    one-burst case of ``fit_batch``.
+    """Minimize sum |r(n) - h f(theta; n)|^2 from the initial point ``init``:
+    the one-burst case of ``fit_batch``. Without ``init`` the fit starts
+    from ``b.meta.truth``, or from ``HwiParams()`` if the burst has none.
 
     Any CFO recorded in the burst metadata is deramped first (nuisance
     removal is conditioned on, like the channel). When the iteration budget
@@ -196,7 +188,6 @@ def nls_estimate(
     ``converged=False``. ``n_evaluations`` counts model evaluations: one at
     the initial point plus one per iteration.
     """
-    opts = opts or NlsOptions()
     if not np.isfinite(h_known) or h_known == 0:
         raise ValueError("h_known must be finite and nonzero")
     if not np.all(np.isfinite(b.samples)) or not np.all(np.isfinite(b.known_symbols)):
@@ -207,9 +198,9 @@ def nls_estimate(
     r = b.samples
     if cfo != 0.0:
         r = r * np.exp(-1j * cfo * np.arange(b.n))
-    init = opts.init or b.meta.truth or HwiParams()
+    init = init or b.meta.truth or HwiParams()
     fit = fit_batch(r[None], np.array([h_known]), b.known_symbols[None],
-                    init.as_vector()[None], opts)
+                    init.as_vector()[None])
     if not fit.converged[0]:
         warnings.warn("Levenberg-Marquardt fit hit its iteration budget; "
                       "returning the last accepted point")
@@ -281,7 +272,6 @@ def mc_crb_validation(
     n_trials: int = 300,
     seed: int = 0,
     pilot_mode: str = "random",
-    opts: NlsOptions | None = None,
 ) -> McReport:
     """Per SNR point: synthesize independent bursts, estimate, and compare the
     per-parameter sample MSE against the small-impairment bound.
@@ -342,7 +332,7 @@ def mc_crb_validation(
                 theta0[t] = _oracle_init(truth, rng)
             r[start:stop] = _synthesize_rows(x[start:stop], truth, ch,
                                              [ch.cfo_rad_per_symbol] * len(draws), draws)
-        fit = fit_batch(r, np.ones(n_trials), x, theta0, opts)
+        fit = fit_batch(r, np.ones(n_trials), x, theta0)
         mse = np.mean((fit.theta - truth.as_vector()) ** 2, axis=0)
         n_unconverged = int(np.count_nonzero(~fit.converged))
         with np.errstate(invalid="ignore"):

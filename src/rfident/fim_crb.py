@@ -63,13 +63,10 @@ def _param_index(i) -> int:
 
 @dataclass(frozen=True)
 class Fim:
-    """4x4 symmetric PSD information matrix with its operating point."""
+    """4x4 information matrix in PARAM_NAMES order: finite, symmetric and
+    positive semidefinite, held read-only (symmetrized on construction)."""
 
     matrix: np.ndarray
-    operating_point: HwiParams
-    n_symbols: int
-    snr_linear: float
-    source: str
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -143,25 +140,27 @@ def fim_closed_form(m: Moments, p: HwiParams, n: int, gamma: float) -> Fim:
         c, s = math.cos(p.phi), math.sin(p.phi)
         j_x = 0.5 * m.mu4 * np.array([[c, s], [-(1.0 + p.eps) * s, (1.0 + p.eps) * c]])
         mat = scale * np.block([[j_iq, j_x], [j_x.T, j_pa]])
-    return Fim(matrix=mat, operating_point=p, n_symbols=n, snr_linear=gamma, source="closed_form")
+    return Fim(mat)
 
 
 # ---------------------------------------------------------------------------
 # Numerical routes
 
 
-def _fd_jacobian(x: np.ndarray, p: HwiParams, step: float) -> np.ndarray:
-    if not (1e-6 <= step <= 1e-4):
-        raise ValueError("finite-difference step must lie in [1e-6, 1e-4]")
+# central-difference step of the finite-difference oracle
+_FD_STEP = 1e-5
+
+
+def _fd_jacobian(x: np.ndarray, p: HwiParams) -> np.ndarray:
     v0 = p.as_vector()
     out = np.empty((4, x.size), dtype=complex)
     for i in range(4):
         vp, vm = v0.copy(), v0.copy()
-        vp[i] += step
-        vm[i] -= step
+        vp[i] += _FD_STEP
+        vm[i] -= _FD_STEP
         fp = apply_hwi(x, HwiParams.from_vector(vp))
         fm = apply_hwi(x, HwiParams.from_vector(vm))
-        out[i] = (fp - fm) / (2.0 * step)
+        out[i] = (fp - fm) / (2.0 * _FD_STEP)
     return out
 
 
@@ -175,34 +174,31 @@ def fim_numerical(
     n: int,
     gamma: float,
     mode: str = "moment",
-    step: float = 1e-5,
     symbols=None,
 ) -> Fim:
     """Evaluate the defining information sum for the full nonlinear model.
 
-    mode="moment": exact expectation over the alphabet, scaled by N.
-    mode="finite_difference": same expectation with central differences.
-    Passing ``symbols`` evaluates the literal per-symbol sum instead
-    (source tag "numerical_sum").
+    mode="moment": exact expectation over the alphabet ``c``, scaled by N.
+    mode="finite_difference": same sum with central differences of step
+    ``_FD_STEP`` in place of the analytic sensitivities.
+    With ``symbols`` the sum runs over those symbols instead: ``c`` is not
+    read and ``n`` is only checked.
     """
     if n < 1 or not 0.0 < gamma < math.inf:
         raise ConfigError("need n >= 1 and a finite gamma > 0")
     if symbols is not None:
         x = np.asarray(symbols, dtype=complex).ravel()
         weight = 2.0 * gamma
-        source = "numerical_sum"
     else:
         x = c.points
         weight = 2.0 * n * gamma / x.size
-        source = "numerical_moment"
     if mode == "moment":
         jac = hwi_jacobian(x, p)
     elif mode == "finite_difference":
-        jac = _fd_jacobian(x, p, step)
+        jac = _fd_jacobian(x, p)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return Fim(matrix=_gram(jac, weight), operating_point=p, n_symbols=n,
-               snr_linear=gamma, source=source)
+    return Fim(_gram(jac, weight))
 
 
 def _schur_complement(joint: np.ndarray, keep: int) -> np.ndarray:
@@ -233,8 +229,7 @@ def marginalize_channel(c: Constellation, p: HwiParams, n: int, gamma: float) ->
     eig, vec = np.linalg.eigh(0.5 * (eff + eff.T))
     eig = np.maximum(eig, 0.0)
     eff = (vec * eig) @ vec.T
-    return Fim(matrix=eff, operating_point=p, n_symbols=n, snr_linear=gamma,
-               source="numerical_moment")
+    return Fim(eff)
 
 
 # ---------------------------------------------------------------------------

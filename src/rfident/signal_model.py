@@ -287,16 +287,15 @@ def synthesize_burst(
     seed=None,
     satellite_id: str = "",
     modulation: str = "qpsk",
-    rng: np.random.Generator | None = None,
 ) -> Burst:
     """r(n) = h * apply_hwi(x(n)) * e^{j cfo n} + w(n), w ~ CN(0, sigma^2):
-    the one-row case of the block synthesizer."""
+    the one-row case of the block synthesizer. ``seed`` is anything
+    ``np.random.default_rng`` takes, a ``Generator`` included (it is drawn
+    from as it is)."""
     x = np.asarray(symbols, dtype=complex).ravel()
     if x.size == 0:
         raise BurstError("empty symbol list")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    draw = _draw_channel_noise(ch, rng, x.size)
+    draw = _draw_channel_noise(ch, np.random.default_rng(seed), x.size)
     r = _synthesize_rows(x[None], p, ch, [ch.cfo_rad_per_symbol], [draw])[0]
     meta = BurstMeta(
         satellite_id=satellite_id,
@@ -411,6 +410,14 @@ def _burst_header(b: Burst) -> dict:
     }
 
 
+def _header_float(v, what: str, path) -> float:
+    """A header number as a float; an integer beyond float range fails."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise BurstError(f"{path}: {what} is an integer too large for a float") from None
+
+
 def _burst_from_parts(hdr: dict, samples: np.ndarray, known: np.ndarray | None,
                       path) -> Burst:
     t, snr_db = hdr.get("truth"), hdr.get("snr_db")
@@ -420,24 +427,35 @@ def _burst_from_parts(hdr: dict, samples: np.ndarray, known: np.ndarray | None,
         if alpha3 is None or not all(type(t.get(k)) in (int, float) for k in ("eps", "phi")):
             raise BurstError(f"{path}: truth must be null or hold numbers eps and phi and "
                              f"an [re, im] number pair alpha3, got {t!r}")
-        truth = HwiParams(eps=t["eps"], phi=t["phi"], alpha3=complex(alpha3[0]))
+        truth = HwiParams(eps=_header_float(t["eps"], "truth.eps", path),
+                          phi=_header_float(t["phi"], "truth.phi", path),
+                          alpha3=complex(alpha3[0]))
     # null and +Infinity read as noise-free; NaN and -Infinity fail
-    if snr_db is not None and (type(snr_db) not in (int, float) or not snr_db > -math.inf):
-        raise BurstError(f"{path}: snr_db must be null or a number > -Infinity, got {snr_db!r}")
+    if snr_db is not None:
+        if type(snr_db) not in (int, float) or not snr_db > -math.inf:
+            raise BurstError(f"{path}: snr_db must be null or a number > -Infinity, "
+                             f"got {snr_db!r}")
+        snr_db = _header_float(snr_db, "snr_db", path)
     modulation = hdr.get("modulation", "qpsk")
     if known is None:
-        if modulation == "iridium":
-            known = iridium_known_symbols()[: samples.size]
-        else:
+        if modulation != "iridium":
             raise BurstError(f"{path}: the file lacks known symbols and the modulation "
                              f"{modulation!r} does not imply them")
+        known = iridium_known_symbols()
+        if samples.size > known.size:
+            raise BurstError(f"{path}: the modulation 'iridium' implies {known.size} known "
+                             f"symbols, but the file holds {samples.size} samples")
+        known = known[: samples.size]
     meta = BurstMeta(
         satellite_id=hdr.get("satellite_id", ""),
         truth=truth,
         channel=ChannelConfig(snr_db=snr_db),
         modulation=modulation,
     )
-    return Burst(samples=samples, known_symbols=known, meta=meta)
+    try:
+        return Burst(samples=samples, known_symbols=known, meta=meta)
+    except BurstError as exc:
+        raise BurstError(f"{path}: {exc}") from None
 
 
 def _parse_json(raw: bytes, path, what: str):

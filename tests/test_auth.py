@@ -449,7 +449,7 @@ def _campaign_bursts(fleet, cfg, campaign_seed, n_bursts):
             else:
                 x = random_known_symbols(make_constellation("qpsk"), cfg.n_known, rng)
                 mod = "qpsk"
-            out.append(synthesize_burst(x, p, ch, rng=rng, satellite_id=sat, modulation=mod))
+            out.append(synthesize_burst(x, p, ch, seed=rng, satellite_id=sat, modulation=mod))
     return out
 
 

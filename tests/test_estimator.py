@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rfident import estimator
 from rfident.constellation import ConfigError, make_constellation
 from rfident.estimator import (
-    NlsOptions,
     _oracle_init,
     fit_batch,
     mc_crb_validation,
@@ -18,7 +19,9 @@ from rfident.signal_model import (
     bpsk_collapse,
     iridium_known_symbols,
     random_known_symbols,
+    read_burst_json,
     synthesize_burst,
+    write_burst_json,
 )
 
 TRUTH = HwiParams(eps=0.03, phi=math.radians(2.0), alpha3=0.02 + 0.01j)
@@ -33,7 +36,7 @@ def _noise_free_burst(seed=0):
 
 def test_noise_free_recovery_from_truth_init():
     b = _noise_free_burst()
-    est, status = nls_estimate(b, b.meta.channel.h, NlsOptions(init=TRUTH))
+    est, status = nls_estimate(b, b.meta.channel.h, init=TRUTH)
     assert np.max(np.abs(est.as_vector() - TRUTH.as_vector())) < 1e-7
     assert status.converged
     assert status.residual < 1e-12
@@ -42,7 +45,7 @@ def test_noise_free_recovery_from_truth_init():
 def test_noise_free_recovery_from_perturbed_init():
     b = _noise_free_burst(3)
     init = HwiParams.from_vector(TRUTH.as_vector() + [0.004, -0.003, 0.002, 0.003])
-    est, _ = nls_estimate(b, b.meta.channel.h, NlsOptions(init=init))
+    est, _ = nls_estimate(b, b.meta.channel.h, init=init)
     assert np.max(np.abs(est.as_vector() - TRUTH.as_vector())) < 1e-6
 
 
@@ -51,7 +54,7 @@ def test_cfo_deramped_before_fit():
     x = random_known_symbols(make_constellation("qpsk"), 76, rng)
     ch = ChannelConfig(h=1.0, snr_db=None, cfo_rad_per_symbol=0.01)
     b = synthesize_burst(x, TRUTH, ch, seed=9)
-    est, _ = nls_estimate(b, 1.0, NlsOptions(init=TRUTH))
+    est, _ = nls_estimate(b, 1.0, init=TRUTH)
     assert np.max(np.abs(est.as_vector() - TRUTH.as_vector())) < 1e-7
 
 
@@ -61,18 +64,31 @@ def test_real_symbols_fit_only_alpha3():
     ch = ChannelConfig(h=0.7 - 0.4j, snr_db=None)
     b = synthesize_burst(iridium_known_symbols(), TRUTH, ch, seed=0, modulation="bpsk")
     init = HwiParams.from_vector(TRUTH.as_vector() + [0.004, -0.003, 0.002, 0.003])
-    est, status = nls_estimate(b, b.meta.channel.h, NlsOptions(init=init))
+    est, status = nls_estimate(b, b.meta.channel.h, init=init)
     assert est.eps == init.eps and est.phi == init.phi
     assert status.converged
     assert status.residual < 1e-12
     assert abs(bpsk_collapse(est).c - bpsk_collapse(TRUTH).c) < 1e-9
 
 
+def test_default_start_is_the_truth_or_the_zero_fingerprint(tmp_path):
+    # without init the fit starts at meta.truth; a burst read from a file
+    # that records no truth starts at HwiParams()
+    b = _noise_free_burst()
+    path = tmp_path / "burst.json"
+    write_burst_json(Burst(samples=b.samples, known_symbols=b.known_symbols,
+                           meta=replace(b.meta, truth=None)), path)
+    recorded = read_burst_json(path)
+    assert recorded.meta.truth is None
+    for burst, start in ((b, TRUTH), (recorded, HwiParams())):
+        est, status = nls_estimate(burst, b.meta.channel.h)
+        assert (est, status) == nls_estimate(burst, b.meta.channel.h, init=start)
+        assert np.max(np.abs(est.as_vector() - TRUTH.as_vector())) < 1e-12
+        assert status.converged
+    assert status.n_evaluations > nls_estimate(b, b.meta.channel.h)[1].n_evaluations
+
+
 def test_invalid_options():
-    with pytest.raises(ValueError):
-        NlsOptions(max_iters=0)
-    with pytest.raises(ValueError):
-        NlsOptions(x_tol=0.0)
     b = _noise_free_burst()
     with pytest.raises(ValueError):
         nls_estimate(b, 0.0)
@@ -88,14 +104,15 @@ def test_non_finite_burst_rejected(field):
     parts[field][10] = complex(np.nan, 0.0)
     bad = Burst(meta=b.meta, **parts)
     with pytest.raises(ValueError, match="finite"):
-        nls_estimate(bad, b.meta.channel.h, NlsOptions(init=TRUTH))
+        nls_estimate(bad, b.meta.channel.h, init=TRUTH)
 
 
-def test_budget_warning():
+def test_budget_warning(monkeypatch):
+    monkeypatch.setattr(estimator, "_MAX_ITERS", 1)
     b = _noise_free_burst(5)
     init = HwiParams.from_vector(TRUTH.as_vector() + 0.01)
     with pytest.warns(UserWarning):
-        _, status = nls_estimate(b, b.meta.channel.h, NlsOptions(init=init, max_iters=1))
+        _, status = nls_estimate(b, b.meta.channel.h, init=init)
     assert status.converged is False
 
 
@@ -105,7 +122,7 @@ def test_batched_fit_matches_per_burst_estimates():
     for seed in range(8):
         rng = np.random.default_rng(seed)
         x = random_known_symbols(qpsk, 76, rng)
-        bursts.append(synthesize_burst(x, TRUTH, ChannelConfig(snr_db=15.0), rng=rng))
+        bursts.append(synthesize_burst(x, TRUTH, ChannelConfig(snr_db=15.0), seed=rng))
         inits.append(TRUTH.as_vector() * (1.0 + 0.1 * rng.standard_normal(4)))
     bursts.append(synthesize_burst(iridium_known_symbols(), TRUTH, ChannelConfig(snr_db=15.0),
                                    seed=8, modulation="bpsk"))
@@ -115,7 +132,7 @@ def test_batched_fit_matches_per_burst_estimates():
     assert fit.converged.all()
     assert fit.iterations[-1] == 0 and fit.iterations[:-1].min() > 0
     for t, b in enumerate(bursts):
-        est, status = nls_estimate(b, 1.0, NlsOptions(init=HwiParams.from_vector(inits[t])))
+        est, status = nls_estimate(b, 1.0, init=HwiParams.from_vector(inits[t]))
         assert np.max(np.abs(est.as_vector() - fit.theta[t])) < 1e-12
         assert status.residual == pytest.approx(fit.residual[t], rel=1e-9)
 
@@ -133,9 +150,9 @@ def test_mc_validation_low_snr_damped_fit_reaches_reference_minima():
     assert np.allclose(row.mse, nelder_mead_mse, rtol=1e-3, atol=0.0)
 
 
-def test_mc_validation_counts_unconverged_trials():
-    rep = mc_crb_validation("qpsk", TRUTH, [20.0], n=76, n_trials=50, seed=4,
-                            opts=NlsOptions(max_iters=1))
+def test_mc_validation_counts_unconverged_trials(monkeypatch):
+    monkeypatch.setattr(estimator, "_MAX_ITERS", 1)
+    rep = mc_crb_validation("qpsk", TRUTH, [20.0], n=76, n_trials=50, seed=4)
     row = rep.rows[0]
     assert row.n_unconverged == 50
     assert row.status == "ok+budget"
@@ -174,7 +191,7 @@ def test_mc_validation_equals_per_trial_synthesis(modulation, pilot_mode, status
             rng = np.random.default_rng((seed, k, t))
             symbols = (np.resize(iridium_known_symbols(), 76) if pilot_mode == "iridium"
                        else random_known_symbols(c, 76, rng))
-            r.append(synthesize_burst(symbols, TRUTH, ch, rng=rng).samples)
+            r.append(synthesize_burst(symbols, TRUTH, ch, seed=rng).samples)
             x.append(symbols)
             theta0.append(_oracle_init(TRUTH, rng))
         fit = fit_batch(np.array(r), np.ones(n_trials), np.array(x), np.array(theta0))

@@ -279,7 +279,7 @@ def _mixed_bursts(count=300):
             snr = (3.0, 12.0, 25.0)[i % 3]
         ch = ChannelConfig(snr_db=snr, cfo_rad_per_symbol=float(rng.uniform(-0.01, 0.01)),
                            random_phase=i % 10 != 0)
-        out.append(synthesize_burst(x, p, ch, rng=rng, satellite_id=f"S{i % 5}"))
+        out.append(synthesize_burst(x, p, ch, seed=rng, satellite_id=f"S{i % 5}"))
     return out
 
 

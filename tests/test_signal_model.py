@@ -396,6 +396,14 @@ def _with_header(header: bytes) -> bytes:
     (_with_header(b'{"n": 0, "snr_db": NaN}'), "snr_db must be null or a number .* got nan"),
     (_with_header(b'{"n": 0, "snr_db": -Infinity}'), "snr_db must be null .* got -inf"),
     (_with_header(b'{"n": 1}') + bytes(16), "lacks known symbols"),
+    pytest.param(_with_header(b'{"n": 0, "snr_db": 1' + b"0" * 400 + b"}"),
+                 "snr_db is an integer too large for a float", id="snr_db-int-overflow"),
+    pytest.param(_with_header(b'{"n": 0, "truth": {"eps": 1' + b"0" * 400
+                              + b', "phi": 0, "alpha3": [0, 0]}}'),
+                 "truth.eps is an integer too large for a float", id="eps-int-overflow"),
+    (_with_header(b'{"n": 100, "modulation": "iridium"}') + bytes(1600),
+     "'iridium' implies 76 known symbols, but the file holds 100 samples"),
+    (_with_header(b'{"n": 0, "has_known_symbols": true}'), "equal length >= 1"),
 ])
 def test_malformed_binary_burst_header(tmp_path, data, message):
     path = tmp_path / "burst.bin"
@@ -426,6 +434,12 @@ _ONE = {"samples": [[1, 0]], "known_symbols": [[1, 0]]}
     ({**_ONE, "snr_db": math.nan}, "snr_db must be null or a number .* got nan"),
     ({**_ONE, "snr_db": -math.inf}, "snr_db must be null .* got -inf"),
     ({"samples": [[1, 0]]}, "lacks known symbols"),
+    ({**_ONE, "snr_db": 10**400}, "snr_db is an integer too large for a float"),
+    ({**_ONE, "truth": {"eps": 10**400, "phi": 0, "alpha3": [0, 0]}},
+     "truth.eps is an integer too large for a float"),
+    ({"samples": [[1, 0]] * 100, "modulation": "iridium"},
+     "'iridium' implies 76 known symbols, but the file holds 100 samples"),
+    ({"samples": [], "known_symbols": []}, "equal length >= 1"),
 ])
 def test_malformed_json_burst(tmp_path, payload, message):
     # bytes are written as they are, anything else as JSON
