@@ -30,6 +30,7 @@ from .signal_model import (
     ChannelConfig,
     FleetSpread,
     _draw_channel_noise,
+    _keyed_generators,
     _synthesize_rows,
     generate_fleet,
     iridium_known_symbols,
@@ -474,8 +475,10 @@ def simulate_campaign(
 
     Burst ``bi`` of satellite ``si`` takes its CFO, its QPSK symbols (unless
     the Iridium pilots are sent), its channel and its noise, in that order,
-    from ``default_rng((campaign_seed, si, bi))``; each satellite's bursts
-    are then synthesized and their features extracted as one stack."""
+    from the stream of ``default_rng((campaign_seed, si, bi))``, with a
+    satellite's streams seeded in bulk by ``_keyed_generators``; each
+    satellite's bursts are then synthesized and their features extracted as
+    one stack."""
     qpsk = make_constellation("qpsk")
     n_bursts = n_bursts if n_bursts is not None else cfg.n_enroll
     if n_bursts < 1:
@@ -486,8 +489,7 @@ def simulate_campaign(
     ids, blocks = [], []
     for si, (sat, p) in enumerate(fleet):
         cfo, draws = [], []
-        for bi in range(n_bursts):
-            rng = np.random.default_rng((campaign_seed, si, bi))
+        for bi, rng in enumerate(_keyed_generators((campaign_seed, si), n_bursts)):
             cfo.append(float(rng.uniform(-cfg.cfo_jitter, cfg.cfo_jitter)))
             if cfg.burst_mode != "iridium":
                 x[bi] = random_known_symbols(qpsk, cfg.n_known, rng)

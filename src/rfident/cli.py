@@ -3,9 +3,9 @@
 Subcommands: moments, crb-curves, mc-validate, identifiability, fleet-sim,
 dr-analysis, authenticate. Configuration comes from an optional JSON file
 plus flag overrides; outputs are plot-ready CSV/JSON written atomically.
-Exit codes: 0 success; 2 configuration or input error (a ``ConfigError``
-from a config value or an input file, a missing file, malformed JSON); 3 a
-failure that depends on the data or the numerics.
+Exit codes: 0 success; 2 configuration or input error (a flag argparse
+rejects, a ``ConfigError`` from a config value or an input file, a missing
+file, malformed JSON); 3 a failure that depends on the data or the numerics.
 """
 
 from __future__ import annotations
@@ -277,9 +277,20 @@ def cmd_authenticate(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds its generators from non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"need a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rfident", description=__doc__)
-    ap.add_argument("--seed", type=int, default=0, help="global random seed")
+    ap.add_argument("--seed", type=_seed, default=0, help="global random seed (>= 0)")
     ap.add_argument("--out-dir", default=".", help="directory for output artifacts")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -22,6 +22,7 @@ from .signal_model import (
     ChannelConfig,
     HwiParams,
     _draw_channel_noise,
+    _keyed_generators,
     _synthesize_rows,
     hwi_model_and_jacobian,
     iridium_known_symbols,
@@ -210,13 +211,6 @@ def nls_estimate(
     return HwiParams.from_vector(fit.theta[0]), status
 
 
-def _oracle_init(truth: HwiParams, rng: np.random.Generator) -> np.ndarray:
-    """Truth plus Gaussian perturbation, std 0.1 |component| with a 1e-3 floor."""
-    v = truth.as_vector()
-    sigma = np.maximum(0.1 * np.abs(v), 1e-3)
-    return v + rng.normal(0.0, sigma)
-
-
 @dataclass(frozen=True)
 class McRow:
     """Per-SNR validation row.
@@ -280,9 +274,10 @@ def mc_crb_validation(
     bound and tag the IQ components as unbounded; on their beta = 0 bursts
     ``fit_batch`` fits only alpha3 with the IQ pair held at its initial
     value, which is the fit that bound describes. Deterministic per seed:
-    each trial draws its symbols, burst and initial point from its own child
-    generator, and each SNR point fits all its trials in one ``fit_batch``
-    call.
+    trial ``t`` of SNR point ``k`` draws its symbols, burst and initial point
+    from the stream of ``default_rng((seed, k, t))``, with the streams of a
+    point seeded in bulk by ``_keyed_generators``, and each SNR point fits
+    all its trials in one ``fit_batch`` call.
     """
     if pilot_mode not in ("random", "iridium"):
         raise ConfigError(f"unknown pilot_mode {pilot_mode!r}; use 'random' or 'iridium'")
@@ -319,21 +314,26 @@ def mc_crb_validation(
         if pilot_mode == "iridium":
             x[:] = np.resize(iridium_known_symbols(), n)
         r = np.empty_like(x)
-        theta0 = np.empty((n_trials, 4))
+        gauss = np.empty((n_trials, 4))
+        keyed = _keyed_generators((seed, k), n_trials)
         # synthesized in blocks, so that the noise draws never span all trials
         for start in range(0, n_trials, _BLOCK_TRIALS):
             stop = min(start + _BLOCK_TRIALS, n_trials)
             draws = []
-            for t in range(start, stop):
-                rng = np.random.default_rng((seed, k, t))
+            for t, rng in zip(range(start, stop), keyed):
                 if pilot_mode == "random":
                     x[t] = random_known_symbols(c, n, rng)
                 draws.append(_draw_channel_noise(ch, rng, n))
-                theta0[t] = _oracle_init(truth, rng)
+                gauss[t] = rng.standard_normal(4)
             r[start:stop] = _synthesize_rows(x[start:stop], truth, ch,
                                              [ch.cfo_rad_per_symbol] * len(draws), draws)
+        # the oracle initial point: truth plus Gaussian perturbation, std
+        # 0.1 |component| with a 1e-3 floor; equal bit for bit to a per-trial
+        # rng.normal(0.0, sigma), which numpy forms as 0.0 + sigma * gauss
+        v = truth.as_vector()
+        theta0 = v + np.maximum(0.1 * np.abs(v), 1e-3) * gauss
         fit = fit_batch(r, np.ones(n_trials), x, theta0)
-        mse = np.mean((fit.theta - truth.as_vector()) ** 2, axis=0)
+        mse = np.mean((fit.theta - v) ** 2, axis=0)
         n_unconverged = int(np.count_nonzero(~fit.converged))
         with np.errstate(invalid="ignore"):
             ratio = np.where(np.isfinite(crb), mse / crb, np.nan)

@@ -258,6 +258,103 @@ def _draw_channel_noise(ch: ChannelConfig, rng: np.random.Generator, n: int) -> 
     return h, None if ch.noise_free else rng.standard_normal((2, n))
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE, _MASK32 = 4, 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier and state width
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+# keys hashed per pass; a power of two <= 2**32, so every key of a pass
+# splits into the same number of 32-bit words
+_KEY_CHUNK = 4096
+
+
+def _uint32_words(v: int) -> list:
+    """A non-negative integer as SeedSequence splits it: little-endian
+    32-bit words, and one word for 0."""
+    words = [v & _MASK32]
+    while v > _MASK32:
+        v >>= 32
+        words.append(v & _MASK32)
+    return words
+
+
+def _hash_words(value, hash_const: int, mult: int):
+    """One step of SeedSequence's hash over an array of uint32 words: the
+    hashed words and the next hash constant."""
+    next_const = (hash_const * mult) & _MASK32
+    value = (value ^ hash_const) * next_const
+    return value ^ (value >> 16), next_const
+
+
+def _hashed_pcg64_seeds(entropy: list) -> list:
+    """SeedSequence(entropy).generate_state(4, uint64) for each column of
+    ``entropy``, a list of equal-length uint32 word arrays, taken as the
+    pairs (initstate, initseq) of 128-bit ints that seed PCG64."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value, hash_const = _hash_words(value, hash_const, _MULT_A)
+        return value
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    hash_const, state = _INIT_B, []
+    for i in range(8):
+        value, hash_const = _hash_words(pool[i % _POOL_SIZE], hash_const, _MULT_B)
+        state.append(value.astype(np.uint64))
+    # uint64 word k is uint32 words 2k (low) and 2k + 1 (high)
+    w = [(state[2 * k] | (state[2 * k + 1] << np.uint64(32))).tolist() for k in range(4)]
+    return [((a << 64) | b, (c << 64) | d) for a, b, c, d in zip(*w)]
+
+
+def _keyed_generators(prefix, n: int):
+    """Yield, for i in range(n), a generator in the state of
+    ``np.random.default_rng((*prefix, i))``, bit for bit.
+
+    The SeedSequence hashing runs over up to ``_KEY_CHUNK`` keys at once on
+    uint32 arrays and PCG64 is seeded in Python ints, which is several times
+    faster than one ``default_rng`` per key. One ``Generator`` is reused:
+    each yielded generator is valid only until the next one is drawn. A
+    negative prefix entry raises ``ConfigError`` when the first generator is
+    drawn."""
+    head = []
+    for v in prefix:
+        if v < 0:
+            raise ConfigError(f"seeds must be non-negative integers, got {v}")
+        head += _uint32_words(v)
+    rng = np.random.Generator(np.random.PCG64(0))
+    for start in range(0, n, _KEY_CHUNK):
+        keys = np.arange(start, min(start + _KEY_CHUNK, n), dtype=np.uint64)
+        key_words = [(keys >> np.uint64(32 * j)).astype(np.uint32)
+                     for j in range(len(_uint32_words(start)))]
+        entropy = [np.full(keys.size, w, dtype=np.uint32) for w in head] + key_words
+        for initstate, initseq in _hashed_pcg64_seeds(entropy):
+            # PCG64's seeding: an odd increment from initseq, then two LCG
+            # steps from state 0 with initstate added between them
+            inc = ((initseq << 1) | 1) & _MASK128
+            rng.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": ((inc + initstate) * _PCG_MULT + inc) & _MASK128,
+                          "inc": inc},
+                "has_uint32": 0, "uinteger": 0,
+            }
+            yield rng
+
+
 def _synthesize_rows(x: np.ndarray, p: HwiParams, ch: ChannelConfig, cfo, draws) -> np.ndarray:
     """Row i of the (bursts, n) result is
     h_i * apply_hwi(x[i], p) * e^{j cfo[i] n} + sigma (g_i[0] + j g_i[1]),
@@ -430,6 +527,8 @@ def _burst_from_parts(hdr: dict, samples: np.ndarray, known: np.ndarray | None,
         truth = HwiParams(eps=_header_float(t["eps"], "truth.eps", path),
                           phi=_header_float(t["phi"], "truth.phi", path),
                           alpha3=complex(alpha3[0]))
+        if not np.all(np.isfinite(truth.as_vector())):
+            raise BurstError(f"{path}: truth eps, phi and alpha3 must be finite, got {t!r}")
     # null and +Infinity read as noise-free; NaN and -Infinity fail
     if snr_db is not None:
         if type(snr_db) not in (int, float) or not snr_db > -math.inf:

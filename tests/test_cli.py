@@ -230,6 +230,17 @@ def test_mc_validate_cli(tmp_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("command", ["mc-validate", "fleet-sim", "authenticate"])
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, command, seed):
+    # argparse rejects the flag before any command runs
+    with pytest.raises(SystemExit) as info:
+        run(["--seed", seed, "--out-dir", tmp_path, command])
+    assert info.value.code == EXIT_CONFIG
+    assert "--seed: need a non-negative integer" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_identifiability_cli(tmp_path):
     out = tmp_path / "ident.json"
     cfg = tmp_path / "cfg.json"

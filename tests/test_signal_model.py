@@ -8,9 +8,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rfident.constellation import make_constellation
+from rfident.constellation import ConfigError, make_constellation
 from rfident.signal_model import (
+    _KEY_CHUNK,
     _draw_channel_noise,
+    _keyed_generators,
     _synthesize_rows,
     Burst,
     BurstError,
@@ -219,6 +221,40 @@ def test_block_synthesis_is_bit_identical_row_by_row():
         assert np.array_equal(block[i], want)
 
 
+def _assert_keyed_like_default_rng(prefix, n):
+    count = 0
+    for i, rng in enumerate(_keyed_generators(prefix, n)):
+        ref = np.random.default_rng((*prefix, i))
+        assert rng.bit_generator.state == ref.bit_generator.state, (prefix, i)
+        assert np.array_equal(rng.standard_normal(8), ref.standard_normal(8)), (prefix, i)
+        count += 1
+    assert count == n
+
+
+# 2**70 splits into 3 words, so (2**70, 2**70) with its key holds 7 words
+# and mixes the entropy beyond the 4-word pool
+@pytest.mark.parametrize("n", [0, 1, 65])
+@pytest.mark.parametrize("prefix", [(), (0,), (2**32 - 1,), (2**32,), (2**70,),
+                                    (2, 0, 2**32 - 1), (2**70, 2**70)])
+def test_keyed_generators_match_default_rng(prefix, n):
+    _assert_keyed_like_default_rng(prefix, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(prefix=st.lists(st.integers(0, 2**80 - 1), max_size=3), n=st.sampled_from([0, 1, 65]))
+def test_keyed_generators_match_default_rng_property(prefix, n):
+    _assert_keyed_like_default_rng(tuple(prefix), n)
+
+
+def test_keyed_generators_cross_the_hashing_chunk():
+    _assert_keyed_like_default_rng((5, 1), _KEY_CHUNK + 2)
+
+
+def test_keyed_generators_reject_negative_seeds():
+    with pytest.raises(ConfigError, match="non-negative"):
+        next(_keyed_generators((3, -1), 2))
+
+
 def test_rician_mean_power():
     ch = ChannelConfig(h=2.0, snr_db=20.0, rician_k_db=12.0)
     rng = np.random.default_rng(7)
@@ -404,6 +440,12 @@ def _with_header(header: bytes) -> bytes:
     (_with_header(b'{"n": 100, "modulation": "iridium"}') + bytes(1600),
      "'iridium' implies 76 known symbols, but the file holds 100 samples"),
     (_with_header(b'{"n": 0, "has_known_symbols": true}'), "equal length >= 1"),
+    (_with_header(b'{"n": 0, "truth": {"eps": 1e400, "phi": 0, "alpha3": [0, 0]}}'),
+     "truth eps, phi and alpha3 must be finite"),
+    (_with_header(b'{"n": 0, "truth": {"eps": 0, "phi": NaN, "alpha3": [0, 0]}}'),
+     "truth eps, phi and alpha3 must be finite"),
+    (_with_header(b'{"n": 0, "truth": {"eps": 0, "phi": 0, "alpha3": [0, -Infinity]}}'),
+     "truth eps, phi and alpha3 must be finite"),
 ])
 def test_malformed_binary_burst_header(tmp_path, data, message):
     path = tmp_path / "burst.bin"
@@ -440,6 +482,15 @@ _ONE = {"samples": [[1, 0]], "known_symbols": [[1, 0]]}
     ({"samples": [[1, 0]] * 100, "modulation": "iridium"},
      "'iridium' implies 76 known symbols, but the file holds 100 samples"),
     ({"samples": [], "known_symbols": []}, "equal length >= 1"),
+    (b'{"samples": [[1, 0]], "known_symbols": [[1, 0]], '
+     b'"truth": {"eps": 1e400, "phi": 0, "alpha3": [0, 0]}}',
+     "truth eps, phi and alpha3 must be finite"),
+    ({**_ONE, "truth": {"eps": math.nan, "phi": 0, "alpha3": [0, 0]}},
+     "truth eps, phi and alpha3 must be finite"),
+    ({**_ONE, "truth": {"eps": -math.inf, "phi": 0, "alpha3": [0, 0]}},
+     "truth eps, phi and alpha3 must be finite"),
+    ({**_ONE, "truth": {"eps": 0, "phi": 0, "alpha3": [math.nan, 0]}},
+     "truth eps, phi and alpha3 must be finite"),
 ])
 def test_malformed_json_burst(tmp_path, payload, message):
     # bytes are written as they are, anything else as JSON
