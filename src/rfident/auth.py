@@ -29,6 +29,7 @@ from .features import (  # noqa: F401
 from .signal_model import (
     ChannelConfig,
     FleetSpread,
+    _check_seed,
     _draw_channel_noise,
     _keyed_generators,
     _synthesize_rows,
@@ -197,7 +198,7 @@ def balanced_dr(
     if eligible.size < 2:
         raise AuthConfigError("need at least 2 satellites with >= n_bal messages")
     half = n_bal // 2
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     n_feat = table.matrix.shape[1]
     drs = np.zeros((n_trials, n_feat))
     idx_by_sat = {s: np.flatnonzero(ids == s) for s in eligible}
@@ -462,6 +463,7 @@ class AuthReport:
                 k: {"mean": r.mean, "std": r.std, "verdict": r.verdict}
                 for k, r in self.dr_table.rows.items()
             },
+            "dr_excluded_satellites": [str(s) for s in self.dr_table.excluded_satellites],
             "auc_vs_nacc": {k: dict(zip(("n_acc", "auc"), v)) for k, v in self.auc_vs_nacc.items()},
             "fleet": [{"satellite_id": s, **p.as_json()} for s, p in self.fleet],
         }

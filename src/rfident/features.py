@@ -86,15 +86,9 @@ def _cfo_block(z: np.ndarray, strip_power: np.ndarray) -> tuple[np.ndarray, np.n
         # a Python int exponent: an array of exponents rounds differently
         stripped[rows] = unit[rows] ** int(p)
     phase = np.unwrap(np.angle(stripped), axis=1)
-    # np.polyfit(n, row, 1) for each row: the same scaled Vandermonde matrix
-    # and one least-squares solve per row (a multi-column solve rounds
-    # differently)
-    lhs = np.vander(n + 0.0, 2)
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
-    rcond = n.size * np.finfo(float).eps
-    lead = np.array([np.linalg.lstsq(lhs, row, rcond)[0][0] for row in phase])
-    slope = lead / scale[0] / strip_power
+    # least-squares slope against the centred index c: sum(c) = 0 drops the intercept
+    c = n - (n.size - 1) / 2.0
+    slope = np.sum(phase * c, axis=1) / np.sum(c * c) / strip_power
     # bound to a name: numpy reuses a large temporary as the output of a
     # product and swaps the operands, and the complex multiply is not
     # bitwise commutative

@@ -321,6 +321,13 @@ def _hashed_pcg64_seeds(entropy: list) -> list:
     return [((a << 64) | b, (c << 64) | d) for a, b, c, d in zip(*w)]
 
 
+def _check_seed(seed: int) -> int:
+    """``seed``; ``ConfigError`` if negative, where numpy raises ValueError."""
+    if seed < 0:
+        raise ConfigError(f"seeds must be non-negative integers, got {seed}")
+    return seed
+
+
 def _keyed_generators(prefix, n: int):
     """Yield, for i in range(n), a generator in the state of
     ``np.random.default_rng((*prefix, i))``, bit for bit.
@@ -331,11 +338,7 @@ def _keyed_generators(prefix, n: int):
     each yielded generator is valid only until the next one is drawn. A
     negative prefix entry raises ``ConfigError`` when the first generator is
     drawn."""
-    head = []
-    for v in prefix:
-        if v < 0:
-            raise ConfigError(f"seeds must be non-negative integers, got {v}")
-        head += _uint32_words(v)
+    head = [w for v in prefix for w in _uint32_words(_check_seed(v))]
     rng = np.random.Generator(np.random.PCG64(0))
     for start in range(0, n, _KEY_CHUNK):
         keys = np.arange(start, min(start + _KEY_CHUNK, n), dtype=np.uint64)
@@ -454,7 +457,7 @@ def generate_fleet(n_sats: int, spread: FleetSpread | None = None, seed=0):
     if n_sats < 2:
         raise ValueError("a fleet needs at least 2 satellites")
     spread = spread or FleetSpread()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     fleet = []
     width = max(2, len(str(n_sats - 1)))
     for i in range(n_sats):

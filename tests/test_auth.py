@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from rfident.auth import (
     OSC2_FEATURES,
     PA3_FEATURES,
     AuthConfigError,
+    AuthReport,
     DrTable,
     DrRow,
     FeatureTable,
@@ -163,6 +165,9 @@ def test_balanced_dr_exclusion_and_errors():
     for n_bal, n_trials in ((1, 5), (30, 0)):
         with pytest.raises(ConfigError):
             balanced_dr(_table(ids, matrix), n_bal=n_bal, n_trials=n_trials, seed=0)
+    # numpy's own error for a negative seed would be a plain ValueError
+    with pytest.raises(ConfigError, match="non-negative"):
+        balanced_dr(_table(ids, matrix), n_bal=30, n_trials=5, seed=-1)
 
 
 def test_verdict_banding():
@@ -544,6 +549,25 @@ def test_run_auth_experiment_smoke():
     assert set(rep.roc_curves) == set(rep.strategies)
     d = rep.to_json_dict()
     assert "strategies" in d and "weights" in d and len(d["fleet"]) == 6
+    assert d["dr_excluded_satellites"] == []
+
+
+def test_auth_report_json_names_dr_excluded_satellites():
+    # C has fewer than n_bal messages, so the DR table leaves it out
+    rng = np.random.default_rng(6)
+    ids = np.asarray(["A"] * 40 + ["B"] * 40 + ["C"] * 10)
+    dr = balanced_dr(_table(ids, rng.normal(size=(ids.size, N_FEAT))), n_bal=30, n_trials=5,
+                     seed=0)
+    rep = AuthReport(strategies={}, dr_table=dr, weights=iwat_weights(dr, ALL6_FEATURES),
+                     auc_vs_nacc={}, threshold=1.0, fleet=[], beta=0.0)
+    d = json.loads(json.dumps(rep.to_json_dict()))
+    assert d["dr_excluded_satellites"] == ["C"]
+    assert set(d["dr_table"]) == set(FEATURE_NAMES)
+
+
+def test_run_auth_experiment_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="non-negative"):
+        run_auth_experiment(seed=-1)
 
 
 def test_grouped_means_chunks_follow_table_order():

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rfident.auth import feature_table_from_bursts
 from rfident.constellation import ConfigError, make_constellation
 from rfident.features import (
     _FLAGS,
+    _cfo_block,
     _extract_bursts,
     DegenerateInputError,
     FEATURE_NAMES,
@@ -292,14 +294,23 @@ def _assert_feature_ranges(matrix):
         assert np.all(np.abs(matrix[:, FEATURE_NAMES.index(name)]) <= 1.0), name
 
 
+def _stripped_phase(z, x):
+    """The unwrapped phase of the modulation-stripped samples z and the
+    strip power the known symbols x call for."""
+    collinear = abs(np.sum(x * x)) ** 2 > (1.0 - 1e-9) * np.sum(np.abs(x) ** 2) ** 2
+    sp = 2 if collinear else 4
+    return np.unwrap(np.angle((z / np.abs(z)) ** sp)), sp
+
+
 def _reference_features(b, n_known=76):
     """The per-burst formulas, one numpy call at a time: the oracle the
     block extractor must match bit for bit."""
     z, x = b.samples[:n_known], b.known_symbols[:n_known]
-    collinear = abs(np.sum(x * x)) ** 2 > (1.0 - 1e-9) * np.sum(np.abs(x) ** 2) ** 2
-    sp = 2 if collinear else 4
+    phase, sp = _stripped_phase(z, x)
+    collinear = sp == 2
     n = np.arange(z.size)
-    slope = np.polyfit(n, np.unwrap(np.angle((z / np.abs(z)) ** sp)), 1)[0] / sp
+    c = n - (z.size - 1) / 2.0
+    slope = np.sum(phase * c) / np.sum(c * c) / sp
     z = z * np.exp(-1j * slope * n)
     z = z / math.sqrt(float(np.mean(np.abs(z) ** 2)))
     flags = set()
@@ -372,6 +383,46 @@ def test_block_extraction_is_bit_identical_to_per_burst():
     assert {"amp_kurtosis", "amp_acf1", "iq", "pa_cross"} <= set(per_burst[0].degenerate)
     assert "iq" not in per_burst[1].degenerate
     _assert_feature_ranges(table)
+
+
+def _polyfit_slope(phase, strip_power):
+    return np.polyfit(np.arange(phase.size), phase, 1)[0] / strip_power
+
+
+# the closed-form slope and np.polyfit's scaled least-squares solve round
+# differently; they must agree to this tolerance
+POLYFIT_TOL = dict(rel=1e-10, abs=1e-15)
+
+
+def test_cfo_slope_agrees_with_polyfit():
+    bursts = _mixed_bursts()
+    cfo_hat = feature_table_from_bursts(bursts).matrix[:, FEATURE_NAMES.index("cfo_hat")]
+    for b, got in zip(bursts, cfo_hat):
+        want = _polyfit_slope(*_stripped_phase(b.samples[:76], b.known_symbols[:76]))
+        assert got == pytest.approx(want, **POLYFIT_TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 120),
+       rows=st.lists(st.tuples(st.sampled_from([2, 4]), st.floats(-0.5, 0.5),
+                               st.sampled_from([0.0, 0.1, 1.0])), min_size=1, max_size=40))
+def test_cfo_block_rows_are_independent_property(seed, n, rows):
+    # finite nonzero samples, each row a phase ramp of its own slope under
+    # uniform phase noise of its own spread (1.0: any phase) and with its own
+    # strip power: a row gives the same bits alone as in the stack, and a
+    # slope within POLYFIT_TOL of polyfit's
+    strip_power, ramp, spread = (np.array(v) for v in zip(*rows))
+    rng = np.random.default_rng(seed)
+    angle = ramp[:, None] * np.arange(n) + spread[:, None] * rng.uniform(-np.pi, np.pi,
+                                                                        (len(rows), n))
+    z = 10.0 ** rng.uniform(-3.0, 3.0, (len(rows), n)) * np.exp(1j * angle)
+    derot, slope = _cfo_block(z, strip_power)
+    for i in range(len(rows)):
+        alone_derot, alone_slope = _cfo_block(z[i:i + 1], strip_power[i:i + 1])
+        assert np.array_equal(derot[i:i + 1], alone_derot)
+        assert np.array_equal(slope[i:i + 1], alone_slope)
+        phase = np.unwrap(np.angle((z[i] / np.abs(z[i])) ** strip_power[i]))
+        assert slope[i] == pytest.approx(_polyfit_slope(phase, strip_power[i]), **POLYFIT_TOL)
 
 
 def _bad(b, samples=None, known=None, n=None):

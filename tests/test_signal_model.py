@@ -339,6 +339,8 @@ def test_generate_fleet_errors():
         generate_fleet(1, seed=0)
     with pytest.raises(ValueError):
         FleetSpread(eps_range=(0.05, 0.01))
+    with pytest.raises(ConfigError, match="non-negative"):
+        generate_fleet(3, seed=-1)
 
 
 def test_burst_file_roundtrip_json(tmp_path):
