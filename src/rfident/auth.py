@@ -353,18 +353,25 @@ class RocCurve:
     pd_at_fa: dict
 
 
+def _auc(g: np.ndarray, i: np.ndarray) -> float:
+    """AUC of lower-is-genuine scores by the rank statistic, P(impostor >
+    genuine) + 0.5 P(tie), from counts of the impostors below and at each
+    genuine score; ``i`` must be sorted. The counts are whole and half
+    numbers, so their sum is exact in any order."""
+    if g.size == 0 or i.size == 0:
+        raise AuthConfigError("both score lists must be non-empty")
+    below = np.searchsorted(i, g, side="left")
+    at = np.searchsorted(i, g, side="right") - below
+    return float(np.sum((i.size - below - at) + 0.5 * at) / (g.size * i.size))
+
+
 def roc_auc(genuine_scores, impostor_scores) -> RocCurve:
     """Threshold-sweep ROC for lower-is-genuine scores; AUC by the
     rank statistic with ties counted one half, and the detection rate at
     false-accept rates 0.01 and 0.1."""
     g = np.sort(np.asarray(genuine_scores, dtype=float))
     i = np.sort(np.asarray(impostor_scores, dtype=float))
-    if g.size == 0 or i.size == 0:
-        raise AuthConfigError("both score lists must be non-empty")
-    # P(impostor > genuine) + 0.5 P(tie), via counts of impostors below/at each genuine
-    below = np.searchsorted(i, g, side="left")
-    at = np.searchsorted(i, g, side="right") - below
-    auc = float(np.sum((i.size - below - at) + 0.5 * at) / (g.size * i.size))
+    auc = _auc(g, i)
 
     thresholds = np.unique(np.concatenate([g, i, [np.inf]]))
     fa = np.searchsorted(i, thresholds, side="left") / i.size
@@ -569,7 +576,13 @@ def run_auth_experiment(cfg: FleetProtocolConfig | None = None, seed: int = 0) -
     # accumulation curves for the PA-led and IQ-only strategies
     grid = [n for n in cfg.n_acc_grid if n <= cfg.n_probe]
     chunks = [_grouped_means(table_b.satellite_ids, table_b.matrix, size=n) for n in grid]
-    auc_vs_nacc = {name: ([int(n) for n in grid], [roc_auc(*split(name, c)).auc for c in chunks])
+
+    def auc(name, probes):
+        """The AUC alone: the curves need no threshold sweep."""
+        genuine, impostor = split(name, probes)
+        return _auc(genuine, np.sort(impostor))
+
+    auc_vs_nacc = {name: ([int(n) for n in grid], [auc(name, c) for c in chunks])
                    for name in ("pa_only_3", "dr2_iwat_all6", "iq_only_2")}
 
     # enrollment-only threshold at the target false-accept rate: each

@@ -4,13 +4,13 @@ Pipeline: CFO removal by linear phase regression on modulation-stripped
 samples (slope-only derotation; the constant channel phase is a nuisance the
 features either ignore or, for EVM/DC, deliberately absorb), amplitude
 normalization to unit mean power, then 13 scalar features. It runs on
-(bursts, n_known) stacks with row-wise numpy and gives every burst the same
-bits whatever the stack holds; one burst is a one-row stack.
+(bursts, n_known) stacks as elementwise squares and products plus row-wise
+reductions, with no per-row Python, and gives every burst the same bits
+whatever the stack holds; one burst is a one-row stack.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -74,6 +74,33 @@ def _sample_checks(z: np.ndarray) -> list:
             (np.any(np.abs(z) < 1e-300, axis=1), "zero-amplitude sample")]
 
 
+def _power(u: np.ndarray, p: int) -> np.ndarray:
+    """u**p for a positive int p by repeated squaring: u * u for 2 and
+    (u * u) * (u * u) for 4, where numpy's complex power would round
+    differently and cost more."""
+    out = None
+    while True:
+        if p & 1:
+            out = u if out is None else out * u
+        p >>= 1
+        if not p:
+            return out
+        u = u * u
+
+
+def _unwrap_rows(phase: np.ndarray) -> np.ndarray:
+    """``np.unwrap(phase, axis=1)`` for phases in [-pi, pi]: a step strictly
+    beyond pi takes a whole turn off the rest of the row, a step of exactly
+    +-pi none. The turns count as numpy's do; the values may differ from
+    numpy's in the last bits, as it adds the rounded steps, not whole turns."""
+    step = np.diff(phase, axis=1)
+    turns = (step < -np.pi).astype(float)
+    turns -= step > np.pi
+    out = phase.copy()
+    out[:, 1:] += 2.0 * np.pi * np.cumsum(turns, axis=1)
+    return out
+
+
 def _cfo_block(z: np.ndarray, strip_power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise ``remove_cfo`` of a checked (bursts, n) stack with one strip
     power per row."""
@@ -83,9 +110,8 @@ def _cfo_block(z: np.ndarray, strip_power: np.ndarray) -> tuple[np.ndarray, np.n
     stripped = np.empty_like(unit)
     for p in np.unique(strip_power):
         rows = strip_power == p
-        # a Python int exponent: an array of exponents rounds differently
-        stripped[rows] = unit[rows] ** int(p)
-    phase = np.unwrap(np.angle(stripped), axis=1)
+        stripped[rows] = _power(unit[rows], int(p))
+    phase = _unwrap_rows(np.angle(stripped))
     # least-squares slope against the centred index c: sum(c) = 0 drops the intercept
     c = n - (n.size - 1) / 2.0
     slope = np.sum(phase * c, axis=1) / np.sum(c * c) / strip_power
@@ -99,6 +125,9 @@ def _cfo_block(z: np.ndarray, strip_power: np.ndarray) -> tuple[np.ndarray, np.n
 def remove_cfo(samples, strip_power: int = 4):
     """Fit a line to the unwrapped phase of samples**strip_power and derotate
     by the fitted slope. Returns (derotated samples, slope in rad/symbol)."""
+    is_int = isinstance(strip_power, (int, np.integer)) and not isinstance(strip_power, bool)
+    if not is_int or strip_power < 1:
+        raise ConfigError(f"strip_power must be a positive int, got {strip_power!r}")
     z = np.asarray(samples, dtype=complex).reshape(1, -1)
     if z.size < 4:
         raise DegenerateInputError("need at least 4 samples for the phase fit")
@@ -116,42 +145,44 @@ def normalize_amplitude(samples) -> np.ndarray:
     return z / np.sqrt(power)
 
 
-def _finish_row(collinear, a_mean, a_var, m4, a_dd, a_lag, p_dd, p_lag, ap_cross,
-                s_xx, s_x2, rhs1, rhs2, eta):
-    """The O(1) scalar end of one row's features, from its O(n) sums.
+def _divide(num: np.ndarray, den: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """num / den, and 0 on the ``flat`` rows, whose denominator is never
+    divided by."""
+    return np.divide(num, den, out=np.zeros_like(num), where=~flat)
 
-    Returns (amp_var, amp_kurtosis, amp_acf1, phase_acf1, iq_eps_hat,
-    iq_phi_hat, pa_cross) and the degenerate flags in ``_FLAGS`` order. The
-    arithmetic stays on Python scalars: a float's ``x ** 2`` rounds
-    differently from numpy's array ``x ** 2``.
-    """
-    flat_a, flat_p = a_dd <= 1e-30, p_dd <= 1e-30
-    amp_var = a_var / a_mean**2
-    amp_kurtosis = 0.0 if a_var <= 1e-30 else m4 / a_var**2 - 3.0
-    amp_acf1 = 0.0 if flat_a else max(-1.0, min(1.0, a_lag / a_dd))
-    phase_acf1 = 0.0 if flat_p else max(-1.0, min(1.0, p_lag / p_dd))
-    pa_cross = 0.0 if flat_a or flat_p else ap_cross / math.sqrt(a_dd * p_dd)
 
-    # least-squares image-leakage ratio K2_hat / K1_hat from the known
-    # symbols. When they have beta = 0 (``collinear``; real pilots, say) the
-    # regressors x and x* are collinear and the ratio is unidentifiable; the
-    # fallback is half the channel-equalized circularity moment ``eta`` (None
-    # when the channel estimate vanished), whose emptiness is exactly the
-    # predicted behavior (degenerate flag set)
-    rho, iq_flat = 0.0 + 0.0j, True
-    if collinear:
-        if eta is not None:
-            rho = eta / 2.0
-    else:
-        det = abs(s_xx) ** 2 - abs(s_x2) ** 2
-        # solve [[s_xx, s_x2*], [s_x2, s_xx]] [k1, k2] = [rhs1, rhs2]
-        k1 = (s_xx * rhs1 - np.conj(s_x2) * rhs2) / det
-        k2 = (s_xx * rhs2 - s_x2 * rhs1) / det
-        if abs(k1) >= 1e-12:
-            rho, iq_flat = k2 / k1, False
-    values = (amp_var, amp_kurtosis, amp_acf1, phase_acf1, -2.0 * rho.real, 2.0 * rho.imag,
-              pa_cross)
-    return values, (a_var <= 1e-30, flat_a, flat_p, iq_flat, flat_a or flat_p)
+def _image_ratio(z: np.ndarray, x: np.ndarray, collinear: np.ndarray,
+                 s_xx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's least-squares image-leakage ratio K2_hat / K1_hat from the
+    known symbols x, and whether it is degenerate.
+
+    When the symbols have beta = 0 (``collinear``; real pilots, say) the
+    regressors x and x* are collinear and the ratio is unidentifiable; the
+    fallback is half the channel-equalized circularity moment (0 when the
+    channel estimate vanishes), whose emptiness is exactly the predicted
+    behavior (degenerate flag set). The equalization already fixes the
+    scale, so no power denominator: it would leak the noise floor in."""
+    x_conj = np.conj(x)  # bound to a name, as ``ramp`` in ``_cfo_block``
+    rhs1 = np.sum(z * x_conj, axis=1)
+    rho = np.zeros(x.shape[0], dtype=complex)
+    flat = np.ones(x.shape[0], dtype=bool)
+    rows = np.flatnonzero(collinear)
+    h_hat = rhs1[rows] / s_xx[rows]
+    usable = np.abs(h_hat) >= 1e-12
+    z_eq = z[rows[usable]] / h_hat[usable, None]
+    rho[rows[usable]] = np.mean(z_eq * z_eq, axis=1) / 2.0
+
+    # the other rows solve [[s_xx, s_x2*], [s_x2, s_xx]] [k1, k2] = [rhs1, rhs2]
+    rows = np.flatnonzero(~collinear)
+    xr, s, r1 = x[rows], s_xx[rows], rhs1[rows]
+    s_x2, r2 = np.sum(xr * xr, axis=1), np.sum(z[rows] * xr, axis=1)
+    det = s * s - (s_x2.real * s_x2.real + s_x2.imag * s_x2.imag)
+    k1 = (s * r1 - np.conj(s_x2) * r2) / det
+    k2 = (s * r2 - s_x2 * r1) / det
+    usable = np.abs(k1) >= 1e-12
+    rho[rows[usable]] = k2[usable] / k1[usable]
+    flat[rows[usable]] = False
+    return rho, flat
 
 
 def _feature_block(samples: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,46 +196,34 @@ def _feature_block(samples: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.n
     a = np.abs(z)
     a_mean = np.mean(a, axis=1)
     a_var = np.var(a, axis=1)
-    amp_range = (np.percentile(a, _PERCENTILE_HI, axis=1)
-                 - np.percentile(a, _PERCENTILE_LO, axis=1))
+    hi, lo = np.percentile(a, [_PERCENTILE_HI, _PERCENTILE_LO], axis=1)
     da = a - a_mean[:, None]
-    m4 = np.mean(da**4, axis=1)
+    d2 = da * da
+    a_dd = np.sum(d2, axis=1)
 
-    psi = np.unwrap(np.angle((z / a) ** 4), axis=1)
-    phase_var = np.var(psi, axis=1)
+    psi = _unwrap_rows(np.angle(_power(z / a, 4)))
     dp = psi - np.mean(psi, axis=1)[:, None]
+    p_dd = np.sum(dp * dp, axis=1)
 
     px = np.abs(x) ** 2
     evm = np.sqrt(np.mean(np.abs(z - x) ** 2, axis=1) / np.mean(px, axis=1))
     dc = np.mean(z, axis=1)
 
-    x_conj = np.conj(x)  # bound to a name, as ``ramp`` in ``_cfo_block``
-    rhs1 = np.sum(z * x_conj, axis=1)
-    s_xx = np.sum(px, axis=1)
-    # beta = 0 rows: channel-equalized circularity moment; the equalization
-    # already fixes the scale, so no power denominator (it would leak the
-    # noise floor in). The channel estimate is one numpy scalar division per
-    # row, which an array division need not match bit for bit.
-    rows = np.flatnonzero(collinear)
-    h_hat = np.array([complex(r / complex(s)) for r, s in zip(rhs1[rows], s_xx[rows])],
-                     dtype=complex)
-    usable = np.abs(h_hat) >= 1e-12
-    z_eq = z[rows[usable]] / h_hat[usable, None]
-    eta = dict(zip(rows[usable].tolist(), np.mean(z_eq**2, axis=1).tolist()))
+    rho, iq_flat = _image_ratio(z, x, collinear, np.sum(px, axis=1))
 
-    sums = (collinear, a_mean, a_var, m4, np.sum(da * da, axis=1),
-            np.sum(da[:, :-1] * da[:, 1:], axis=1), np.sum(dp * dp, axis=1),
-            np.sum(dp[:, :-1] * dp[:, 1:], axis=1), np.sum(da * dp, axis=1),
-            s_xx.astype(complex), np.sum(x * x, axis=1), rhs1, np.sum(z * x, axis=1))
-    scalar = np.empty((x.shape[0], 7))
-    mask = np.zeros((x.shape[0], len(_FLAGS)), dtype=bool)
-    for i, row in enumerate(zip(*(s.tolist() for s in sums))):
-        scalar[i], mask[i] = _finish_row(*row, eta.get(i))
+    # a flat denominator falls back to 0 and sets the feature's flag
+    flat_var, flat_a, flat_p = a_var <= 1e-30, a_dd <= 1e-30, p_dd <= 1e-30
+    flat_ap = flat_a | flat_p
+    kurtosis = _divide(np.mean(d2 * d2, axis=1), a_var * a_var, flat_var) - 3.0
+    amp_acf1 = _divide(np.sum(da[:, :-1] * da[:, 1:], axis=1), a_dd, flat_a)
+    phase_acf1 = _divide(np.sum(dp[:, :-1] * dp[:, 1:], axis=1), p_dd, flat_p)
+    pa_cross = _divide(np.sum(da * dp, axis=1), np.sqrt(a_dd * p_dd), flat_ap)
 
-    out = np.column_stack([scalar[:, 0], amp_range, scalar[:, 1], scalar[:, 2], scalar[:, 3],
-                           phase_var, cfo_hat, evm, scalar[:, 4], scalar[:, 5], dc.real,
-                           dc.imag, scalar[:, 6]])
-    return out, mask
+    out = np.column_stack([
+        a_var / (a_mean * a_mean), hi - lo, np.where(flat_var, 0.0, kurtosis),
+        np.clip(amp_acf1, -1.0, 1.0), np.clip(phase_acf1, -1.0, 1.0), np.var(psi, axis=1),
+        cfo_hat, evm, -2.0 * rho.real, 2.0 * rho.imag, dc.real, dc.imag, pa_cross])
+    return out, np.column_stack([flat_var, flat_a, flat_p, iq_flat, flat_ap])
 
 
 def _extract_bursts(bursts, n_known: int, first: int = 0) -> tuple[np.ndarray, np.ndarray]:

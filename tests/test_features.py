@@ -11,6 +11,7 @@ from rfident.features import (
     _FLAGS,
     _cfo_block,
     _extract_bursts,
+    _unwrap_rows,
     DegenerateInputError,
     FEATURE_NAMES,
     PipelineConfig,
@@ -82,6 +83,21 @@ def test_remove_cfo_noisy_regression_oracle():
     mean_err = np.mean(errors)
     assert abs(mean_err) < 3 * slope_se / math.sqrt(len(errors))
     assert np.std(errors) < 1.5 * slope_se
+
+
+@pytest.mark.parametrize("strip_power", [1, 2, 3, 4, np.int64(4)])
+def test_remove_cfo_any_positive_int_strip_power(strip_power):
+    z = np.exp(1j * 0.01 * np.arange(76))
+    _, cfo_hat = remove_cfo(z, strip_power=strip_power)
+    assert cfo_hat == pytest.approx(0.01, abs=1e-9)
+
+
+@pytest.mark.parametrize("strip_power", [0, -2, 2.5, True])
+def test_remove_cfo_rejects_strip_power_not_a_positive_int(strip_power):
+    # 0 would divide the slope by zero; 2.5 would strip by one power and
+    # divide by another
+    with pytest.raises(ConfigError, match="strip_power"):
+        remove_cfo(np.exp(1j * 0.01 * np.arange(76)), strip_power=strip_power)
 
 
 def test_remove_cfo_degenerate_inputs():
@@ -294,19 +310,113 @@ def _assert_feature_ranges(matrix):
         assert np.all(np.abs(matrix[:, FEATURE_NAMES.index(name)]) <= 1.0), name
 
 
-def _stripped_phase(z, x):
-    """The unwrapped phase of the modulation-stripped samples z and the
-    strip power the known symbols x call for."""
+def _strip_power(x):
+    """The strip power the known symbols x call for: 2 when they lie on one
+    line through the origin, else 4."""
     collinear = abs(np.sum(x * x)) ** 2 > (1.0 - 1e-9) * np.sum(np.abs(x) ** 2) ** 2
-    sp = 2 if collinear else 4
-    return np.unwrap(np.angle((z / np.abs(z)) ** sp)), sp
+    return 2 if collinear else 4
+
+
+def _turn_unwrap(phase):
+    """np.unwrap's rule for one row of phases in [-pi, pi], in Python
+    scalars: a step strictly beyond pi takes a whole turn off the rest of
+    the row."""
+    out, turns = [float(phase[0])], 0
+    for prev, cur in zip(phase[:-1].tolist(), phase[1:].tolist()):
+        step = cur - prev
+        turns += (step < -math.pi) - (step > math.pi)
+        out.append(cur + 2.0 * math.pi * turns)
+    return np.array(out)
+
+
+def _stripped_phase(z, sp):
+    """The unwrapped phase of the samples z stripped of their modulation by
+    repeated squaring to the strip power sp, 2 or 4."""
+    u = z / np.abs(z)
+    u2 = u * u
+    return _turn_unwrap(np.angle(u2 if sp == 2 else u2 * u2))
 
 
 def _reference_features(b, n_known=76):
-    """The per-burst formulas, one numpy call at a time: the oracle the
+    """The per-burst formulas, one numpy call at a time on 1-D rows (the
+    complex sums as one-element rows) and Python scalars: the oracle the
     block extractor must match bit for bit."""
     z, x = b.samples[:n_known], b.known_symbols[:n_known]
-    phase, sp = _stripped_phase(z, x)
+    sp = _strip_power(x)
+    phase = _stripped_phase(z, sp)
+    n = np.arange(z.size)
+    c = n - (z.size - 1) / 2.0
+    slope = np.sum(phase * c) / np.sum(c * c) / sp
+    z = z * np.exp(-1j * slope * n)
+    z = z / math.sqrt(float(np.mean(np.abs(z) ** 2)))
+    flags = set()
+
+    def ratio(num, den, flag):
+        if den <= 1e-30:
+            flags.add(flag)
+            return 0.0
+        return max(-1.0, min(1.0, num / den))
+
+    a = np.abs(z)
+    a_mean, a_var = float(np.mean(a)), float(np.var(a))
+    hi, lo = np.percentile(a, [95.0, 5.0])
+    da = a - a_mean
+    d2 = da * da
+    a_dd = float(np.sum(d2))
+    if a_var <= 1e-30:
+        kurtosis = 0.0
+        flags.add("amp_kurtosis")
+    else:
+        kurtosis = float(np.mean(d2 * d2)) / (a_var * a_var) - 3.0
+    u = z / a
+    u2 = u * u
+    psi = _turn_unwrap(np.angle(u2 * u2))
+    dp = psi - np.mean(psi)
+    p_dd = float(np.sum(dp * dp))
+
+    def row_sum(v):
+        return np.sum(v, keepdims=True)
+
+    s_xx = row_sum(np.abs(x) ** 2)
+    rhs1 = row_sum(z * np.conj(x))
+    rho = 0j
+    if sp == 2:
+        flags.add("iq")
+        h = rhs1 / s_xx
+        if abs(h[0]) >= 1e-12:
+            z_eq = z / h
+            rho = complex(np.mean(z_eq * z_eq)) / 2.0
+    else:
+        s_x2, rhs2 = row_sum(x * x), row_sum(z * x)
+        det = s_xx * s_xx - (s_x2.real * s_x2.real + s_x2.imag * s_x2.imag)
+        k1 = (s_xx * rhs1 - np.conj(s_x2) * rhs2) / det
+        k2 = (s_xx * rhs2 - s_x2 * rhs1) / det
+        if abs(k1[0]) < 1e-12:
+            flags.add("iq")
+        else:
+            rho = complex((k2 / k1)[0])
+    if a_dd <= 1e-30 or p_dd <= 1e-30:
+        flags.add("pa_cross")
+        pa_cross = 0.0
+    else:
+        pa_cross = float(np.sum(da * dp)) / math.sqrt(a_dd * p_dd)
+    dc = complex(np.mean(z))
+    row = [a_var / (a_mean * a_mean), float(hi - lo), kurtosis,
+           ratio(float(np.sum(da[:-1] * da[1:])), a_dd, "amp_acf1"),
+           ratio(float(np.sum(dp[:-1] * dp[1:])), p_dd, "phase_acf1"), float(np.var(psi)),
+           float(slope), float(np.sqrt(np.mean(np.abs(z - x) ** 2) / np.mean(np.abs(x) ** 2))),
+           -2.0 * rho.real, 2.0 * rho.imag, dc.real, dc.imag, pa_cross]
+    return np.array(row), flags
+
+
+def _seed_reference_features(b, n_known=76):
+    """The per-burst formulas as first written: numpy's complex power and
+    ``np.unwrap``, ``** 2`` and ``** 4`` on Python and numpy scalars. The
+    block extractor rounds differently, so it matches these to a
+    tolerance, not bit for bit."""
+    z, x = b.samples[:n_known], b.known_symbols[:n_known]
+    sp = _strip_power(x)
+    phase = np.unwrap(np.angle((z / np.abs(z)) ** sp))
     collinear = sp == 2
     n = np.arange(z.size)
     c = n - (z.size - 1) / 2.0
@@ -385,6 +495,16 @@ def test_block_extraction_is_bit_identical_to_per_burst():
     _assert_feature_ranges(table)
 
 
+def test_block_extraction_agrees_with_the_seed_formulas():
+    # squares for powers, the turn rule for np.unwrap and array divisions
+    # move features in their last bits only, and no flag
+    bursts = _mixed_bursts()
+    matrix, mask = _extract_bursts(bursts, 76)
+    seed = [_seed_reference_features(b) for b in bursts]
+    assert np.allclose(matrix, np.array([row for row, _ in seed]), rtol=1e-10, atol=1e-13)
+    assert [{f for f, m in zip(_FLAGS, row) if m} for row in mask] == [f for _, f in seed]
+
+
 def _polyfit_slope(phase, strip_power):
     return np.polyfit(np.arange(phase.size), phase, 1)[0] / strip_power
 
@@ -398,7 +518,8 @@ def test_cfo_slope_agrees_with_polyfit():
     bursts = _mixed_bursts()
     cfo_hat = feature_table_from_bursts(bursts).matrix[:, FEATURE_NAMES.index("cfo_hat")]
     for b, got in zip(bursts, cfo_hat):
-        want = _polyfit_slope(*_stripped_phase(b.samples[:76], b.known_symbols[:76]))
+        sp = _strip_power(b.known_symbols[:76])
+        want = _polyfit_slope(_stripped_phase(b.samples[:76], sp), sp)
         assert got == pytest.approx(want, **POLYFIT_TOL)
 
 
@@ -421,8 +542,47 @@ def test_cfo_block_rows_are_independent_property(seed, n, rows):
         alone_derot, alone_slope = _cfo_block(z[i:i + 1], strip_power[i:i + 1])
         assert np.array_equal(derot[i:i + 1], alone_derot)
         assert np.array_equal(slope[i:i + 1], alone_slope)
-        phase = np.unwrap(np.angle((z[i] / np.abs(z[i])) ** strip_power[i]))
+        phase = _stripped_phase(z[i], strip_power[i])
         assert slope[i] == pytest.approx(_polyfit_slope(phase, strip_power[i]), **POLYFIT_TOL)
+
+
+# phases whose differences are exact multiples of pi/2, so that rows of them
+# step by exactly +-pi and +-2 pi
+_EXACT_PHASES = (-np.pi, -np.pi / 2, 0.0, np.pi / 2, np.pi)
+
+
+def _phase_row(kind, n, rng):
+    if kind == "uniform":
+        return rng.uniform(-np.pi, np.pi, n)
+    if kind == "exact":
+        return rng.choice(_EXACT_PHASES, n)
+    if kind == "constant":
+        return np.full(n, rng.choice(_EXACT_PHASES) if rng.random() < 0.5
+                       else rng.uniform(-np.pi, np.pi))
+    # one step, between exact or uniform phases, at a random sample
+    row = np.full(n, rng.choice(_EXACT_PHASES))
+    row[int(rng.integers(0, n)):] = rng.choice(_EXACT_PHASES) if rng.random() < 0.5 \
+        else rng.uniform(-np.pi, np.pi)
+    return row
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80),
+       kinds=st.lists(st.sampled_from(["uniform", "exact", "constant", "one_step"]),
+                      min_size=1, max_size=20))
+def test_unwrap_rows_counts_turns_as_numpy_property(seed, n, kinds):
+    # rows of phases in [-pi, pi], some stepping by exactly +-pi (no turn,
+    # as in numpy), constant or with a single step: every sample takes the
+    # turns np.unwrap gives it, and a row gives the same bits alone as in
+    # the block
+    rng = np.random.default_rng(seed)
+    phase = np.array([_phase_row(kind, n, rng) for kind in kinds])
+    got = _unwrap_rows(phase)
+    turns = np.round((got - np.unwrap(phase, axis=1)) / (2.0 * np.pi))
+    assert np.all(turns == 0)
+    for i in range(len(kinds)):
+        assert np.array_equal(_unwrap_rows(phase[i:i + 1]), got[i:i + 1])
+        assert np.array_equal(got[i], _turn_unwrap(phase[i]))
 
 
 def _bad(b, samples=None, known=None, n=None):
