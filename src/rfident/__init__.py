@@ -46,6 +46,7 @@ from .fim_crb import (
     discrimination,
     fim_closed_form,
     fim_numerical,
+    fim_samples,
     marginalize_channel,
     pa_fifth_order_confounding,
     pa_subblock_crb,

@@ -199,16 +199,13 @@ def balanced_dr(
         raise AuthConfigError("need at least 2 satellites with >= n_bal messages")
     half = n_bal // 2
     rng = np.random.default_rng(_check_seed(seed))
-    n_feat = table.matrix.shape[1]
-    drs = np.zeros((n_trials, n_feat))
+    drs = np.zeros((n_trials, table.matrix.shape[1]))
     idx_by_sat = {s: np.flatnonzero(ids == s) for s in eligible}
     for t in range(n_trials):
-        m_a = np.zeros((eligible.size, n_feat))
-        m_b = np.zeros((eligible.size, n_feat))
-        for si, s in enumerate(eligible):
-            pick = rng.choice(idx_by_sat[s], size=n_bal, replace=False)
-            m_a[si] = table.matrix[pick[:half]].mean(axis=0)
-            m_b[si] = table.matrix[pick[half:n_bal]].mean(axis=0)
+        picks = [rng.choice(idx_by_sat[s], size=n_bal, replace=False) for s in eligible]
+        drawn = table.matrix[np.stack(picks)]  # (satellites, n_bal, features)
+        m_a = drawn[:, :half].mean(axis=1)
+        m_b = drawn[:, half:].mean(axis=1)
         inter = np.std(m_a, axis=0, ddof=1)
         intra = np.std(m_a - m_b, axis=0, ddof=1)
         with np.errstate(invalid="ignore", divide="ignore"):

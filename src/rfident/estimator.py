@@ -297,7 +297,7 @@ def mc_crb_validation(
     for k, snr_db in enumerate(np.atleast_1d(np.asarray(snr_grid_db, dtype=float))):
         gamma = 10.0 ** (snr_db / 10.0)
         fim = fim_closed_form(mom, truth, n, gamma)
-        fim_exact = fim_numerical(c, truth, n, gamma, mode="moment")
+        fim_exact = fim_numerical(c, truth, n, gamma)
         rep = crb_report(fim)
         if rep.rank == 4:
             crb = rep.crb

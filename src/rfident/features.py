@@ -17,7 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .constellation import ConfigError, Constellation, beta_vanishes
-from .signal_model import Burst, apply_hwi
+from .fim_crb import _NULL_PROJ_TOL, RankDeficientError, crb_report, fim_numerical
+from .signal_model import Burst, HwiParams, apply_hwi
 
 FEATURE_NAMES = (
     "amp_var",
@@ -299,12 +300,11 @@ def pa_input_power_variance(c: Constellation, p) -> float:
 
 def amp_var_crb_transfer(c: Constellation, p, n: int, gamma: float) -> float:
     """Delta-method bound for the amplitude-variance feature:
-    (d amp_var / d |alpha3|)^2 * CRB(|alpha3|), with the slope taken by
-    central differences of step 1e-4 on the noise-free map
-    |alpha3| -> amp_var."""
-    from .fim_crb import fim_numerical
-    from .signal_model import HwiParams
-
+    (d amp_var / d |alpha3|)^2 d^T J^+ d, with d the |alpha3| direction, J^+
+    the pseudo-inverse from ``crb_report`` and the slope taken by central
+    differences of step 1e-4 on the noise-free map |alpha3| -> amp_var.
+    Raises RankDeficientError when the slope is nonzero and |alpha3| is not
+    identifiable (d has a null-space component)."""
     step = 1e-4
     mag = abs(p.alpha3)
     if mag <= step:
@@ -315,7 +315,11 @@ def amp_var_crb_transfer(c: Constellation, p, n: int, gamma: float) -> float:
         return noise_free_amp_var(c, HwiParams(eps=p.eps, phi=p.phi, alpha3=m * phase))
 
     slope = (at(mag + step) - at(mag - step)) / (2.0 * step)
+    if slope == 0.0:
+        return 0.0
     direction = np.array([0.0, 0.0, phase.real, phase.imag])
-    cov = np.linalg.inv(fim_numerical(c, p, n, gamma).matrix)
-    crb_mag = float(direction @ cov @ direction)
-    return slope**2 * crb_mag
+    rep = crb_report(fim_numerical(c, p, n, gamma))
+    if np.linalg.norm(rep.null_basis @ direction) > _NULL_PROJ_TOL:
+        raise RankDeficientError("|alpha3| is not identifiable: its direction has a "
+                                 "null-space component")
+    return slope**2 * float(direction @ rep.pinv @ direction)

@@ -1,21 +1,20 @@
 """Information matrices and estimation bounds for the 4-parameter hardware
 fingerprint [eps, phi, Re(alpha3), Im(alpha3)].
 
-Three routes to the 4x4 information matrix:
+One route builds every numerical information matrix: ``fim_samples`` sums
+the Gram matrix of the model's sensitivities over a vector of samples, with
+the channel known or, as two real nuisance parameters, unknown (the Schur
+complement of the joint 6x6 matrix). ``fim_numerical`` takes that sum over
+an alphabet, scaled to N symbols, and ``marginalize_channel`` does the same
+with the channel unknown. The central-difference Jacobian ``_fd_jacobian``
+is the independent oracle it is tested against.
 
-* ``fim_closed_form`` assembles the small-impairment block formulas from the
-  alphabet moments. Alphabets with beta = 0 lie on one line through the
-  origin; their matrix is the Gram matrix of the model's sensitivities at
-  x0 = sqrt(mu20), positive semidefinite and rank-2 by construction, and
-  exact for constant modulus, where every symbol is +-x0 and the model
-  collapses to r = h c x. The generic block formula for the PA/IQ cross
-  term does not apply there.
-* ``fim_numerical`` evaluates the defining sum/expectation with exact analytic
-  sensitivities of the full nonlinear map ("moment" mode) or with central
-  finite differences ("finite_difference" mode). The two numerical paths are
-  independent and serve as each other's regression oracle.
-* ``marginalize_channel`` treats the complex channel as two real nuisance
-  parameters and returns the Schur complement of the joint 6x6 matrix.
+``fim_closed_form`` assembles the small-impairment block formulas from the
+alphabet moments. Alphabets with beta = 0 lie on one line through the
+origin; their matrix is ``fim_samples`` at the one symbol x0 = sqrt(mu20),
+positive semidefinite and rank-2 by construction, and exact for constant
+modulus, where every symbol is +-x0 and the model collapses to r = h c x.
+The generic block formula for the PA/IQ cross term does not apply there.
 """
 
 from __future__ import annotations
@@ -32,9 +31,14 @@ from .constellation import (
     directional_sensitivities,
     predicted_fim_rank,
 )
-from .signal_model import PARAM_NAMES, HwiParams, apply_hwi, hwi_jacobian
+from .signal_model import PARAM_NAMES, HwiParams, apply_hwi, hwi_model_and_jacobian
 
 _PARAM_INDEX = {name: i for i, name in enumerate(PARAM_NAMES)}
+
+# an eigenvalue at most _RANK_TOL times the largest counts as zero, and a
+# parameter whose null-space projection exceeds _NULL_PROJ_TOL is unbounded
+_RANK_TOL = 1e-9
+_NULL_PROJ_TOL = 1e-6
 
 
 class UndefinedCouplingError(ValueError):
@@ -59,6 +63,14 @@ def _param_index(i) -> int:
         except KeyError:
             raise KeyError(f"unknown parameter {i!r}; use one of {PARAM_NAMES}") from None
     return int(i)
+
+
+def _sample_snr(n: int, gamma: float, size: int) -> float:
+    """The per-sample SNR that spreads N symbols at SNR gamma over ``size``
+    samples."""
+    if n < 1 or not 0.0 < gamma < math.inf:
+        raise ConfigError("need n >= 1 and a finite gamma > 0")
+    return n * gamma / size
 
 
 @dataclass(frozen=True)
@@ -88,8 +100,9 @@ class CrbReport:
     """Per-parameter bounds plus rank/null-space diagnostics.
 
     ``crb`` holds math.inf for parameters whose error is unbounded (nonzero
-    projection onto the numerical null space); ``identifiable`` tags them and
-    ``pinv_diag`` carries the pseudo-inverse diagonal for reference.
+    projection onto the numerical null space); ``identifiable`` tags them.
+    ``pinv`` is the pseudo-inverse on the numerical range, so d^T pinv d
+    bounds a direction d that has no null-space component.
     """
 
     crb: np.ndarray
@@ -97,7 +110,7 @@ class CrbReport:
     null_basis: np.ndarray
     condition_number: float
     identifiable: np.ndarray
-    pinv_diag: np.ndarray
+    pinv: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -120,31 +133,27 @@ def fim_closed_form(m: Moments, p: HwiParams, n: int, gamma: float) -> Fim:
 
     For beta = 0 alphabets the block cross-term formula is invalid (it needs
     E[|x|^2 x^2] = 0), so the rank-2 collapse construction is used: the
-    Gram matrix of ``hwi_jacobian`` at the unit-modulus symbol
-    x0 = sqrt(mu20), exact when every symbol is +-x0 (constant modulus).
+    information of N samples x0 = sqrt(mu20), exact when every symbol is
+    +-x0 (constant modulus).
     """
-    if n < 1 or not 0.0 < gamma < math.inf:
-        raise ConfigError("need n >= 1 and a finite gamma > 0")
-    scale = 2.0 * n * gamma
+    n_gamma = _sample_snr(n, gamma, 1)
     if predicted_fim_rank(m) == 2:
-        mat = _gram(hwi_jacobian(np.sqrt(m.mu20), p), scale)
-    else:
-        ds = directional_sensitivities(m, p.eps, p.phi)
-        j_iq = np.array(
-            [
-                [ds.beta_eps, ds.j_epsphi],
-                [ds.j_epsphi, (1.0 + p.eps) ** 2 * ds.beta_phi],
-            ]
-        )
-        j_pa = m.mu6 * np.eye(2)
-        c, s = math.cos(p.phi), math.sin(p.phi)
-        j_x = 0.5 * m.mu4 * np.array([[c, s], [-(1.0 + p.eps) * s, (1.0 + p.eps) * c]])
-        mat = scale * np.block([[j_iq, j_x], [j_x.T, j_pa]])
-    return Fim(mat)
+        return fim_samples(np.sqrt(m.mu20), p, n_gamma)
+    ds = directional_sensitivities(m, p.eps, p.phi)
+    j_iq = np.array(
+        [
+            [ds.beta_eps, ds.j_epsphi],
+            [ds.j_epsphi, (1.0 + p.eps) ** 2 * ds.beta_phi],
+        ]
+    )
+    j_pa = m.mu6 * np.eye(2)
+    c, s = math.cos(p.phi), math.sin(p.phi)
+    j_x = 0.5 * m.mu4 * np.array([[c, s], [-(1.0 + p.eps) * s, (1.0 + p.eps) * c]])
+    return Fim(2.0 * n_gamma * np.block([[j_iq, j_x], [j_x.T, j_pa]]))
 
 
 # ---------------------------------------------------------------------------
-# Numerical routes
+# Sample route
 
 
 # central-difference step of the finite-difference oracle
@@ -164,43 +173,6 @@ def _fd_jacobian(x: np.ndarray, p: HwiParams) -> np.ndarray:
     return out
 
 
-def _gram(jac: np.ndarray, weight: float) -> np.ndarray:
-    return weight * np.real(np.conj(jac) @ jac.T)
-
-
-def fim_numerical(
-    c: Constellation,
-    p: HwiParams,
-    n: int,
-    gamma: float,
-    mode: str = "moment",
-    symbols=None,
-) -> Fim:
-    """Evaluate the defining information sum for the full nonlinear model.
-
-    mode="moment": exact expectation over the alphabet ``c``, scaled by N.
-    mode="finite_difference": same sum with central differences of step
-    ``_FD_STEP`` in place of the analytic sensitivities.
-    With ``symbols`` the sum runs over those symbols instead: ``c`` is not
-    read and ``n`` is only checked.
-    """
-    if n < 1 or not 0.0 < gamma < math.inf:
-        raise ConfigError("need n >= 1 and a finite gamma > 0")
-    if symbols is not None:
-        x = np.asarray(symbols, dtype=complex).ravel()
-        weight = 2.0 * gamma
-    else:
-        x = c.points
-        weight = 2.0 * n * gamma / x.size
-    if mode == "moment":
-        jac = hwi_jacobian(x, p)
-    elif mode == "finite_difference":
-        jac = _fd_jacobian(x, p)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return Fim(_gram(jac, weight))
-
-
 def _schur_complement(joint: np.ndarray, keep: int) -> np.ndarray:
     """J_aa - J_ab J_bb^{-1} J_ba for the leading ``keep`` block."""
     a = joint[:keep, :keep]
@@ -212,34 +184,43 @@ def _schur_complement(joint: np.ndarray, keep: int) -> np.ndarray:
     return a - b @ np.linalg.solve(d, b.T)
 
 
-def marginalize_channel(c: Constellation, p: HwiParams, n: int, gamma: float) -> Fim:
-    """Information left for theta after treating (Re h, Im h) as nuisances.
+def fim_samples(x, p: HwiParams, gamma: float, channel_known: bool = True) -> Fim:
+    """Information in the samples ``x``, each received at SNR ``gamma``: the
+    sum of 2 gamma Re(J^H J) over the samples, with the model f and its
+    Jacobian J (at h = 1) from one ``hwi_model_and_jacobian`` pass.
 
-    Convention: sigma^2 = 1 and h = sqrt(gamma), which reproduces the
-    configured SNR; the Schur complement is invariant to this scaling.
+    With ``channel_known=False``, f and j f join as the sensitivities to the
+    nuisance (Re h, Im h), and the result is the Schur complement of the
+    joint 6x6 matrix. Its eigenvalues at or below ``_RANK_TOL`` times the
+    largest of the known-channel block are subtraction fuzz and read as zero.
     """
-    x = c.points
-    h = math.sqrt(gamma)
-    jac_theta = h * hwi_jacobian(x, p)
-    y = apply_hwi(x, p)
-    jac = np.vstack([jac_theta, y[None, :], 1j * y[None, :]])
-    joint = _gram(jac, 2.0 * n / x.size)  # sigma^2 = 1
-    eff = _schur_complement(joint, 4)
-    # clip the tiny negative fuzz the subtraction can leave on null directions
+    if not 0.0 < gamma < math.inf:
+        raise ConfigError("need a finite gamma > 0")
+    f, jac = hwi_model_and_jacobian(np.asarray(x, dtype=complex).ravel(), p)
+    if not channel_known:
+        jac = np.vstack([jac, f, 1j * f])
+    gram = 2.0 * gamma * np.real(np.conj(jac) @ jac.T)
+    if channel_known:
+        return Fim(gram)
+    eff = _schur_complement(gram, 4)
     eig, vec = np.linalg.eigh(0.5 * (eff + eff.T))
-    eig = np.maximum(eig, 0.0)
-    eff = (vec * eig) @ vec.T
-    return Fim(eff)
+    eig[eig <= _RANK_TOL * np.linalg.eigvalsh(gram[:4, :4])[-1]] = 0.0
+    return Fim((vec * eig) @ vec.T)
+
+
+def fim_numerical(c: Constellation, p: HwiParams, n: int, gamma: float) -> Fim:
+    """The defining information sum for the full nonlinear model: the
+    expectation over the alphabet ``c``, scaled to N symbols."""
+    return fim_samples(c.points, p, _sample_snr(n, gamma, c.size))
+
+
+def marginalize_channel(c: Constellation, p: HwiParams, n: int, gamma: float) -> Fim:
+    """``fim_numerical`` with the complex channel as two real nuisances."""
+    return fim_samples(c.points, p, _sample_snr(n, gamma, c.size), channel_known=False)
 
 
 # ---------------------------------------------------------------------------
 # Bound reports and diagnostics
-
-
-# an eigenvalue at most _RANK_TOL times the largest counts as zero, and a
-# parameter whose null-space projection exceeds _NULL_PROJ_TOL is unbounded
-_RANK_TOL = 1e-9
-_NULL_PROJ_TOL = 1e-6
 
 
 def crb_report(f: Fim) -> CrbReport:
@@ -255,7 +236,6 @@ def crb_report(f: Fim) -> CrbReport:
 
     inv_eig = np.where(keep, 1.0 / np.where(keep, eig, 1.0), 0.0)
     pinv = (vec * inv_eig) @ vec.T
-    pinv_diag = np.diag(pinv).copy()
 
     if rank == 4:
         crb = np.diag(np.linalg.inv(m)).copy()
@@ -263,7 +243,7 @@ def crb_report(f: Fim) -> CrbReport:
     else:
         proj = np.sqrt(np.sum(null_basis**2, axis=0)) if null_basis.size else np.zeros(4)
         identifiable = proj <= _NULL_PROJ_TOL
-        crb = np.where(identifiable, pinv_diag, math.inf)
+        crb = np.where(identifiable, np.diag(pinv), math.inf)
 
     return CrbReport(
         crb=crb,
@@ -271,7 +251,7 @@ def crb_report(f: Fim) -> CrbReport:
         null_basis=null_basis,
         condition_number=cond,
         identifiable=identifiable,
-        pinv_diag=pinv_diag,
+        pinv=pinv,
     )
 
 

@@ -219,6 +219,18 @@ def test_crb_curves(tmp_path):
         1.96, rel=1e-9)
 
 
+def test_crb_curves_marginalized_bpsk_is_unbounded(tmp_path):
+    # with the channel unknown BPSK keeps no information: every marginalized
+    # bound is inf, not a finite number read from numerical fuzz
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"modulations": ["bpsk"], "snr_grid_db": [25], "n_grid": [76]}))
+    out = tmp_path / "curves.csv"
+    assert run(["--out-dir", tmp_path, "crb-curves", "--config", cfg, "--out", out]) == EXIT_OK
+    lines = out.read_text().strip().splitlines()
+    col = lines[0].split(",").index("crb_marginalized")
+    assert [l.split(",")[col] for l in lines[1:]] == ["inf"] * 4
+
+
 def test_mc_validate_cli(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"modulation": "qpsk", "snr_grid_db": [25],

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from rfident.auth import feature_table_from_bursts
 from rfident.constellation import ConfigError, make_constellation
+from rfident.fim_crb import RankDeficientError, crb_report, fim_numerical
 from rfident.features import (
     _FLAGS,
     _cfo_block,
@@ -241,6 +242,33 @@ def test_amp_var_crb_transfer_positive_and_scales():
     assert v1 > 0
     # bound transfers the 1/gamma scaling of the parameter bound
     assert v1 / v2 == pytest.approx(10.0, rel=1e-6)
+
+
+def test_amp_var_crb_transfer_on_rank_deficient_alphabets():
+    p = HwiParams(eps=0.03, phi=math.radians(2.0), alpha3=0.02 + 0.01j)
+    # 4-PAM is rank 3 with both alpha3 bounds finite: the |alpha3| bound is
+    # d^T J^+ d, a variance, so positive
+    pam4 = make_constellation("custom", points=[-3, -1, 1, 3])
+    f = fim_numerical(pam4, p, 76, 100.0)
+    rep = crb_report(f)
+    assert rep.rank == 3 and np.all(np.isfinite(rep.crb[2:]))
+    phase = p.alpha3 / abs(p.alpha3)
+    d = np.array([0.0, 0.0, phase.real, phase.imag])
+
+    def at(m):
+        return noise_free_amp_var(pam4, dataclasses.replace(p, alpha3=m * phase))
+
+    slope = (at(abs(p.alpha3) + 1e-4) - at(abs(p.alpha3) - 1e-4)) / 2e-4
+    oracle = slope**2 * d @ np.linalg.pinv(f.matrix, rcond=1e-9, hermitian=True) @ d
+    v = amp_var_crb_transfer(pam4, p, 76, 100.0)
+    assert v > 0 and v == pytest.approx(oracle, rel=1e-9)
+    # BPSK's amplitude is flat whatever alpha3, so the slope and the bound are 0
+    assert amp_var_crb_transfer(make_constellation("bpsk"), p, 76, 100.0) == 0.0
+    # a line through the origin whose modulus varies: nonzero slope, but
+    # |alpha3| has a null-space component
+    line = make_constellation("custom", points=[1, -1, 1e-5j])
+    with pytest.raises(RankDeficientError):
+        amp_var_crb_transfer(line, p, 76, 100.0)
 
 
 def test_degenerate_acf_flagged():

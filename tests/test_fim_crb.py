@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import subspace_angles
 
 from rfident.constellation import make_constellation, moments, predicted_fim_rank
@@ -10,6 +11,7 @@ from rfident.fim_crb import (
     Fim,
     RankDeficientError,
     UndefinedCouplingError,
+    _fd_jacobian,
     _schur_complement,
     coupling_inflation,
     coupling_rho,
@@ -17,13 +19,14 @@ from rfident.fim_crb import (
     discrimination,
     fim_closed_form,
     fim_numerical,
+    fim_samples,
     marginalize_channel,
     pa_fifth_order_confounding,
     pa_subblock_crb,
     qfunc,
     subblock_eigenvalue_ratio,
 )
-from rfident.signal_model import HwiParams, bpsk_collapse
+from rfident.signal_model import HwiParams, apply_hwi, bpsk_collapse
 
 QPSK = make_constellation("qpsk")
 BPSK = make_constellation("bpsk")
@@ -58,12 +61,51 @@ def test_numerical_equals_closed_at_zero_qpsk():
     assert np.max(np.abs(f_c.matrix - f_n.matrix)) < 1e-6 * np.max(np.abs(f_n.matrix))
 
 
+def _fd_fim(x, p, gamma, channel_known=True):
+    """The sum ``fim_samples`` takes, with central differences in place of
+    the analytic Jacobian."""
+    jac = _fd_jacobian(x, p)
+    if not channel_known:
+        f = apply_hwi(x, p)
+        jac = np.vstack([jac, f, 1j * f])
+    gram = 2.0 * gamma * np.real(np.conj(jac) @ jac.T)
+    return gram if channel_known else _schur_complement(gram, 4)
+
+
 def test_moment_and_finite_difference_paths_cross_agree():
     for c in (QPSK, BPSK, QAM16):
-        f_m = fim_numerical(c, MC_TRUTH, N, GAMMA, mode="moment")
-        f_f = fim_numerical(c, MC_TRUTH, N, GAMMA, mode="finite_difference")
+        g = N * GAMMA / c.size
+        f_m = fim_samples(c.points, MC_TRUTH, g)
         scale = np.max(np.abs(f_m.matrix))
-        assert np.max(np.abs(f_m.matrix - f_f.matrix)) < 1e-7 * scale
+        assert np.max(np.abs(f_m.matrix - _fd_fim(c.points, MC_TRUTH, g))) < 1e-7 * scale
+
+
+def test_marginalized_matrix_matches_finite_difference():
+    # the unknown-channel route against central differences; the scale is
+    # the known-channel matrix, since BPSK's marginalized matrix is zero
+    for c in (QPSK, BPSK, QAM16):
+        f_marg = marginalize_channel(c, MC_TRUTH, N, GAMMA)
+        scale = np.max(np.abs(fim_numerical(c, MC_TRUTH, N, GAMMA).matrix))
+        fd = _fd_fim(c.points, MC_TRUTH, N * GAMMA / c.size, channel_known=False)
+        assert np.max(np.abs(f_marg.matrix - fd)) < 1e-7 * scale
+
+
+# distinct points of an integer grid, scaled to unit power
+_ALPHABETS = st.lists(st.builds(complex, st.integers(-8, 8), st.integers(-8, 8)),
+                      min_size=2, max_size=8, unique=True).map(
+    lambda pts: make_constellation("custom", points=pts))
+
+
+@settings(max_examples=50, deadline=None)
+@given(c=_ALPHABETS, k=st.integers(1, 20),
+       gamma=st.sampled_from([1.0, 100.0, 1e4]),
+       eps=st.floats(-0.1, 0.1), phi=st.floats(-0.1, 0.1),
+       a_re=st.floats(-0.05, 0.05), a_im=st.floats(-0.05, 0.05))
+def test_sample_route_over_tiled_alphabet_matches_fim_numerical(c, k, gamma, eps, phi, a_re, a_im):
+    p = HwiParams(eps=eps, phi=phi, alpha3=complex(a_re, a_im))
+    f_tiled = fim_samples(np.tile(c.points, k), p, gamma).matrix
+    f_alpha = fim_numerical(c, p, k * c.size, gamma).matrix
+    assert np.allclose(f_tiled, f_alpha, rtol=1e-12, atol=1e-12 * np.max(np.abs(f_alpha)))
 
 
 def test_closed_vs_moment_small_theta_all_table_constellations():
@@ -92,6 +134,15 @@ def test_closed_form_rank_follows_the_beta_rule():
     rank = crb_report(fim_closed_form(m, MC_TRUTH, N, GAMMA)).rank
     assert rank == predicted_fim_rank(m) == crb_report(fim_numerical(c, MC_TRUTH, N, GAMMA)).rank
     assert rank == 2
+
+
+def test_closed_form_beta_zero_is_the_sample_route_at_x0():
+    line = make_constellation("custom", points=[cmath.exp(0.3j), -cmath.exp(0.3j)])
+    for c in (BPSK, make_constellation("sdpsk"), line):
+        m = moments(c)
+        for g in (1.0, 100.0, 1e4):
+            f_c = fim_closed_form(m, MC_TRUTH, N, g)
+            assert np.array_equal(f_c.matrix, fim_samples(np.sqrt(m.mu20), MC_TRUTH, N * g).matrix)
 
 
 def test_closed_form_rotated_line_is_exact_collapse():
@@ -154,7 +205,7 @@ def test_crb_report_bpsk_rank_and_null_space():
     assert np.degrees(np.max(angles)) < 2.0
     # eps/phi unbounded, both PA components project onto the null space too
     assert math.isinf(rep.crb[0]) and math.isinf(rep.crb[1])
-    assert np.isfinite(rep.pinv_diag).all()
+    assert np.isfinite(rep.pinv).all()
 
 
 def test_bpsk_subblock_eigenvalue_ratio():
@@ -230,6 +281,20 @@ def test_marginalize_iq_information_ratio_bounded():
             for i in (0, 1):
                 ratio = f_known.matrix[i, i] / f_marg.matrix[i, i]
                 assert 1.0 <= ratio <= 2.6
+
+
+def test_marginalized_bpsk_is_exactly_zero():
+    # every BPSK sensitivity is a complex multiple of x, so an unknown channel
+    # absorbs them all: the Schur complement's fuzz reads as zero, not as a
+    # finite bound
+    for g in (1.0, 100.0, 1e4):
+        f = marginalize_channel(BPSK, MC_TRUTH, N, g)
+        assert not np.any(f.matrix)
+        rep = crb_report(f)
+        assert rep.rank == 0 and np.all(np.isinf(rep.crb))
+    ranks = {kind: crb_report(marginalize_channel(make_constellation(kind), MC_TRUTH, N, GAMMA)).rank
+             for kind in ("qpsk", "8psk", "16qam")}
+    assert ranks == {"qpsk": 2, "8psk": 4, "16qam": 4}
 
 
 def test_discrimination_basics():
@@ -313,6 +378,6 @@ def test_fim_validation_rejects_bad_matrices():
 def test_numerical_sum_mode_matches_moment_for_balanced_sequence():
     # a sequence cycling the alphabet reproduces the moment expectation
     symbols = np.tile(QPSK.points, 19)  # 76 symbols
-    f_sum = fim_numerical(QPSK, MC_TRUTH, N, GAMMA, symbols=symbols)
+    f_sum = fim_samples(symbols, MC_TRUTH, GAMMA)
     f_mom = fim_numerical(QPSK, MC_TRUTH, N, GAMMA)
     assert np.allclose(f_sum.matrix, f_mom.matrix, rtol=1e-12)
