@@ -22,12 +22,10 @@ from .signal_model import (
     ChannelConfig,
     FleetSpread,
     HwiParams,
-    IqCoefficients,
     PARAM_NAMES,
     apply_hwi,
     bpsk_collapse,
     generate_fleet,
-    iq_coefficients,
     iridium_known_symbols,
     random_known_symbols,
     read_burst_binary,

@@ -428,6 +428,8 @@ class FleetProtocolConfig:
         # the burst channel and the feature pipeline check their own values
         ChannelConfig(snr_db=self.snr_db, rician_k_db=self.rician_k_db)
         PipelineConfig(n_known=self.n_known)
+        if self.burst_mode == "iridium":
+            iridium_known_symbols(self.n_known)
 
 
 @dataclass(frozen=True)
@@ -491,7 +493,9 @@ def simulate_campaign(
         raise ConfigError(f"a campaign needs n_bursts >= 1, got {n_bursts}")
     # one channel for every burst: the per-burst CFO is passed on its own
     ch = ChannelConfig(snr_db=cfg.snr_db, rician_k_db=cfg.rician_k_db, random_phase=True)
-    x = np.tile(np.resize(iridium_known_symbols(), cfg.n_known), (n_bursts, 1))
+    x = np.empty((n_bursts, cfg.n_known), dtype=complex)
+    if cfg.burst_mode == "iridium":
+        x[:] = iridium_known_symbols(cfg.n_known)
     ids, blocks = [], []
     for si, (sat, p) in enumerate(fleet):
         cfo, draws = [], []

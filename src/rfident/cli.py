@@ -29,6 +29,7 @@ from .auth import (
 )
 from .constellation import (
     ConfigError,
+    _db_to_linear,
     load_constellation_json,
     make_constellation,
     moments,
@@ -171,7 +172,7 @@ def cmd_crb_curves(args) -> int:
         m = moments(c)
         for n in cfg["n_grid"]:
             for snr_db in cfg["snr_grid_db"]:
-                gamma = 10.0 ** (snr_db / 10.0)
+                gamma = _db_to_linear(snr_db, "snr_grid_db")
                 f = fim_closed_form(m, p, n, gamma)
                 rep = crb_report(f)
                 f_marg = marginalize_channel(c, p, n, gamma)
@@ -212,7 +213,7 @@ def cmd_identifiability(args) -> int:
         "modulations": ("bpsk", "sdpsk", "qpsk", "8psk", "16qam", "64qam"), "n": 76,
         "snr_db": 20.0, "theta": _THETA,
     })
-    gamma = 10.0 ** (cfg["snr_db"] / 10.0)
+    gamma = _db_to_linear(cfg["snr_db"], "snr_db")
     p = _theta(cfg["theta"])
     out = {}
     for mod in cfg["modulations"]:

@@ -30,6 +30,18 @@ class ConfigError(ValueError):
     depends on the data."""
 
 
+def _db_to_linear(db, key: str) -> float:
+    """10^(db / 10); ``ConfigError`` naming ``key`` unless it is finite and > 0."""
+    db = float(db)
+    try:
+        linear = 10.0 ** (db / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if not 0.0 < linear < math.inf:
+        raise ConfigError(f"{key} = {db!r} dB has no finite linear value > 0")
+    return linear
+
+
 class InvalidConstellationError(ConfigError):
     """Raised when an alphabet is empty, zero-power, non-finite, malformed,
     or has duplicate points."""

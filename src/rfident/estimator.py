@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import ConfigError, Constellation, beta_vanishes, make_constellation, moments
+from .constellation import (
+    ConfigError,
+    Constellation,
+    _db_to_linear,
+    beta_vanishes,
+    make_constellation,
+    moments,
+)
 from .fim_crb import crb_report, fim_closed_form, fim_numerical, pa_subblock_crb
 from .signal_model import (
     PARAM_NAMES,
@@ -22,6 +29,7 @@ from .signal_model import (
     ChannelConfig,
     HwiParams,
     _draw_channel_noise,
+    _front_end,
     _keyed_generators,
     _synthesize_rows,
     hwi_model_and_jacobian,
@@ -59,14 +67,15 @@ def _fit_alpha3(r, h, x, theta0):
 
     With (eps, phi) fixed the model h x_iq (1 + alpha3 |x_iq|^2) is linear in
     alpha3, and its alpha3 sensitivity is h |x_iq|^2 x_iq, so the minimizer
-    is one complex projection per trial.
+    is one complex projection per trial of r - h x_iq onto that sensitivity.
     """
-    theta = theta0.copy()
-    theta[:, 2:] = 0.0
-    f, jac = hwi_model_and_jacobian(x, theta)
-    basis = h[:, None] * jac[:, 2]
-    target = r - h[:, None] * f
+    x_iq, u, _ = _front_end(x, theta0)
+    # bound to a name, so that numpy cannot swap the product's operands
+    d_alpha3 = u * x_iq
+    basis = h[:, None] * d_alpha3
+    target = r - h[:, None] * x_iq
     alpha3 = np.sum(basis.conj() * target, axis=-1) / _sum_sq(basis)
+    theta = theta0.copy()
     theta[:, 2], theta[:, 3] = alpha3.real, alpha3.imag
     return theta, _sum_sq(target - alpha3[:, None] * basis)
 
@@ -293,9 +302,12 @@ def mc_crb_validation(
     if pilot_mode == "iridium" and mom != moments(make_constellation("bpsk")):
         raise ConfigError(f"pilot_mode 'iridium' sends +-1 pilots and needs an alphabet "
                           f"with BPSK moments, got {mod_name!r}")
+    x = np.empty((n_trials, n), dtype=complex)
+    if pilot_mode == "iridium":
+        x[:] = iridium_known_symbols(n)
     rows = []
     for k, snr_db in enumerate(np.atleast_1d(np.asarray(snr_grid_db, dtype=float))):
-        gamma = 10.0 ** (snr_db / 10.0)
+        gamma = _db_to_linear(snr_db, "snr_grid_db")
         fim = fim_closed_form(mom, truth, n, gamma)
         fim_exact = fim_numerical(c, truth, n, gamma)
         rep = crb_report(fim)
@@ -310,9 +322,6 @@ def mc_crb_validation(
             crb_exact[2:] = pa_subblock_crb(fim_exact)
             status = "rank_deficient_pa_subblock"
         ch = ChannelConfig(h=1.0 + 0.0j, snr_db=float(snr_db))
-        x = np.empty((n_trials, n), dtype=complex)
-        if pilot_mode == "iridium":
-            x[:] = np.resize(iridium_known_symbols(), n)
         r = np.empty_like(x)
         gauss = np.empty((n_trials, 4))
         keyed = _keyed_generators((seed, k), n_trials)

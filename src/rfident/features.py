@@ -11,14 +11,14 @@ whatever the stack holds; one burst is a one-row stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .constellation import ConfigError, Constellation, beta_vanishes
 from .fim_crb import _NULL_PROJ_TOL, RankDeficientError, crb_report, fim_numerical
-from .signal_model import Burst, HwiParams, apply_hwi
+from .signal_model import Burst, HwiParams, _front_end, apply_hwi
 
 FEATURE_NAMES = (
     "amp_var",
@@ -294,8 +294,7 @@ def noise_free_amp_var(c: Constellation, p) -> float:
 
 def pa_input_power_variance(c: Constellation, p) -> float:
     """Var(|x_iq|^2) over the alphabet: the PA input power variation."""
-    u = np.abs(apply_hwi(c.points, replace(p, alpha3=0j))) ** 2
-    return float(np.var(u))
+    return float(np.var(_front_end(c.points, p)[1]))
 
 
 def amp_var_crb_transfer(c: Constellation, p, n: int, gamma: float) -> float:

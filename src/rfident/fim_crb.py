@@ -20,7 +20,7 @@ The generic block formula for the PA/IQ cross term does not apply there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .constellation import (
     directional_sensitivities,
     predicted_fim_rank,
 )
-from .signal_model import PARAM_NAMES, HwiParams, apply_hwi, hwi_model_and_jacobian
+from .signal_model import PARAM_NAMES, HwiParams, _front_end, apply_hwi, hwi_model_and_jacobian
 
 _PARAM_INDEX = {name: i for i, name in enumerate(PARAM_NAMES)}
 
@@ -313,8 +313,7 @@ def discrimination(theta_a: HwiParams, theta_b: HwiParams, f: Fim) -> Discrimina
 def pa_fifth_order_confounding(c: Constellation, p: HwiParams) -> float:
     """Column correlation between the cubic and a hypothetical fifth-order PA
     sensitivity. Near 1 for constant-modulus alphabets, lower for QAM."""
-    x_iq = apply_hwi(c.points, replace(p, alpha3=0j))
-    u = np.abs(x_iq) ** 2
+    x_iq, u, _ = _front_end(c.points, p)
     d3 = u * x_iq
     d5 = u**2 * x_iq
     num = abs(np.vdot(d3, d5))

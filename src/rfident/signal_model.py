@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constellation import ConfigError, Constellation, _json_pairs
+from .constellation import ConfigError, Constellation, _db_to_linear, _json_pairs
 
 PARAM_NAMES = ("eps", "phi", "re_alpha3", "im_alpha3")
 
@@ -60,75 +60,51 @@ class HwiParams:
         return cls(eps=float(v[0]), phi=float(v[1]), alpha3=complex(v[2], v[3]))
 
 
-@dataclass(frozen=True)
-class IqCoefficients:
-    k1: complex
-    k2: complex
-
-    def __post_init__(self):
-        if abs(self.k1 + np.conj(self.k2) - 1.0) > 1e-12:
-            raise ValueError("K1 + conj(K2) must equal 1")
+def _param_columns(p):
+    """eps, phi and alpha3 of an HwiParams or of (..., 4) parameter vectors, as (..., 1) columns."""
+    theta = p.as_vector() if isinstance(p, HwiParams) else np.asarray(p, dtype=float)
+    return theta[..., 0, None], theta[..., 1, None], theta[..., 2:].copy().view(complex)
 
 
-def _iq_pair(eps, phi):
-    """(K1, K2) for scalar or array (eps, phi); see ``iq_coefficients``."""
+def _front_end(x, p):
+    """The impairment map, written once: the mixer output x_iq = K1 x + K2 x*
+    (K1 = (1 + g) / 2, K2 = (1 - conj(g)) / 2, g = (1+eps) e^{j phi}), its
+    power u = |x_iq|^2 and the PA gain pa = 1 + alpha3 u, as (x_iq, u, pa);
+    the impaired symbols are x_iq * pa. ``p`` as in ``hwi_model_and_jacobian``."""
+    eps, phi, alpha3 = _param_columns(p)
     g = (1.0 + eps) * np.exp(1j * phi)
-    return (1.0 + g) / 2.0, (1.0 - np.conj(g)) / 2.0
-
-
-def iq_coefficients(p: HwiParams) -> IqCoefficients:
-    """Mixer coefficients K1 = (1+(1+eps)e^{j phi})/2, K2 = (1-(1+eps)e^{-j phi})/2."""
-    k1, k2 = _iq_pair(p.eps, p.phi)
-    return IqCoefficients(k1=k1, k2=k2)
-
-
-def apply_hwi(x, p: HwiParams):
-    """Distort ideal symbols: x_iq = K1 x + K2 x*, then cubic PA compression.
-
-    Accepts a scalar or an array; returns the same shape.
-    """
-    k = iq_coefficients(p)
-    x = np.asarray(x, dtype=complex)
+    k1, k2 = (1.0 + g) / 2.0, (1.0 - np.conj(g)) / 2.0
     # operands of complex products bound to names: numpy reuses a temporary
     # of 256 KiB or more as the output and swaps the operands, and its
     # complex multiply is not bitwise commutative, so a large stack would
     # round differently from one row
     xc = np.conj(x)
-    x_iq = k.k1 * x + k.k2 * xc
+    x_iq = k1 * x + k2 * xc
     u = np.abs(x_iq) ** 2
-    pa = 1.0 + p.alpha3 * u
+    return x_iq, u, 1.0 + alpha3 * u
+
+
+def apply_hwi(x, p: HwiParams):
+    """Distort ideal symbols: x_iq = K1 x + K2 x*, then cubic PA compression.
+    Accepts a scalar or an array; returns the same shape."""
+    x = np.asarray(x, dtype=complex)
+    x_iq, _, pa = _front_end(x, p)
     y = x_iq * pa
-    return complex(y) if y.ndim == 0 else y
-
-
-def hwi_jacobian(x, p) -> np.ndarray:
-    """Analytic sensitivities d f / d theta (at h = 1) for each symbol.
-
-    ``p`` is an HwiParams or an array of parameter vectors (..., 4) in
-    PARAM_NAMES order, whose leading axes broadcast against those of ``x``.
-    Returns a (..., 4, len(x)) complex array; (4, len(x)) for one HwiParams
-    and 1-D symbols. These are exact derivatives of the full nonlinear map,
-    including the PA terms.
-    """
-    return hwi_model_and_jacobian(x, p)[1]
+    return complex(y[0]) if x.ndim == 0 else y
 
 
 def hwi_model_and_jacobian(x, p) -> tuple[np.ndarray, np.ndarray]:
     """The model f(theta; x) = ``apply_hwi(x, p)`` (..., len(x)) and its
-    Jacobian ``hwi_jacobian(x, p)`` (..., 4, len(x)) from one pass, with the
-    same broadcasting over a leading parameter axis."""
-    theta = p.as_vector() if isinstance(p, HwiParams) else np.asarray(p, dtype=float)
-    x = np.atleast_1d(np.asarray(x, dtype=complex))
-    eps = theta[..., 0, None]
-    phi = theta[..., 1, None]
-    alpha3 = theta[..., 2:].copy().view(complex)
-    k1, k2 = _iq_pair(eps, phi)
-    e_p = np.exp(1j * phi)
-    e_m = np.exp(-1j * phi)
+    analytic sensitivities d f / d theta (at h = 1), (..., 4, len(x)), from
+    one pass: exact derivatives of the full nonlinear map, PA terms included.
+    ``p`` is an HwiParams or an array of parameter vectors (..., 4) in
+    PARAM_NAMES order, whose leading axes broadcast against those of ``x``;
+    one HwiParams and 1-D symbols give a (4, len(x)) Jacobian."""
+    x = np.asarray(x, dtype=complex)
+    eps, phi, alpha3 = _param_columns(p)
+    x_iq, u, pa = _front_end(x, p)
+    e_p, e_m = np.exp(1j * phi), np.exp(-1j * phi)
     xc = np.conj(x)
-    x_iq = k1 * x + k2 * xc
-    u = np.abs(x_iq) ** 2
-    pa = 1.0 + alpha3 * u
 
     d_eps = 0.5 * (e_p * x - e_m * xc)
     d_phi = 0.5j * (1.0 + eps) * (e_p * x + e_m * xc)
@@ -156,15 +132,15 @@ class ChannelConfig:
     random_phase: bool = False
 
     def __post_init__(self):
-        # built once per burst, so only O(1) checks; NaN is the one value
-        # unequal to itself, and None (noise-free, no Rician draw) passes
-        for name in ("snr_db", "rician_k_db", "cfo_rad_per_symbol"):
-            v = getattr(self, name)
-            if v != v:
-                raise ConfigError(f"channel {name} is NaN")
-        # +inf and None are noise-free; -inf would be pure noise
-        if self.snr_db == -math.inf:
-            raise ConfigError("channel snr_db is -inf")
+        # built once per campaign, SNR point or burst file read, never per
+        # synthesized burst; NaN is the one value unequal to itself
+        if self.cfo_rad_per_symbol != self.cfo_rad_per_symbol:
+            raise ConfigError("channel cfo_rad_per_symbol is NaN")
+        # None and +inf are noise-free, and None draws no Rician magnitude
+        if not (self.snr_db is None or self.snr_db == math.inf):
+            _db_to_linear(self.snr_db, "snr_db")
+        if self.rician_k_db is not None:
+            _db_to_linear(self.rician_k_db, "rician_k_db")
 
     @property
     def noise_free(self) -> bool:
@@ -174,7 +150,7 @@ class ChannelConfig:
     def snr_linear(self) -> float:
         if self.noise_free:
             return math.inf
-        return 10.0 ** (self.snr_db / 10.0)
+        return _db_to_linear(self.snr_db, "snr_db")
 
     @property
     def noise_variance(self) -> float:
@@ -192,7 +168,7 @@ def draw_channel(ch: ChannelConfig, rng: np.random.Generator) -> complex:
     """Per-burst channel coefficient with E[|h|^2] equal to |ch.h|^2."""
     h = complex(ch.h)
     if ch.rician_k_db is not None:
-        k = 10.0 ** (ch.rician_k_db / 10.0)
+        k = _db_to_linear(ch.rician_k_db, "rician_k_db")
         los = math.sqrt(k / (k + 1.0))
         scatter = math.sqrt(1.0 / (k + 1.0)) * (
             rng.standard_normal() + 1j * rng.standard_normal()
@@ -241,9 +217,14 @@ def uw_symbols() -> np.ndarray:
     return np.array([1.0 - 2.0 * b for b in bits], dtype=complex)
 
 
-def iridium_known_symbols() -> np.ndarray:
-    """64 constant preamble symbols (1+0j) followed by the 12-symbol unique word."""
-    return np.concatenate([np.ones(N_PREAMBLE, dtype=complex), uw_symbols()])
+def iridium_known_symbols(n: int = N_PREAMBLE + N_UW) -> np.ndarray:
+    """The first ``n`` of the burst's 76 known symbols: 64 constant preamble
+    symbols (1+0j), then the 12-symbol unique word. ``ConfigError`` unless
+    0 <= n <= 76."""
+    if not 0 <= n <= N_PREAMBLE + N_UW:
+        raise ConfigError(f"an Iridium burst has {N_PREAMBLE + N_UW} known symbols, "
+                          f"not {n}")
+    return np.concatenate([np.ones(N_PREAMBLE, dtype=complex), uw_symbols()])[:n]
 
 
 def random_known_symbols(c: Constellation, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -368,7 +349,7 @@ def _synthesize_rows(x: np.ndarray, p: HwiParams, ch: ChannelConfig, cfo, draws)
     # j cfo formed per row as a Python complex, as for a single burst
     jc = np.array([1j * c for c in cfo], dtype=complex)
     ramp = np.exp(jc[:, None] * n_idx)
-    # operands bound to names, in the one-row order (see ``apply_hwi``)
+    # operands bound to names, in the one-row order (see ``_front_end``)
     y = apply_hwi(x, p)
     hy = h[:, None] * y
     clean = hy * ramp
@@ -543,20 +524,15 @@ def _burst_from_parts(hdr: dict, samples: np.ndarray, known: np.ndarray | None,
         if modulation != "iridium":
             raise BurstError(f"{path}: the file lacks known symbols and the modulation "
                              f"{modulation!r} does not imply them")
-        known = iridium_known_symbols()
-        if samples.size > known.size:
-            raise BurstError(f"{path}: the modulation 'iridium' implies {known.size} known "
-                             f"symbols, but the file holds {samples.size} samples")
-        known = known[: samples.size]
-    meta = BurstMeta(
-        satellite_id=hdr.get("satellite_id", ""),
-        truth=truth,
-        channel=ChannelConfig(snr_db=snr_db),
-        modulation=modulation,
-    )
+        if samples.size > N_PREAMBLE + N_UW:
+            raise BurstError(f"{path}: the modulation 'iridium' implies {N_PREAMBLE + N_UW} "
+                             f"known symbols, but the file holds {samples.size} samples")
+        known = iridium_known_symbols(samples.size)
     try:
+        meta = BurstMeta(satellite_id=hdr.get("satellite_id", ""), truth=truth,
+                         channel=ChannelConfig(snr_db=snr_db), modulation=modulation)
         return Burst(samples=samples, known_symbols=known, meta=meta)
-    except BurstError as exc:
+    except (BurstError, ConfigError) as exc:
         raise BurstError(f"{path}: {exc}") from None
 
 

@@ -119,6 +119,18 @@ def test_unknown_config_keys_rejected(tmp_path):
     ("identifiability", {"theta": {"eps": float("inf")}}),
     ("identifiability", {"rank_tol": 1e-9}),
     ("mc-validate", {"pilot_mode": "iridium"}),
+    # dB values without a finite linear value > 0, and more pilots than the
+    # 76 known symbols of an Iridium burst
+    ("fleet-sim", {"n_sats": 2, "n_bursts": 2, "snr_db": 4000}),
+    ("fleet-sim", {"n_sats": 2, "n_bursts": 2, "snr_db": -4000}),
+    ("fleet-sim", {"n_sats": 2, "n_bursts": 2, "rician_k_db": float("inf")}),
+    ("fleet-sim", {"n_sats": 2, "n_bursts": 2, "rician_k_db": 4000}),
+    ("crb-curves", {"snr_grid_db": [4000]}),
+    ("identifiability", {"snr_db": 4000}),
+    ("authenticate", {**SMALL, "snr_db": 4000}),
+    ("mc-validate", {"snr_grid_db": [4000], "n_trials": 50}),
+    ("fleet-sim", {"n_sats": 2, "n_bursts": 2, "n_known": 100}),
+    ("mc-validate", {"modulation": "bpsk", "pilot_mode": "iridium", "n": 100, "n_trials": 50}),
 ])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "cfg.json"

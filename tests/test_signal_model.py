@@ -24,9 +24,7 @@ from rfident.signal_model import (
     bpsk_collapse,
     draw_channel,
     generate_fleet,
-    hwi_jacobian,
     hwi_model_and_jacobian,
-    iq_coefficients,
     iridium_known_symbols,
     random_known_symbols,
     read_burst_binary,
@@ -38,33 +36,41 @@ from rfident.signal_model import (
 )
 
 
+def _mixer_coefficients(eps, phi):
+    """(K1, K2) read off ``apply_hwi`` at alpha3 = 0, where the map is the
+    mixer x_iq = K1 x + K2 x*: x = 1 gives K1 + K2 and x = j gives j (K1 - K2)."""
+    p = HwiParams(eps=eps, phi=phi)
+    total, diff = apply_hwi(1.0, p), apply_hwi(1j, p) / 1j
+    return (total + diff) / 2, (total - diff) / 2
+
+
 def test_iq_coefficients_ideal():
-    k = iq_coefficients(HwiParams())
-    assert k.k1 == pytest.approx(1.0)
-    assert k.k2 == pytest.approx(0.0)
+    k1, k2 = _mixer_coefficients(0.0, 0.0)
+    assert k1 == pytest.approx(1.0)
+    assert k2 == pytest.approx(0.0)
 
 
 def test_iq_coefficients_gain_only():
-    k = iq_coefficients(HwiParams(eps=0.1))
-    assert k.k1 == pytest.approx(1.05)
-    assert k.k2 == pytest.approx(-0.05)
+    k1, k2 = _mixer_coefficients(0.1, 0.0)
+    assert k1 == pytest.approx(1.05)
+    assert k2 == pytest.approx(-0.05)
 
 
 def test_iq_coefficients_oracle():
     # independent complex arithmetic at eps=0.05, phi=3 degrees
     eps, phi = 0.05, math.radians(3.0)
     g = (1 + eps) * cmath.exp(1j * phi)
-    k = iq_coefficients(HwiParams(eps=eps, phi=phi))
-    assert k.k1 == pytest.approx((1 + g) / 2, abs=1e-15)
-    assert k.k2 == pytest.approx((1 - g.conjugate()) / 2, abs=1e-15)
+    k1, k2 = _mixer_coefficients(eps, phi)
+    assert k1 == pytest.approx((1 + g) / 2, abs=1e-15)
+    assert k2 == pytest.approx((1 - g.conjugate()) / 2, abs=1e-15)
 
 
 def test_iq_identity_k1_plus_conj_k2():
     rng = np.random.default_rng(1)
     for _ in range(50):
         eps, phi = rng.normal(0, 0.1, 2)
-        k = iq_coefficients(HwiParams(eps=eps, phi=phi))
-        assert abs(k.k1 + np.conj(k.k2) - 1.0) < 1e-12
+        k1, k2 = _mixer_coefficients(eps, phi)
+        assert abs(k1 + np.conj(k2) - 1.0) < 1e-12
 
 
 def test_apply_hwi_identity():
@@ -95,7 +101,7 @@ def test_apply_hwi_real_symbols_collapse():
 def test_hwi_jacobian_matches_finite_differences():
     p = HwiParams(eps=0.03, phi=0.02, alpha3=0.02 + 0.01j)
     x = make_constellation("qpsk").points
-    jac = hwi_jacobian(x, p)
+    jac = hwi_model_and_jacobian(x, p)[1]
     step = 1e-6
     v0 = p.as_vector()
     for i in range(4):
@@ -110,11 +116,11 @@ def test_hwi_jacobian_broadcasts_over_parameter_vectors():
     rng = np.random.default_rng(7)
     thetas = rng.normal(0.0, 0.05, (5, 4))
     x = make_constellation("16qam").points[rng.integers(0, 16, (5, 30))]
-    jac = hwi_jacobian(x, thetas)
+    jac = hwi_model_and_jacobian(x, thetas)[1]
     assert jac.shape == (5, 4, 30)
     for t in range(5):
         p = HwiParams.from_vector(thetas[t])
-        assert np.array_equal(jac[t], hwi_jacobian(x[t], p))
+        assert np.array_equal(jac[t], hwi_model_and_jacobian(x[t], p)[1])
         assert np.array_equal(hwi_model_and_jacobian(x, thetas)[0][t], apply_hwi(x[t], p))
 
 
@@ -171,8 +177,9 @@ def _reference_burst(x, p, ch, rng):
     burst: the oracle the block synthesizer must match bit for bit. Returns
     the drawn channel coefficient and the samples."""
     h = draw_channel(ch, rng)
-    k = iq_coefficients(p)
-    x_iq = k.k1 * x + k.k2 * np.conj(x)
+    g = (1.0 + p.eps) * np.exp(1j * p.phi)
+    k1, k2 = (1.0 + g) / 2.0, (1.0 - np.conj(g)) / 2.0
+    x_iq = k1 * x + k2 * np.conj(x)
     u = np.abs(x_iq) ** 2
     y = x_iq * (1.0 + p.alpha3 * u)
     clean = h * y * np.exp(1j * ch.cfo_rad_per_symbol * np.arange(x.size))
@@ -310,6 +317,27 @@ def test_uw_pattern():
     assert np.all(known[:64] == 1.0)
 
 
+def test_iridium_pilots_are_a_prefix_of_the_76():
+    known = iridium_known_symbols()
+    for n in (0, 1, 64, 70, 76):
+        assert np.array_equal(iridium_known_symbols(n), known[:n])
+    # no repeated preamble and unique word past the burst's 76 known symbols
+    for n in (77, 100, -1):
+        with pytest.raises(ConfigError, match="76 known symbols"):
+            iridium_known_symbols(n)
+
+
+@pytest.mark.parametrize("kw", [
+    {"snr_db": 4000.0}, {"snr_db": -4000.0}, {"snr_db": -math.inf}, {"snr_db": math.nan},
+    {"rician_k_db": 4000.0}, {"rician_k_db": math.inf}, {"rician_k_db": math.nan},
+])
+def test_channel_db_values_need_a_finite_positive_linear_value(kw):
+    with pytest.raises(ConfigError, match=f"{next(iter(kw))} = "):
+        ChannelConfig(**kw)
+    # None and +inf stay noise-free
+    assert ChannelConfig(snr_db=None).noise_free and ChannelConfig(snr_db=math.inf).noise_free
+
+
 def test_generate_fleet_defaults():
     fleet = generate_fleet(24, seed=3)
     assert len(fleet) == 24
@@ -377,7 +405,8 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), n=st.integers(1, 200),
        sat=st.text(alphabet=st.sampled_from('"\'\\ aZ0éß中\n'), max_size=8),
-       snr_db=st.none() | st.just(math.inf) | _FINITE,
+       # a finite SNR must have a finite linear value > 0 (ChannelConfig)
+       snr_db=st.none() | st.just(math.inf) | st.floats(-3000.0, 3000.0),
        truth=st.none() | st.builds(HwiParams, eps=_FINITE, phi=_FINITE,
                                    alpha3=st.complex_numbers(allow_nan=False,
                                                              allow_infinity=False)),
@@ -493,6 +522,7 @@ _ONE = {"samples": [[1, 0]], "known_symbols": [[1, 0]]}
      "truth eps, phi and alpha3 must be finite"),
     ({**_ONE, "truth": {"eps": 0, "phi": 0, "alpha3": [math.nan, 0]}},
      "truth eps, phi and alpha3 must be finite"),
+    ({**_ONE, "snr_db": 4000}, "snr_db = 4000.0 dB has no finite linear value > 0"),
 ])
 def test_malformed_json_burst(tmp_path, payload, message):
     # bytes are written as they are, anything else as JSON
