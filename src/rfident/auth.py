@@ -30,12 +30,12 @@ from .signal_model import (
     ChannelConfig,
     FleetSpread,
     _check_seed,
-    _draw_channel_noise,
+    _draw_rows,
     _keyed_generators,
     _synthesize_rows,
+    _uniform,
     generate_fleet,
     iridium_known_symbols,
-    random_known_symbols,
     write_csv_atomic,
 )
 
@@ -487,24 +487,22 @@ def simulate_campaign(
     satellite's streams seeded in bulk by ``_keyed_generators``; each
     satellite's bursts are then synthesized and their features extracted as
     one stack."""
-    qpsk = make_constellation("qpsk")
     n_bursts = n_bursts if n_bursts is not None else cfg.n_enroll
     if n_bursts < 1:
         raise ConfigError(f"a campaign needs n_bursts >= 1, got {n_bursts}")
     # one channel for every burst: the per-burst CFO is passed on its own
     ch = ChannelConfig(snr_db=cfg.snr_db, rician_k_db=cfg.rician_k_db, random_phase=True)
     x = np.empty((n_bursts, cfg.n_known), dtype=complex)
-    if cfg.burst_mode == "iridium":
+    alphabet = None if cfg.burst_mode == "iridium" else make_constellation("qpsk")
+    if alphabet is None:
         x[:] = iridium_known_symbols(cfg.n_known)
+    cfo_u = np.empty(n_bursts)
     ids, blocks = [], []
     for si, (sat, p) in enumerate(fleet):
-        cfo, draws = [], []
-        for bi, rng in enumerate(_keyed_generators((campaign_seed, si), n_bursts)):
-            cfo.append(float(rng.uniform(-cfg.cfo_jitter, cfg.cfo_jitter)))
-            if cfg.burst_mode != "iridium":
-                x[bi] = random_known_symbols(qpsk, cfg.n_known, rng)
-            draws.append(_draw_channel_noise(ch, rng, cfg.n_known))
-        samples = _synthesize_rows(x, p, ch, cfo, draws)
+        h, noise = _draw_rows(_keyed_generators((campaign_seed, si), n_bursts), ch, x,
+                              alphabet, cfo_u=cfo_u)
+        cfo = _uniform(-cfg.cfo_jitter, cfg.cfo_jitter, cfo_u)
+        samples = _synthesize_rows(x, p, ch, cfo, h, noise)
         blocks.append(_extract_stack(samples, x, first=len(ids))[0])
         ids += [sat or "unknown"] * n_bursts
     return _table(ids, [cfg.snr_db if cfg.snr_db is not None else math.inf] * len(ids), blocks)

@@ -28,13 +28,12 @@ from .signal_model import (
     Burst,
     ChannelConfig,
     HwiParams,
-    _draw_channel_noise,
+    _draw_rows,
     _front_end,
     _keyed_generators,
     _synthesize_rows,
     hwi_model_and_jacobian,
     iridium_known_symbols,
-    random_known_symbols,
     write_csv_atomic,
 )
 
@@ -69,7 +68,7 @@ def _fit_alpha3(r, h, x, theta0):
     alpha3, and its alpha3 sensitivity is h |x_iq|^2 x_iq, so the minimizer
     is one complex projection per trial of r - h x_iq onto that sensitivity.
     """
-    x_iq, u, _ = _front_end(x, theta0)
+    x_iq, u = _front_end(x, theta0)[:2]
     # bound to a name, so that numpy cannot swap the product's operands
     d_alpha3 = u * x_iq
     basis = h[:, None] * d_alpha3
@@ -303,7 +302,8 @@ def mc_crb_validation(
         raise ConfigError(f"pilot_mode 'iridium' sends +-1 pilots and needs an alphabet "
                           f"with BPSK moments, got {mod_name!r}")
     x = np.empty((n_trials, n), dtype=complex)
-    if pilot_mode == "iridium":
+    alphabet = c if pilot_mode == "random" else None
+    if alphabet is None:
         x[:] = iridium_known_symbols(n)
     rows = []
     for k, snr_db in enumerate(np.atleast_1d(np.asarray(snr_grid_db, dtype=float))):
@@ -328,14 +328,10 @@ def mc_crb_validation(
         # synthesized in blocks, so that the noise draws never span all trials
         for start in range(0, n_trials, _BLOCK_TRIALS):
             stop = min(start + _BLOCK_TRIALS, n_trials)
-            draws = []
-            for t, rng in zip(range(start, stop), keyed):
-                if pilot_mode == "random":
-                    x[t] = random_known_symbols(c, n, rng)
-                draws.append(_draw_channel_noise(ch, rng, n))
-                gauss[t] = rng.standard_normal(4)
+            h, noise = _draw_rows(keyed, ch, x[start:stop], alphabet, normals=gauss[start:stop])
             r[start:stop] = _synthesize_rows(x[start:stop], truth, ch,
-                                             [ch.cfo_rad_per_symbol] * len(draws), draws)
+                                             np.full(stop - start, ch.cfo_rad_per_symbol),
+                                             h, noise)
         # the oracle initial point: truth plus Gaussian perturbation, std
         # 0.1 |component| with a 1e-3 floor; equal bit for bit to a per-trial
         # rng.normal(0.0, sigma), which numpy forms as 0.0 + sigma * gauss

@@ -11,6 +11,7 @@ whatever the stack holds; one burst is a one-row stack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,6 +40,7 @@ FEATURE_NAMES = (
 # amp_range spans these percentiles of the amplitude
 _PERCENTILE_LO = 5.0
 _PERCENTILE_HI = 95.0
+_EPS = float(np.finfo(float).eps)
 
 
 class DegenerateInputError(ValueError):
@@ -146,6 +148,25 @@ def normalize_amplitude(samples) -> np.ndarray:
     return z / np.sqrt(power)
 
 
+def _row_percentiles(a: np.ndarray, qs) -> list:
+    """``np.percentile(a, qs, axis=1)`` (the 'linear' method) as one array
+    per q, bit for bit, from one row sort: numpy's virtual index
+    v = (n - 1) * (q / 100) lies between the order statistics k = floor(v)
+    and k + 1, or is the last one (k = -1) from v = n - 1 on, and t = v - k
+    weighs them as a + (b - a) t, or as b - (b - a) (1 - t) from t = 0.5 on."""
+    s = np.sort(a, axis=1)
+    n = a.shape[1]
+    out = []
+    for q in qs:
+        v = (n - 1) * (q / 100)
+        k = math.floor(v) if v < n - 1 else -1
+        t = v - k
+        below, above = s[:, k], s[:, k + 1 if k >= 0 else -1]
+        d = above - below
+        out.append(above - d * (1 - t) if t >= 0.5 else below + d * t)
+    return out
+
+
 def _divide(num: np.ndarray, den: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """num / den, and 0 on the ``flat`` rows, whose denominator is never
     divided by."""
@@ -175,6 +196,8 @@ def _image_ratio(z: np.ndarray, x: np.ndarray, collinear: np.ndarray,
 
     # the other rows solve [[s_xx, s_x2*], [s_x2, s_xx]] [k1, k2] = [rhs1, rhs2]
     rows = np.flatnonzero(~collinear)
+    if not rows.size:
+        return rho, flat
     xr, s, r1 = x[rows], s_xx[rows], rhs1[rows]
     s_x2, r2 = np.sum(xr * xr, axis=1), np.sum(z[rows] * xr, axis=1)
     det = s * s - (s_x2.real * s_x2.real + s_x2.imag * s_x2.imag)
@@ -197,7 +220,7 @@ def _feature_block(samples: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.n
     a = np.abs(z)
     a_mean = np.mean(a, axis=1)
     a_var = np.var(a, axis=1)
-    hi, lo = np.percentile(a, [_PERCENTILE_HI, _PERCENTILE_LO], axis=1)
+    hi, lo = _row_percentiles(a, (_PERCENTILE_HI, _PERCENTILE_LO))
     da = a - a_mean[:, None]
     d2 = da * da
     a_dd = np.sum(d2, axis=1)
@@ -212,8 +235,12 @@ def _feature_block(samples: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.n
 
     rho, iq_flat = _image_ratio(z, x, collinear, np.sum(px, axis=1))
 
-    # a flat denominator falls back to 0 and sets the feature's flag
-    flat_var, flat_a, flat_p = a_var <= 1e-30, a_dd <= 1e-30, p_dd <= 1e-30
+    # a flat denominator falls back to 0 and sets the feature's flag; a flat
+    # phase is one whose n deviations are rounding errors of the angles,
+    # each below n pi eps for unwrapped phases of at most n pi in magnitude
+    n = z.shape[1]
+    flat_var, flat_a = a_var <= 1e-30, a_dd <= 1e-30
+    flat_p = p_dd <= n * (n * math.pi * _EPS) ** 2
     flat_ap = flat_a | flat_p
     kurtosis = _divide(np.mean(d2 * d2, axis=1), a_var * a_var, flat_var) - 3.0
     amp_acf1 = _divide(np.sum(da[:, :-1] * da[:, 1:], axis=1), a_dd, flat_a)

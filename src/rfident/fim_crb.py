@@ -313,7 +313,7 @@ def discrimination(theta_a: HwiParams, theta_b: HwiParams, f: Fim) -> Discrimina
 def pa_fifth_order_confounding(c: Constellation, p: HwiParams) -> float:
     """Column correlation between the cubic and a hypothetical fifth-order PA
     sensitivity. Near 1 for constant-modulus alphabets, lower for QAM."""
-    x_iq, u, _ = _front_end(c.points, p)
+    x_iq, u = _front_end(c.points, p)[:2]
     d3 = u * x_iq
     d5 = u**2 * x_iq
     num = abs(np.vdot(d3, d5))

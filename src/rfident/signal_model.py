@@ -66,13 +66,16 @@ def _param_columns(p):
     return theta[..., 0, None], theta[..., 1, None], theta[..., 2:].copy().view(complex)
 
 
-def _front_end(x, p):
+def _front_end(x, p) -> tuple:
     """The impairment map, written once: the mixer output x_iq = K1 x + K2 x*
     (K1 = (1 + g) / 2, K2 = (1 - conj(g)) / 2, g = (1+eps) e^{j phi}), its
-    power u = |x_iq|^2 and the PA gain pa = 1 + alpha3 u, as (x_iq, u, pa);
-    the impaired symbols are x_iq * pa. ``p`` as in ``hwi_model_and_jacobian``."""
+    power u = |x_iq|^2 and the PA gain pa = 1 + alpha3 u, as (x_iq, u, pa),
+    followed by the parsed parameter columns eps, phi and alpha3, e^{j phi}
+    and x*, which the Jacobian reuses; the impaired symbols are x_iq * pa.
+    ``p`` as in ``hwi_model_and_jacobian``."""
     eps, phi, alpha3 = _param_columns(p)
-    g = (1.0 + eps) * np.exp(1j * phi)
+    e_phi = np.exp(1j * phi)
+    g = (1.0 + eps) * e_phi
     k1, k2 = (1.0 + g) / 2.0, (1.0 - np.conj(g)) / 2.0
     # operands of complex products bound to names: numpy reuses a temporary
     # of 256 KiB or more as the output and swaps the operands, and its
@@ -81,14 +84,14 @@ def _front_end(x, p):
     xc = np.conj(x)
     x_iq = k1 * x + k2 * xc
     u = np.abs(x_iq) ** 2
-    return x_iq, u, 1.0 + alpha3 * u
+    return x_iq, u, 1.0 + alpha3 * u, eps, phi, alpha3, e_phi, xc
 
 
 def apply_hwi(x, p: HwiParams):
     """Distort ideal symbols: x_iq = K1 x + K2 x*, then cubic PA compression.
     Accepts a scalar or an array; returns the same shape."""
     x = np.asarray(x, dtype=complex)
-    x_iq, _, pa = _front_end(x, p)
+    x_iq, _, pa = _front_end(x, p)[:3]
     y = x_iq * pa
     return complex(y[0]) if x.ndim == 0 else y
 
@@ -101,10 +104,8 @@ def hwi_model_and_jacobian(x, p) -> tuple[np.ndarray, np.ndarray]:
     PARAM_NAMES order, whose leading axes broadcast against those of ``x``;
     one HwiParams and 1-D symbols give a (4, len(x)) Jacobian."""
     x = np.asarray(x, dtype=complex)
-    eps, phi, alpha3 = _param_columns(p)
-    x_iq, u, pa = _front_end(x, p)
-    e_p, e_m = np.exp(1j * phi), np.exp(-1j * phi)
-    xc = np.conj(x)
+    x_iq, u, pa, eps, phi, alpha3, e_p, xc = _front_end(x, p)
+    e_m = np.exp(-1j * phi)
 
     d_eps = 0.5 * (e_p * x - e_m * xc)
     d_phi = 0.5j * (1.0 + eps) * (e_p * x + e_m * xc)
@@ -175,8 +176,15 @@ def draw_channel(ch: ChannelConfig, rng: np.random.Generator) -> complex:
         ) / math.sqrt(2.0)
         h = h * (los + scatter)
     if ch.random_phase:
-        h = h * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        h = h * np.exp(1j * _uniform(0.0, 2.0 * np.pi, rng.random()))
     return h
+
+
+def _uniform(low: float, high: float, u):
+    """Standard uniforms ``u`` (``rng.random()`` draws) mapped to [low, high)
+    by numpy's own formula, so that ``_uniform(low, high, rng.random())``
+    is ``rng.uniform(low, high)`` bit for bit, from the same stream."""
+    return low + (high - low) * u
 
 
 @dataclass(frozen=True)
@@ -229,14 +237,6 @@ def iridium_known_symbols(n: int = N_PREAMBLE + N_UW) -> np.ndarray:
 
 def random_known_symbols(c: Constellation, n: int, rng: np.random.Generator) -> np.ndarray:
     return c.points[rng.integers(0, c.size, size=n)]
-
-
-def _draw_channel_noise(ch: ChannelConfig, rng: np.random.Generator, n: int) -> tuple:
-    """One burst's channel coefficient and its (2, n) standard normal noise
-    draws (real parts, then imaginary parts; None when noise-free), taken
-    from ``rng`` in the order synthesis has always used."""
-    h = draw_channel(ch, rng)
-    return h, None if ch.noise_free else rng.standard_normal((2, n))
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -339,25 +339,51 @@ def _keyed_generators(prefix, n: int):
             yield rng
 
 
-def _synthesize_rows(x: np.ndarray, p: HwiParams, ch: ChannelConfig, cfo, draws) -> np.ndarray:
+def _draw_rows(rngs, ch: ChannelConfig, x: np.ndarray, alphabet: Constellation | None = None,
+               cfo_u: np.ndarray | None = None,
+               normals: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Draw row i of a (rows, n) block from the i-th generator of ``rngs``
+    (an iterable that may hold more; only ``rows`` are taken), in the
+    stream order synthesis has always used: the CFO's standard
+    uniform into ``cfo_u[i]`` (see ``_uniform``), the known symbols into
+    ``x[i]`` when ``alphabet`` is given, the channel coefficient, the (2, n)
+    standard normal noise (real parts, then imaginary parts) and the
+    standard normals ``normals[i]``; a None array is not drawn. Returns the
+    channel coefficients (rows,) and the noise (rows, 2, n), None when
+    noise-free, as ``_synthesize_rows`` takes them."""
+    rows, n = x.shape
+    h = np.empty(rows, dtype=complex)
+    noise = None if ch.noise_free else np.empty((rows, 2, n))
+    for i, rng in zip(range(rows), rngs):
+        if cfo_u is not None:
+            cfo_u[i] = rng.random()
+        if alphabet is not None:
+            x[i] = random_known_symbols(alphabet, n, rng)
+        h[i] = draw_channel(ch, rng)
+        if noise is not None:
+            rng.standard_normal(out=noise[i])
+        if normals is not None:
+            rng.standard_normal(out=normals[i])
+    return h, noise
+
+
+def _synthesize_rows(x: np.ndarray, p: HwiParams, ch: ChannelConfig, cfo: np.ndarray,
+                     h: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
     """Row i of the (bursts, n) result is
-    h_i * apply_hwi(x[i], p) * e^{j cfo[i] n} + sigma (g_i[0] + j g_i[1]),
-    bit for bit what the row alone gives, for the (h_i, g_i) pairs ``draws``
-    from ``_draw_channel_noise`` and the noise level of ``ch``."""
-    h = np.array([d[0] for d in draws], dtype=complex)
+    h[i] * apply_hwi(x[i], p) * e^{j cfo[i] n} + sigma (noise[i, 0] + j noise[i, 1]),
+    bit for bit what the row alone gives, for channel coefficients ``h`` and
+    noise from ``_draw_rows`` and the noise level of ``ch``."""
     n_idx = np.arange(x.shape[1])
-    # j cfo formed per row as a Python complex, as for a single burst
-    jc = np.array([1j * c for c in cfo], dtype=complex)
-    ramp = np.exp(jc[:, None] * n_idx)
+    # 1j * cfo is exact, so every row gets the ramp of a single burst
+    ramp = np.exp((1j * cfo)[:, None] * n_idx)
     # operands bound to names, in the one-row order (see ``_front_end``)
     y = apply_hwi(x, p)
     hy = h[:, None] * y
     clean = hy * ramp
-    if ch.noise_free:
+    if noise is None:
         return clean
-    g = np.stack([d[1] for d in draws])
     sigma = math.sqrt(ch.noise_variance / 2.0)
-    w = sigma * (g[:, 0] + 1j * g[:, 1])
+    w = sigma * (noise[:, 0] + 1j * noise[:, 1])
     return clean + w
 
 
@@ -376,14 +402,15 @@ def synthesize_burst(
     x = np.asarray(symbols, dtype=complex).ravel()
     if x.size == 0:
         raise BurstError("empty symbol list")
-    draw = _draw_channel_noise(ch, np.random.default_rng(seed), x.size)
-    r = _synthesize_rows(x[None], p, ch, [ch.cfo_rad_per_symbol], [draw])[0]
+    h, noise = _draw_rows([np.random.default_rng(seed)], ch, x[None])
+    r = _synthesize_rows(x[None], p, ch, np.array([ch.cfo_rad_per_symbol], dtype=float),
+                         h, noise)[0]
     meta = BurstMeta(
         satellite_id=satellite_id,
         truth=p,
         channel=ch,
         modulation=modulation,
-        h_realized=complex(draw[0]),
+        h_realized=complex(h[0]),
     )
     return Burst(samples=r, known_symbols=x, meta=meta)
 

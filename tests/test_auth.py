@@ -33,7 +33,7 @@ from rfident.auth import (
     simulate_campaign,
 )
 from rfident.constellation import ConfigError, make_constellation
-from rfident.features import FEATURE_NAMES, PipelineConfig
+from rfident.features import _FLAGS, _extract_bursts, FEATURE_NAMES, PipelineConfig
 from rfident.signal_model import (
     ChannelConfig,
     generate_fleet,
@@ -489,6 +489,24 @@ def test_simulate_campaign_smoke():
         assert np.array_equal(table.snr_db, ref.snr_db)
         assert np.array_equal(table.matrix, ref.matrix)
         _assert_feature_ranges(table.matrix)
+
+
+def test_noise_free_iridium_phase_is_flagged_flat():
+    # the pilots lie on one line, so a noise-free burst's stripped phase is
+    # flat up to rounding (its squared deviations reach ~1e-28 on this fleet):
+    # phase_acf1 and pa_cross read 0 with their flags set, where they read
+    # rounding noise from -0.3 to 0.99 under a 1e-30 floor
+    fleet = generate_fleet(27)
+    cfg = FleetProtocolConfig(snr_db=None)
+    matrix, mask = _extract_bursts(_campaign_bursts(fleet, cfg, 0, cfg.n_enroll), cfg.n_known)
+    assert np.array_equal(simulate_campaign(fleet, cfg, 0).matrix, matrix)
+    for name in ("phase_acf1", "pa_cross"):
+        assert np.all(matrix[:, FEATURE_NAMES.index(name)] == 0.0), name
+        assert np.all(mask[:, _FLAGS.index(name)]), name
+    # at 60 dB (squared deviations from ~3e-4) no phase is flat
+    cfg = FleetProtocolConfig(snr_db=60.0)
+    _, mask = _extract_bursts(_campaign_bursts(fleet, cfg, 0, 20), cfg.n_known)
+    assert not np.any(mask[:, _FLAGS.index("phase_acf1")])
 
 
 def test_feature_table_csv_roundtrip(tmp_path):

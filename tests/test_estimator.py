@@ -176,12 +176,23 @@ def test_mc_validation_deterministic():
     ("qpsk", "random", "ok"),
     ("bpsk", "iridium", "rank_deficient_pa_subblock"),
 ])
-def test_mc_validation_equals_per_trial_synthesis(modulation, pilot_mode, status):
+def test_mc_validation_equals_per_trial_synthesis(monkeypatch, modulation, pilot_mode, status):
     # 70 trials cross the 64-trial synthesis block; the reference draws each
-    # trial from its own stream and synthesizes it as one burst
+    # trial's pilots (random mode), channel, noise and initial-point normals,
+    # in that order, from its own stream and synthesizes it as one burst:
+    # the fit gets the reference's samples, symbols and initial points bit
+    # for bit
+    fits = []
+
+    def spy(r, h, x, theta0):
+        fits.append((r.copy(), x.copy(), theta0.copy()))
+        return fit_batch(r, h, x, theta0)
+
+    monkeypatch.setattr(estimator, "fit_batch", spy)
     grid, seed, n_trials = (0.0, 25.0), 3, 70
     rep = mc_crb_validation(modulation, TRUTH, grid, n=76, n_trials=n_trials, seed=seed,
                             pilot_mode=pilot_mode)
+    assert len(fits) == len(grid)
     c = make_constellation(modulation)
     for k, (snr_db, row) in enumerate(zip(grid, rep.rows)):
         ch = ChannelConfig(h=1.0 + 0.0j, snr_db=snr_db)
@@ -195,7 +206,11 @@ def test_mc_validation_equals_per_trial_synthesis(modulation, pilot_mode, status
             # the oracle initial point as it was drawn per trial
             v = TRUTH.as_vector()
             theta0.append(v + rng.normal(0.0, np.maximum(0.1 * np.abs(v), 1e-3)))
-        fit = fit_batch(np.array(r), np.ones(n_trials), np.array(x), np.array(theta0))
+        r, x, theta0 = np.array(r), np.array(x), np.array(theta0)
+        assert fits[k][0].tobytes() == r.tobytes()
+        assert fits[k][1].tobytes() == x.tobytes()
+        assert fits[k][2].tobytes() == theta0.tobytes()
+        fit = fit_batch(r, np.ones(n_trials), x, theta0)
         mse = np.mean((fit.theta - TRUTH.as_vector()) ** 2, axis=0)
         n_unconverged = int(np.count_nonzero(~fit.converged))
         with np.errstate(invalid="ignore"):

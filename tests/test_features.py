@@ -12,6 +12,7 @@ from rfident.features import (
     _FLAGS,
     _cfo_block,
     _extract_bursts,
+    _row_percentiles,
     _unwrap_rows,
     DegenerateInputError,
     FEATURE_NAMES,
@@ -365,6 +366,12 @@ def _stripped_phase(z, sp):
     return _turn_unwrap(np.angle(u2 if sp == 2 else u2 * u2))
 
 
+def _flat_phase_floor(n):
+    """The largest sum of squared phase deviations that is rounding noise:
+    n deviations of n pi eps each, for n unwrapped angles."""
+    return n * (n * math.pi * np.finfo(float).eps) ** 2
+
+
 def _reference_features(b, n_known=76):
     """The per-burst formulas, one numpy call at a time on 1-D rows (the
     complex sums as one-element rows) and Python scalars: the oracle the
@@ -379,8 +386,8 @@ def _reference_features(b, n_known=76):
     z = z / math.sqrt(float(np.mean(np.abs(z) ** 2)))
     flags = set()
 
-    def ratio(num, den, flag):
-        if den <= 1e-30:
+    def ratio(num, den, flag, floor=1e-30):
+        if den <= floor:
             flags.add(flag)
             return 0.0
         return max(-1.0, min(1.0, num / den))
@@ -423,7 +430,7 @@ def _reference_features(b, n_known=76):
             flags.add("iq")
         else:
             rho = complex((k2 / k1)[0])
-    if a_dd <= 1e-30 or p_dd <= 1e-30:
+    if a_dd <= 1e-30 or p_dd <= _flat_phase_floor(z.size):
         flags.add("pa_cross")
         pa_cross = 0.0
     else:
@@ -431,7 +438,8 @@ def _reference_features(b, n_known=76):
     dc = complex(np.mean(z))
     row = [a_var / (a_mean * a_mean), float(hi - lo), kurtosis,
            ratio(float(np.sum(da[:-1] * da[1:])), a_dd, "amp_acf1"),
-           ratio(float(np.sum(dp[:-1] * dp[1:])), p_dd, "phase_acf1"), float(np.var(psi)),
+           ratio(float(np.sum(dp[:-1] * dp[1:])), p_dd, "phase_acf1", _flat_phase_floor(z.size)),
+           float(np.var(psi)),
            float(slope), float(np.sqrt(np.mean(np.abs(z - x) ** 2) / np.mean(np.abs(x) ** 2))),
            -2.0 * rho.real, 2.0 * rho.imag, dc.real, dc.imag, pa_cross]
     return np.array(row), flags
@@ -439,7 +447,8 @@ def _reference_features(b, n_known=76):
 
 def _seed_reference_features(b, n_known=76):
     """The per-burst formulas as first written: numpy's complex power and
-    ``np.unwrap``, ``** 2`` and ``** 4`` on Python and numpy scalars. The
+    ``np.unwrap``, ``** 2`` and ``** 4`` on Python and numpy scalars, with
+    the flat-phase test at the angles' rounding scale (it was 1e-30). The
     block extractor rounds differently, so it matches these to a
     tolerance, not bit for bit."""
     z, x = b.samples[:n_known], b.known_symbols[:n_known]
@@ -453,10 +462,10 @@ def _seed_reference_features(b, n_known=76):
     z = z / math.sqrt(float(np.mean(np.abs(z) ** 2)))
     flags = set()
 
-    def acf1(v, name):
+    def acf1(v, name, floor=1e-30):
         d = v - np.mean(v)
         denom = float(np.sum(d * d))
-        if denom <= 1e-30:
+        if denom <= floor:
             flags.add(name)
             return 0.0
         return max(-1.0, min(1.0, float(np.sum(d[:-1] * d[1:]) / denom)))
@@ -487,14 +496,15 @@ def _seed_reference_features(b, n_known=76):
             rho = k2 / k1
     dx, dy = a - np.mean(a), psi - np.mean(psi)
     sx, sy = float(np.sum(dx * dx)), float(np.sum(dy * dy))
-    if sx <= 1e-30 or sy <= 1e-30:
+    if sx <= 1e-30 or sy <= _flat_phase_floor(z.size):
         flags.add("pa_cross")
         pa_cross = 0.0
     else:
         pa_cross = float(np.sum(dx * dy) / math.sqrt(sx * sy))
     dc = complex(np.mean(z))
     row = [a_var / a_mean**2, float(np.percentile(a, 95.0) - np.percentile(a, 5.0)), kurtosis,
-           acf1(a, "amp_acf1"), acf1(psi, "phase_acf1"), float(np.var(psi)), float(slope),
+           acf1(a, "amp_acf1"), acf1(psi, "phase_acf1", _flat_phase_floor(z.size)),
+           float(np.var(psi)), float(slope),
            float(np.sqrt(np.mean(np.abs(z - x) ** 2) / np.mean(np.abs(x) ** 2))),
            -2.0 * rho.real, 2.0 * rho.imag, dc.real, dc.imag, pa_cross]
     return np.array(row), flags
@@ -655,3 +665,20 @@ def test_overflowing_sample_power_is_degenerate():
         extract_features(huge)
     # large samples whose power stays finite still give finite features
     assert np.all(np.isfinite(extract_features(_bad(b, samples=b.samples * 1e150)).values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200), rows=st.integers(1, 8),
+       scale=st.floats(-5.0, 5.0), kind=st.sampled_from(["spread", "ties", "constant"]))
+def test_row_percentiles_are_bit_identical_to_numpy_percentile_property(seed, n, rows, scale,
+                                                                        kind):
+    # rows of positive values at scales 1e-5 to 1e5, with many ties (four
+    # distinct values) or constant: the order statistics read off one row
+    # sort are np.percentile's, bit for bit, at every length
+    rng = np.random.default_rng(seed)
+    a = 10.0 ** scale * (rng.random((rows, n)) if kind == "spread"
+                         else rng.integers(1, 5, (rows, n)).astype(float))
+    if kind == "constant":
+        a[:] = a[:, :1]
+    want = np.percentile(a, [95.0, 5.0], axis=1)
+    assert np.array(_row_percentiles(a, (95.0, 5.0))).tobytes() == want.tobytes()

@@ -11,9 +11,10 @@ from hypothesis.extra.numpy import arrays
 from rfident.constellation import ConfigError, make_constellation
 from rfident.signal_model import (
     _KEY_CHUNK,
-    _draw_channel_noise,
+    _draw_rows,
     _keyed_generators,
     _synthesize_rows,
+    _uniform,
     Burst,
     BurstError,
     BurstMeta,
@@ -216,16 +217,30 @@ def test_block_synthesis_is_bit_identical_row_by_row():
     # Gaussian symbols: on a small alphabet the swapped products can agree
     sym_rng = np.random.default_rng(11)
     x = (sym_rng.standard_normal((rows, n)) + 1j * sym_rng.standard_normal((rows, n))) / 2.0
-    cfo = sym_rng.uniform(-0.02, 0.02, rows).tolist()
-    draws = [_draw_channel_noise(ch, np.random.default_rng(i), n) for i in range(rows)]
-    block = _synthesize_rows(x, _P, ch, cfo, draws)
+    cfo = sym_rng.uniform(-0.02, 0.02, rows)
+    h, noise = _draw_rows([np.random.default_rng(i) for i in range(rows)], ch, x)
+    block = _synthesize_rows(x, _P, ch, cfo, h, noise)
     assert block.nbytes > 256 * 1024
     for i in range(rows):
         row_ch = ChannelConfig(snr_db=12.0, rician_k_db=4.0, random_phase=True,
-                               cfo_rad_per_symbol=cfo[i])
-        h, want = _reference_burst(x[i], _P, row_ch, np.random.default_rng(i))
-        assert draws[i][0] == h
+                               cfo_rad_per_symbol=float(cfo[i]))
+        h_row, want = _reference_burst(x[i], _P, row_ch, np.random.default_rng(i))
+        assert h[i] == h_row
         assert np.array_equal(block[i], want)
+
+
+# the CFO draw of a campaign burst for jitters 0, 0.01 and 3.0 (the low end
+# of a zero jitter is -0.0), and the channel phase
+@pytest.mark.parametrize("low, high", [(-0.0, 0.0), (-0.01, 0.01), (-3.0, 3.0),
+                                       (0.0, 2.0 * np.pi)])
+def test_uniform_map_is_bit_identical_to_rng_uniform(low, high):
+    mapped, ref = np.random.default_rng(17), np.random.default_rng(17)
+    for _ in range(500):
+        got, want = _uniform(low, high, mapped.random()), ref.uniform(low, high)
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+    # and over a block of standard uniforms, as a campaign maps them
+    got, want = _uniform(low, high, mapped.random(300)), ref.uniform(low, high, 300)
+    assert got.tobytes() == want.tobytes()
 
 
 def _assert_keyed_like_default_rng(prefix, n):
