@@ -8,7 +8,6 @@ from .constellation import (
     DirectionalSensitivity,
     InvalidConstellationError,
     Moments,
-    beta_vanishes,
     directional_sensitivities,
     load_constellation_json,
     make_constellation,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constellation import ConfigError, make_constellation, moments
+from .constellation import ConfigError, _db_to_linear, make_constellation, moments
 # extract_features is not called here; it stays importable from this module,
 # where perfbench's span tracing rebinds it
 from .features import (  # noqa: F401
@@ -85,11 +85,8 @@ def accumulate(features, snrs_db) -> np.ndarray:
     if x.ndim != 2 or x.size == 0 or x.shape[0] != snrs_db.size:
         raise ValueError("features must be a non-empty (bursts x features) array with one "
                          "snr per row")
-    w = 10.0 ** (snrs_db / 10.0)
-    total = float(np.sum(w))
-    if total <= 0.0:
-        raise ValueError("all-zero accumulation weights")
-    return (w[:, None] * x).sum(axis=0) / total
+    w = np.array([_db_to_linear(s, "snrs_db") for s in snrs_db])
+    return (w[:, None] * x).sum(axis=0) / float(np.sum(w))
 
 
 @dataclass(frozen=True)
@@ -545,7 +542,7 @@ def run_auth_experiment(cfg: FleetProtocolConfig | None = None, seed: int = 0) -
     normalizer = (mu, sd)
 
     dr_table = balanced_dr(table_a, n_bal=cfg.n_bal, n_trials=cfg.n_dr_trials, seed=seed + 101)
-    beta = moments(make_constellation("qpsk" if cfg.burst_mode != "iridium" else "bpsk")).beta
+    beta = moments(make_constellation("qpsk" if cfg.burst_mode != "iridium" else "bpsk").points).beta
     enrollment = _grouped_means(table_a.satellite_ids, table_a.matrix)
 
     def split(name, probes, refs=enrollment):

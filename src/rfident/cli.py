@@ -146,7 +146,7 @@ def _constellation_from(name: str):
 
 def cmd_moments(args) -> int:
     c = _constellation_from(args.constellation)
-    m = moments(c)
+    m = moments(c.points)
     rows = [[
         c.name, c.size, f"{m.mu20.real:.12g}", f"{m.mu20.imag:.12g}",
         f"{m.beta:.12g}", f"{m.mu4:.12g}", f"{m.mu6:.12g}", predicted_fim_rank(m),
@@ -169,7 +169,7 @@ def cmd_crb_curves(args) -> int:
     rows = []
     for mod in cfg["modulations"]:
         c = _constellation_from(mod)
-        m = moments(c)
+        m = moments(c.points)
         for n in cfg["n_grid"]:
             for snr_db in cfg["snr_grid_db"]:
                 gamma = _db_to_linear(snr_db, "snr_grid_db")
@@ -219,11 +219,11 @@ def cmd_identifiability(args) -> int:
     for mod in cfg["modulations"]:
         c = _constellation_from(mod)
         f = fim_numerical(c, p, cfg["n"], gamma)
-        rep = crb_report(f)
+        rep, m = crb_report(f), moments(c.points)
         out[mod] = {
-            "beta": moments(c).beta,
+            "beta": m.beta,
             "rank": rep.rank,
-            "predicted_rank": predicted_fim_rank(moments(c)),
+            "predicted_rank": predicted_fim_rank(m),
             "null_basis": [list(map(float, v)) for v in rep.null_basis],
             "rho_phi_im_alpha3": coupling_rho(f, "phi", "im_alpha3"),
             "eig_ratio_phi_im_alpha3": subblock_eigenvalue_ratio(f, "phi", "im_alpha3"),

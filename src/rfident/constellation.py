@@ -1,7 +1,8 @@
 """Modulation alphabets and the moment summaries that drive identifiability.
 
-Every alphabet is normalized to unit average power, so the moment values
-feed directly into the information-matrix formulas without extra scaling.
+Every alphabet is normalized to unit average power, and ``moments`` takes
+any sample vector to unit power, so the moment values feed directly into the
+information-matrix formulas without extra scaling.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import numpy as np
 
 _POWER_TOL = 1e-12
 
-# beta = 1 - |E[x^2]|^2 below this counts as zero: the symbols lie on one line
-# through the origin and IQ imbalance is unidentifiable (rank-2 information)
+# beta below this reads as zero: the samples lie on one line through the origin
 _BETA_TOL = 1e-9
 
 _KINDS = ("bpsk", "sdpsk", "qpsk", "dqpsk", "8psk", "16qam", "64qam", "custom")
@@ -76,18 +76,21 @@ class Constellation:
 
 @dataclass(frozen=True)
 class Moments:
-    """Alphabet moments: mu20 = E[x^2], mu4 = E[|x|^4], mu6 = E[|x|^6], beta = 1 - |mu20|^2."""
+    """Unit-power moments mu20 = E[x^2] / E|x|^2, mu4 = E[|x|^4] / (E|x|^2)^2
+    and mu6 = E[|x|^6] / (E|x|^2)^3: scalars for a vector, arrays for a stack."""
 
-    mu20: complex
-    mu4: float
-    mu6: float
-    beta: float
+    mu20: complex | np.ndarray
+    mu4: float | np.ndarray
+    mu6: float | np.ndarray
 
     def __post_init__(self):
-        if abs(self.beta - (1.0 - abs(self.mu20) ** 2)) > 1e-12:
-            raise ValueError("beta inconsistent with mu20")
-        if self.mu4 < 1.0 - 1e-12 or self.mu6 < self.mu4 - 1e-12:
-            raise ValueError("moment ordering violated (needs unit-power alphabet)")
+        if np.any(self.mu4 < 1.0 - 1e-12) or np.any(self.mu6 < self.mu4 - 1e-12):
+            raise ValueError("moment ordering violated (needs unit-power samples)")
+
+    @property
+    def beta(self):
+        """1 - |mu20|^2: zero when the samples lie on one line through the origin."""
+        return 1.0 - abs(self.mu20) ** 2
 
 
 @dataclass(frozen=True)
@@ -172,18 +175,27 @@ def load_constellation_json(path) -> Constellation:
     return make_constellation("custom", points=pts, name=str(path))
 
 
-def moments(c: Constellation) -> Moments:
-    """Exact uniform-average moments over the alphabet points."""
-    x = c.points
-    mu20 = complex(np.mean(x**2))
-    mu4 = float(np.mean(np.abs(x) ** 4))
-    mu6 = float(np.mean(np.abs(x) ** 6))
-    beta = 1.0 - abs(mu20) ** 2
-    # clip fp fuzz so the Moments invariant holds exactly
-    beta = min(max(beta, 0.0), 1.0)
-    if abs(beta - (1.0 - abs(mu20) ** 2)) > 1e-12:
-        beta = 1.0 - abs(mu20) ** 2
-    return Moments(mu20=mu20, mu4=mu4, mu6=mu6, beta=beta)
+def moments(x) -> Moments:
+    """Moments of the samples x at unit power, along the last axis: an
+    alphabet passes its ``points``, a stack of rows gives one value per row.
+    A row without power has nan moments."""
+    x = np.asarray(x, dtype=complex)
+    # powers in place: a fresh temporary per power doubles the cost on a block
+    a2 = np.abs(x)
+    a2 *= a2
+    power = np.sum(a2, axis=-1)
+    s20 = np.sum(x * x, axis=-1)
+    p = power / x.shape[-1]
+    a4 = a2 * a2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # part by part: numpy's complex division takes 49 / 49 to 1 - 2^-53
+        mu20 = s20.real / power + 1j * (s20.imag / power)
+        mu4 = np.mean(a4, axis=-1) / (p * p)
+        a4 *= a2
+        mu6 = np.mean(a4, axis=-1) / (p * p * p)
+    if x.ndim == 1:
+        mu20, mu4, mu6 = complex(mu20), float(mu4), float(mu6)
+    return Moments(mu20=mu20, mu4=mu4, mu6=mu6)
 
 
 def directional_sensitivities(m: Moments, eps: float, phi: float) -> DirectionalSensitivity:
@@ -199,16 +211,8 @@ def directional_sensitivities(m: Moments, eps: float, phi: float) -> Directional
     return DirectionalSensitivity(beta_eps=beta_eps, beta_phi=beta_phi, j_epsphi=j_epsphi)
 
 
-def predicted_fim_rank(m: Moments) -> int:
-    """Predicted information-matrix rank: 2 when beta vanishes, else 4."""
-    return 2 if m.beta < _BETA_TOL else 4
-
-
-def beta_vanishes(x) -> np.ndarray:
-    """Whether beta = 1 - |E[x^2]|^2 of symbols x (taken at unit power)
-    vanishes, by the tolerance of ``predicted_fim_rank``: the symbols lie on
-    one line through the origin, the rank-2 case. Evaluated along the last
-    axis; all-zero symbols do not count."""
-    x = np.asarray(x, dtype=complex)
-    power = np.sum(np.abs(x) ** 2, axis=-1)
-    return np.abs(np.sum(x * x, axis=-1)) ** 2 > (1.0 - _BETA_TOL) * power ** 2
+def predicted_fim_rank(m: Moments):
+    """Predicted information-matrix rank, 2 where beta vanishes, else 4 (a row
+    without power too): an int for one vector, an array for a stack."""
+    rank = np.where(m.beta < _BETA_TOL, 2, 4)
+    return int(rank) if rank.ndim == 0 else rank

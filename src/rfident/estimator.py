@@ -18,9 +18,9 @@ from .constellation import (
     ConfigError,
     Constellation,
     _db_to_linear,
-    beta_vanishes,
     make_constellation,
     moments,
+    predicted_fim_rank,
 )
 from .fim_crb import crb_report, fim_closed_form, fim_numerical, pa_subblock_crb
 from .signal_model import (
@@ -173,7 +173,7 @@ def fit_batch(r, h, x, theta0) -> BatchFit:
     converged = np.ones(n_trials, dtype=bool)
     iters = np.zeros(n_trials, dtype=int)
     cost = np.empty(n_trials)
-    real = beta_vanishes(x)
+    real = predicted_fim_rank(moments(x)) == 2
     for blk in np.split(np.arange(n_trials), range(_BLOCK_TRIALS, n_trials, _BLOCK_TRIALS)):
         fa, lm = blk[real[blk]], blk[~real[blk]]
         if fa.size:
@@ -295,10 +295,9 @@ def mc_crb_validation(
         warnings.warn("fewer than 50 trials gives a noisy MSE estimate")
     c = modulation if isinstance(modulation, Constellation) else make_constellation(modulation)
     mod_name = c.name
-    mom = moments(c)
-    # the Iridium pilots are +-1 symbols: only an alphabet with their moments
-    # gives the bound that their fit attains
-    if pilot_mode == "iridium" and mom != moments(make_constellation("bpsk")):
+    mom = moments(c.points)
+    # the bound the pilots' fit attains needs an alphabet with their moments
+    if pilot_mode == "iridium" and mom != moments(iridium_known_symbols(n)):
         raise ConfigError(f"pilot_mode 'iridium' sends +-1 pilots and needs an alphabet "
                           f"with BPSK moments, got {mod_name!r}")
     x = np.empty((n_trials, n), dtype=complex)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constellation import ConfigError, Constellation, beta_vanishes
+from .constellation import ConfigError, Constellation, moments, predicted_fim_rank
 from .fim_crb import _NULL_PROJ_TOL, RankDeficientError, crb_report, fim_numerical
 from .signal_model import Burst, HwiParams, _front_end, apply_hwi
 
@@ -213,7 +213,7 @@ def _feature_block(samples: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.n
     """The 13 features (columns in FEATURE_NAMES order) and the degenerate
     mask (columns in ``_FLAGS`` order) of each row of checked (bursts,
     n_known) stacks of samples and known symbols x."""
-    collinear = beta_vanishes(x)
+    collinear = predicted_fim_rank(moments(x)) == 2
     derot, cfo_hat = _cfo_block(samples, np.where(collinear, 2, 4))
     z = normalize_amplitude(derot)
 

@@ -10,11 +10,13 @@ with the channel unknown. The central-difference Jacobian ``_fd_jacobian``
 is the independent oracle it is tested against.
 
 ``fim_closed_form`` assembles the small-impairment block formulas from the
-alphabet moments. Alphabets with beta = 0 lie on one line through the
-origin; their matrix is ``fim_samples`` at the one symbol x0 = sqrt(mu20),
-positive semidefinite and rank-2 by construction, and exact for constant
-modulus, where every symbol is +-x0 and the model collapses to r = h c x.
-The generic block formula for the PA/IQ cross term does not apply there.
+unit-power moments of any sample vector, ``moments(x)``. Where beta = 0 the
+samples lie on one line through the origin; their matrix is ``fim_samples``
+at the one symbol x0 = sqrt(mu20), rank-2 by construction and exact for
+constant modulus, where every symbol is +-x0 and r = h c x. Elsewhere the
+block formula assumes E[|x|^2 x^2] = 0, true of the symmetric alphabets but
+not of a finite sequence: on random 76-symbol QPSK sequences it is up to
+15-20% (Frobenius) away from ``fim_samples``.
 """
 
 from __future__ import annotations
@@ -131,10 +133,8 @@ class DiscriminationResult:
 def fim_closed_form(m: Moments, p: HwiParams, n: int, gamma: float) -> Fim:
     """Small-impairment block assembly 2 N gamma [[J_IQ, J_x], [J_x^T, J_PA]].
 
-    For beta = 0 alphabets the block cross-term formula is invalid (it needs
-    E[|x|^2 x^2] = 0), so the rank-2 collapse construction is used: the
-    information of N samples x0 = sqrt(mu20), exact when every symbol is
-    +-x0 (constant modulus).
+    Where ``predicted_fim_rank`` reads 2, the information of N samples
+    x0 = sqrt(mu20) instead (see the module docstring).
     """
     n_gamma = _sample_snr(n, gamma, 1)
     if predicted_fim_rank(m) == 2:

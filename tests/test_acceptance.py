@@ -60,13 +60,13 @@ def test_criterion_1_closed_vs_numerical_crb():
     # operating point of the verification study; agreement measured on the
     # root-bound (standard deviation) scale
     p = HwiParams(eps=0.05, phi=math.radians(3.0))
-    crb_c = crb_report(fim_closed_form(moments(QPSK), p, N_KNOWN, 100.0)).crb
+    crb_c = crb_report(fim_closed_form(moments(QPSK.points), p, N_KNOWN, 100.0)).crb
     crb_n = crb_report(fim_numerical(QPSK, p, N_KNOWN, 100.0)).crb
     err = np.abs(np.sqrt(crb_c) - np.sqrt(crb_n)) / np.sqrt(crb_n)
     ok = err[0] <= 0.06 and err[1] <= 0.10
     # space-grade impairments: both IQ parameters scaled down
     p2 = HwiParams(eps=0.001, phi=math.radians(0.06))
-    crb_c2 = crb_report(fim_closed_form(moments(QPSK), p2, N_KNOWN, 100.0)).crb
+    crb_c2 = crb_report(fim_closed_form(moments(QPSK.points), p2, N_KNOWN, 100.0)).crb
     crb_n2 = crb_report(fim_numerical(QPSK, p2, N_KNOWN, 100.0)).crb
     err2 = np.abs(np.sqrt(crb_c2) - np.sqrt(crb_n2)) / np.sqrt(crb_n2)
     ok = ok and np.max(err2) <= 0.005
@@ -84,7 +84,7 @@ def test_criterion_2_coupling_values():
     """PA-IQ coupling coefficient at the small-impairment limit."""
     t0 = time.time()
     tiny = HwiParams(eps=1e-9, phi=1e-9)
-    rho_analytic = coupling_rho(fim_closed_form(moments(QPSK), tiny, N_KNOWN, 100.0),
+    rho_analytic = coupling_rho(fim_closed_form(moments(QPSK.points), tiny, N_KNOWN, 100.0),
                                 "eps", "re_alpha3")
     rho_numeric = coupling_rho(fim_numerical(QPSK, tiny, N_KNOWN, 100.0),
                                "eps", "re_alpha3")
@@ -112,7 +112,7 @@ def test_criterion_3_coupling_inflation_constant():
     values = []
     for n in (32, 76, 256):
         for snr_db in (10.0, 20.0, 30.0):
-            f = fim_closed_form(moments(QPSK), tiny, n, 10 ** (snr_db / 10))
+            f = fim_closed_form(moments(QPSK.points), tiny, n, 10 ** (snr_db / 10))
             values.append(coupling_inflation(f, "eps"))
     values = np.asarray(values)
     drift = np.max(np.abs(values - values[0]))

@@ -110,6 +110,10 @@ def test_accumulate_errors():
         accumulate(np.ones((2, N_FEAT)), [-math.inf, -math.inf])
     with pytest.raises(ValueError, match="bursts x features"):
         accumulate(np.ones(N_FEAT), np.full(N_FEAT, 10.0))
+    # an SNR with no finite linear weight > 0 names itself, not a numpy warning
+    for bad in (math.inf, 4000.0, math.nan):
+        with pytest.raises(ConfigError, match="snrs_db"):
+            accumulate(np.ones((2, N_FEAT)), [10.0, bad])
 
 
 def test_balanced_dr_identical_feature_is_zero():

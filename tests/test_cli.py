@@ -21,12 +21,23 @@ def run(args):
     return main([str(a) for a in args])
 
 
-def test_moments_stdout(capsys):
-    assert run(["moments", "qpsk"]) == EXIT_OK
-    out = capsys.readouterr().out.strip().splitlines()
-    row = dict(zip(out[0].split(","), out[1].split(",")))
-    assert float(row["beta"]) == 1.0
-    assert int(row["rank"]) == 4
+# the summary line of each built-in alphabet, to the printed digit
+_MOMENT_LINES = {
+    "bpsk": "bpsk,2,1,0,0,1,1,2",
+    "sdpsk": "sdpsk,2,1,0,0,1,1,2",
+    "qpsk": "qpsk,4,2.23711431708e-17,0,1,1,1,4",
+    "dqpsk": "dqpsk,4,2.23711431708e-17,0,1,1,1,4",
+    "8psk": "8psk,8,-5.55111512313e-17,2.77555756156e-17,1,1,1,4",
+    "16qam": "16qam,16,0,0,1,1.32,1.96,4",
+    "64qam": "64qam,64,-2.77555756156e-17,-2.25514051877e-17,1,1.38095238095,2.22578555232,4",
+}
+
+
+@pytest.mark.parametrize("kind", list(_MOMENT_LINES))
+def test_moments_stdout(kind, capsys):
+    assert run(["moments", kind]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["constellation,size,mu20_re,mu20_im,beta,mu4,mu6,rank", _MOMENT_LINES[kind]]
 
 
 def test_moments_bpsk_rank(tmp_path):

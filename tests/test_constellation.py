@@ -6,7 +6,6 @@ import pytest
 
 from rfident.constellation import (
     InvalidConstellationError,
-    beta_vanishes,
     directional_sensitivities,
     load_constellation_json,
     make_constellation,
@@ -61,7 +60,7 @@ def test_moments_table_values():
         "64qam": (0.0, 1.0, 2436.0 / 1764.0, 164904.0 / 74088.0),
     }
     for kind, (mu20, beta, mu4, mu6) in expect.items():
-        m = moments(make_constellation(kind))
+        m = moments(make_constellation(kind).points)
         assert abs(m.mu20 - mu20) < 1e-12, kind
         assert abs(m.beta - beta) < 1e-12, kind
         assert abs(m.mu4 - mu4) < 5e-3, kind
@@ -75,20 +74,21 @@ def test_moments_table_values():
 def test_predicted_rank_matches_beta():
     for kind in ALL_KINDS:
         c = make_constellation(kind)
-        m = moments(c)
+        m = moments(c.points)
         assert predicted_fim_rank(m) == (2 if kind in ("bpsk", "sdpsk") else 4)
         # the per-symbol rule agrees, and ignores scale and symbol order
-        assert beta_vanishes(c.points) == (kind in ("bpsk", "sdpsk"))
-        assert beta_vanishes(3.0 * c.points[::-1]) == (kind in ("bpsk", "sdpsk"))
+        assert predicted_fim_rank(moments(c.points)) == (2 if kind in ("bpsk", "sdpsk") else 4)
+        assert predicted_fim_rank(moments(3.0 * c.points[::-1])) == (
+            2 if kind in ("bpsk", "sdpsk") else 4)
     x = np.array([[1, -1, 1, 1], [1, 1j, -1, -1j], [0, 0, 0, 0], [2j, -1j, 0, 1j]])
-    assert beta_vanishes(x).tolist() == [True, False, False, True]
+    assert predicted_fim_rank(moments(x)).tolist() == [2, 4, 4, 2]
 
 
 def test_moments_brute_force_self_oracle():
     pts = [0.3 + 1j, -1.2 + 0.4j, 2.0 - 0.5j, -0.1 - 1.1j, 0.9 + 0.2j]
     c = make_constellation("custom", points=pts)
     x = c.points
-    m = moments(c)
+    m = moments(c.points)
     assert m.mu20 == pytest.approx(complex(np.mean(x**2)), abs=1e-15)
     assert m.mu4 == pytest.approx(float(np.mean(np.abs(x) ** 4)), abs=1e-15)
     assert m.mu6 == pytest.approx(float(np.mean(np.abs(x) ** 6)), abs=1e-15)
@@ -142,7 +142,7 @@ def test_json_loader(tmp_path):
 
 
 def test_directional_sensitivities_circular():
-    m = moments(make_constellation("qpsk"))
+    m = moments(make_constellation("qpsk").points)
     for phi in (0.0, 0.03, -0.2):
         ds = directional_sensitivities(m, 0.0, phi)
         assert ds.beta_eps == pytest.approx(0.5, abs=1e-12)
@@ -151,7 +151,7 @@ def test_directional_sensitivities_circular():
 
 
 def test_directional_sensitivities_bpsk():
-    m = moments(make_constellation("bpsk"))
+    m = moments(make_constellation("bpsk").points)
     ds = directional_sensitivities(m, 0.0, 0.0)
     assert ds.beta_eps == pytest.approx(0.0, abs=1e-12)
     assert ds.beta_phi == pytest.approx(1.0, abs=1e-12)
@@ -166,7 +166,7 @@ def test_directional_sensitivities_bpsk():
 def test_directional_sensitivities_sum_to_one():
     rng = np.random.default_rng(0)
     for kind in ALL_KINDS:
-        m = moments(make_constellation(kind))
+        m = moments(make_constellation(kind).points)
         for _ in range(20):
             eps, phi = rng.normal(0, 0.1, 2)
             ds = directional_sensitivities(m, eps, phi)

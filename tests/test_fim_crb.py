@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import subspace_angles
 
 from rfident.constellation import make_constellation, moments, predicted_fim_rank
@@ -26,7 +26,7 @@ from rfident.fim_crb import (
     qfunc,
     subblock_eigenvalue_ratio,
 )
-from rfident.signal_model import HwiParams, apply_hwi, bpsk_collapse
+from rfident.signal_model import HwiParams, apply_hwi, bpsk_collapse, iridium_known_symbols
 
 QPSK = make_constellation("qpsk")
 BPSK = make_constellation("bpsk")
@@ -37,7 +37,7 @@ MC_TRUTH = HwiParams(eps=0.03, phi=math.radians(2.0), alpha3=0.02 + 0.01j)
 
 
 def test_closed_form_qpsk_small_impairment_blocks():
-    f = fim_closed_form(moments(QPSK), HwiParams(), N, GAMMA)
+    f = fim_closed_form(moments(QPSK.points), HwiParams(), N, GAMMA)
     m = f.matrix / (2 * N * GAMMA)
     assert np.allclose(m[:2, :2], 0.5 * np.eye(2), atol=1e-14)
     assert np.allclose(m[2:, 2:], np.eye(2), atol=1e-14)
@@ -45,18 +45,18 @@ def test_closed_form_qpsk_small_impairment_blocks():
 
 
 def test_closed_form_bpsk_gain_entry_vanishes_at_phi_zero():
-    f = fim_closed_form(moments(BPSK), HwiParams(eps=0.05, phi=0.0), N, GAMMA)
+    f = fim_closed_form(moments(BPSK.points), HwiParams(eps=0.05, phi=0.0), N, GAMMA)
     assert f.matrix[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_closed_form_qam16_pa_block():
-    f = fim_closed_form(moments(QAM16), HwiParams(), N, GAMMA)
+    f = fim_closed_form(moments(QAM16.points), HwiParams(), N, GAMMA)
     assert f.matrix[2, 2] == pytest.approx(2 * N * GAMMA * 1.96, rel=1e-12)
     assert f.matrix[3, 3] == pytest.approx(2 * N * GAMMA * 1.96, rel=1e-12)
 
 
 def test_numerical_equals_closed_at_zero_qpsk():
-    f_c = fim_closed_form(moments(QPSK), HwiParams(), N, GAMMA)
+    f_c = fim_closed_form(moments(QPSK.points), HwiParams(), N, GAMMA)
     f_n = fim_numerical(QPSK, HwiParams(), N, GAMMA)
     assert np.max(np.abs(f_c.matrix - f_n.matrix)) < 1e-6 * np.max(np.abs(f_n.matrix))
 
@@ -113,14 +113,14 @@ def test_closed_vs_moment_small_theta_all_table_constellations():
     p = HwiParams(eps=1e-3, phi=1e-3, alpha3=5e-4 + 5e-4j)
     for kind in ("bpsk", "sdpsk", "qpsk", "dqpsk", "8psk", "16qam", "64qam"):
         c = make_constellation(kind)
-        f_c = fim_closed_form(moments(c), p, N, GAMMA)
+        f_c = fim_closed_form(moments(c.points), p, N, GAMMA)
         f_n = fim_numerical(c, p, N, GAMMA)
         rel = np.linalg.norm(f_c.matrix - f_n.matrix) / np.linalg.norm(f_n.matrix)
         assert rel < 0.01, (kind, rel)
 
 
 def test_closed_form_bpsk_is_exact_collapse():
-    f_c = fim_closed_form(moments(BPSK), MC_TRUTH, N, GAMMA)
+    f_c = fim_closed_form(moments(BPSK.points), MC_TRUTH, N, GAMMA)
     f_n = fim_numerical(BPSK, MC_TRUTH, N, GAMMA)
     assert np.max(np.abs(f_c.matrix - f_n.matrix)) < 1e-10 * np.max(np.abs(f_n.matrix))
 
@@ -129,17 +129,51 @@ def test_closed_form_rank_follows_the_beta_rule():
     # beta = 2e-10: below the rank tolerance, so the rank-2 collapse applies
     # (the generic block formula is not PSD here)
     c = make_constellation("custom", points=[1, -1, 1e-5j])
-    m = moments(c)
+    m = moments(c.points)
     assert 0.0 < m.beta < 1e-9
     rank = crb_report(fim_closed_form(m, MC_TRUTH, N, GAMMA)).rank
     assert rank == predicted_fim_rank(m) == crb_report(fim_numerical(c, MC_TRUTH, N, GAMMA)).rank
     assert rank == 2
 
 
+# stacks of constant-modulus sample vectors: one to three rows of one length,
+# from one PSK alphabet, each row turned and scaled at random. A row holds
+# symbols of one line through the origin and a few (or all) symbols anywhere,
+# so beta spans 0, small and large values. Multi-level real vectors are left
+# out: the beta rule reads 4-PAM as rank 2, but its samples give rank 3,
+# because a varying modulus separates the IQ gain from alpha3.
+@st.composite
+def _psk_rows(draw):
+    pts = make_constellation(draw(st.sampled_from(["bpsk", "qpsk", "8psk"]))).points
+    n = draw(st.integers(1, 76))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, pts.size // 2 - 1))
+        free = min(n, draw(st.sampled_from([0, 1, 2, 3, n])))
+        idx = (draw(st.lists(st.sampled_from([k, k + pts.size // 2]), min_size=n - free,
+                             max_size=n - free))
+               + draw(st.lists(st.integers(0, pts.size - 1), min_size=free, max_size=free)))
+        turn = cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+        rows.append(draw(st.floats(0.5, 2.0)) * turn * pts[idx])
+    return np.array(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_psk_rows(), gamma=st.sampled_from([1.0, 100.0, 1e4]))
+@example(x=iridium_known_symbols()[None], gamma=1.0)
+@example(x=iridium_known_symbols()[None], gamma=100.0)
+@example(x=iridium_known_symbols()[None], gamma=1e4)
+def test_predicted_rank_is_the_rank_of_constant_modulus_samples(x, gamma):
+    ranks = [crb_report(fim_samples(row, MC_TRUTH, gamma)).rank for row in x]
+    assert [predicted_fim_rank(moments(row)) for row in x] == ranks
+    # a stack's ranks are its rows' own ranks
+    assert predicted_fim_rank(moments(x)).tolist() == ranks
+
+
 def test_closed_form_beta_zero_is_the_sample_route_at_x0():
     line = make_constellation("custom", points=[cmath.exp(0.3j), -cmath.exp(0.3j)])
     for c in (BPSK, make_constellation("sdpsk"), line):
-        m = moments(c)
+        m = moments(c.points)
         for g in (1.0, 100.0, 1e4):
             f_c = fim_closed_form(m, MC_TRUTH, N, g)
             assert np.array_equal(f_c.matrix, fim_samples(np.sqrt(m.mu20), MC_TRUTH, N * g).matrix)
@@ -149,7 +183,7 @@ def test_closed_form_rotated_line_is_exact_collapse():
     # any line through the origin: the collapse at x0 = sqrt(mu20)
     for theta in (0.3, math.pi / 2, 2.5):
         c = make_constellation("custom", points=[cmath.exp(1j * theta), -cmath.exp(1j * theta)])
-        f_c = fim_closed_form(moments(c), MC_TRUTH, N, GAMMA)
+        f_c = fim_closed_form(moments(c.points), MC_TRUTH, N, GAMMA)
         f_n = fim_numerical(c, MC_TRUTH, N, GAMMA)
         assert np.max(np.abs(f_c.matrix - f_n.matrix)) < 1e-10 * np.max(np.abs(f_n.matrix))
 
@@ -159,7 +193,7 @@ def test_scaling_law_in_n_and_gamma():
     values = []
     for n in (32, 76, 256):
         for gamma in (10.0, 100.0, 1000.0):
-            f = fim_closed_form(moments(QPSK), HwiParams(), n, gamma)
+            f = fim_closed_form(moments(QPSK.points), HwiParams(), n, gamma)
             values.append(crb_report(f).crb[0] * n * gamma)
     values = np.asarray(values)
     assert np.max(np.abs(values - values[0])) < 1e-9 * values[0]
@@ -170,7 +204,7 @@ def test_det_jiq_vanishes_when_beta_zero():
     # is proportional to beta, so it vanishes for real alphabets
     for phid in np.linspace(0.0, 10.0, 11):
         p = HwiParams(eps=0.02, phi=math.radians(phid))
-        f = fim_closed_form(moments(BPSK), p, N, GAMMA)
+        f = fim_closed_form(moments(BPSK.points), p, N, GAMMA)
         sub = f.matrix[:2, :2] / (2 * N * GAMMA)
         assert abs(np.linalg.det(sub)) < 1e-10
 
@@ -185,7 +219,7 @@ def test_qfunc_properties():
 
 
 def test_crb_report_full_rank_qpsk():
-    f = fim_closed_form(moments(QPSK), HwiParams(), N, GAMMA)
+    f = fim_closed_form(moments(QPSK.points), HwiParams(), N, GAMMA)
     rep = crb_report(f)
     assert rep.rank == 4
     assert np.all(rep.identifiable)
@@ -214,9 +248,9 @@ def test_bpsk_subblock_eigenvalue_ratio():
 
 
 def test_coupling_rho_values():
-    f = fim_closed_form(moments(QPSK), HwiParams(), N, GAMMA)
+    f = fim_closed_form(moments(QPSK.points), HwiParams(), N, GAMMA)
     assert coupling_rho(f, "eps", "re_alpha3") == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-    f16 = fim_closed_form(moments(QAM16), HwiParams(), N, GAMMA)
+    f16 = fim_closed_form(moments(QAM16.points), HwiParams(), N, GAMMA)
     assert coupling_rho(f16, "eps", "re_alpha3") == pytest.approx(1.32 / math.sqrt(2 * 1.96), abs=1e-12)
     # exact numerical value at the operating point of the heat-map figure
     f_op = fim_numerical(QPSK, HwiParams(eps=0.05, phi=math.radians(3.0)), N, GAMMA)
@@ -224,18 +258,18 @@ def test_coupling_rho_values():
 
 
 def test_coupling_rho_zero_diagonal_errors():
-    f = fim_closed_form(moments(BPSK), HwiParams(), N, GAMMA)
+    f = fim_closed_form(moments(BPSK.points), HwiParams(), N, GAMMA)
     with pytest.raises(UndefinedCouplingError):
         coupling_rho(f, "eps", "re_alpha3")
 
 
 def test_coupling_inflation():
-    f = fim_closed_form(moments(QPSK), HwiParams(), N, GAMMA)
+    f = fim_closed_form(moments(QPSK.points), HwiParams(), N, GAMMA)
     assert coupling_inflation(f, "eps") == pytest.approx(2.0, abs=1e-12)
     diag = Fim(np.diag([1.0, 2.0, 3.0, 4.0]))
     assert coupling_inflation(diag, 2) == pytest.approx(1.0, abs=1e-15)
     # direct 4x4 inversion oracle for 16-QAM
-    f16 = fim_closed_form(moments(QAM16), HwiParams(), N, GAMMA)
+    f16 = fim_closed_form(moments(QAM16.points), HwiParams(), N, GAMMA)
     oracle = np.linalg.inv(f16.matrix)[0, 0] * f16.matrix[0, 0]
     assert coupling_inflation(f16, "eps") == pytest.approx(oracle, rel=1e-12)
     with pytest.raises(RankDeficientError):
@@ -298,7 +332,7 @@ def test_marginalized_bpsk_is_exactly_zero():
 
 
 def test_discrimination_basics():
-    f = fim_closed_form(moments(QPSK), HwiParams(), N, GAMMA)
+    f = fim_closed_form(moments(QPSK.points), HwiParams(), N, GAMMA)
     same = discrimination(MC_TRUTH, MC_TRUTH, f)
     assert same.d_squared == 0.0
     assert same.pe_star == pytest.approx(0.5)
@@ -311,7 +345,7 @@ def test_discrimination_basics():
 
 def test_discrimination_pe_at_d_two():
     # force d = 2 by scaling the difference along an eigenvector
-    f = fim_closed_form(moments(QPSK), HwiParams(), N, GAMMA)
+    f = fim_closed_form(moments(QPSK.points), HwiParams(), N, GAMMA)
     eigval, eigvec = np.linalg.eigh(f.matrix)
     v = eigvec[:, -1] * (2.0 / math.sqrt(eigval[-1]))
     res = discrimination(HwiParams.from_vector(v), HwiParams(), f)
@@ -333,7 +367,7 @@ def test_discrimination_null_direction_bpsk():
 
 def test_pe_star_map_simulation():
     # two-satellite MAP test on Gaussian estimates with covariance J^-1
-    f = fim_closed_form(moments(QPSK), HwiParams(), N, GAMMA)
+    f = fim_closed_form(moments(QPSK.points), HwiParams(), N, GAMMA)
     cov = np.linalg.inv(f.matrix)
     rng = np.random.default_rng(12)
     a = HwiParams(eps=0.03, phi=0.02, alpha3=0.02 + 0.01j)
@@ -351,7 +385,7 @@ def test_pe_star_map_simulation():
 
 
 def test_pa_subblock_crb():
-    f = fim_closed_form(moments(BPSK), MC_TRUTH, N, GAMMA)
+    f = fim_closed_form(moments(BPSK.points), MC_TRUTH, N, GAMMA)
     vals = pa_subblock_crb(f)
     oracle = np.diag(np.linalg.inv(f.matrix[2:, 2:]))
     assert np.allclose(vals, oracle, rtol=1e-12)
