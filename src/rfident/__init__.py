@@ -28,10 +28,8 @@ from .signal_model import (
     iridium_known_symbols,
     random_known_symbols,
     read_burst_binary,
-    read_burst_json,
     synthesize_burst,
     write_burst_binary,
-    write_burst_json,
 )
 from .fim_crb import (
     CrbReport,

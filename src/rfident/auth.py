@@ -86,6 +86,7 @@ def accumulate(features, snrs_db) -> np.ndarray:
         raise ValueError("features must be a non-empty (bursts x features) array with one "
                          "snr per row")
     w = np.array([_db_to_linear(s, "snrs_db") for s in snrs_db])
+    w /= w.max()  # finite weights can overflow in their sum, their ratios cannot
     return (w[:, None] * x).sum(axis=0) / float(np.sum(w))
 
 

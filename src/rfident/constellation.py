@@ -178,8 +178,10 @@ def load_constellation_json(path) -> Constellation:
 def moments(x) -> Moments:
     """Moments of the samples x at unit power, along the last axis: an
     alphabet passes its ``points``, a stack of rows gives one value per row.
-    A row without power has nan moments."""
+    A row without power has nan moments; an empty row raises ``ValueError``."""
     x = np.asarray(x, dtype=complex)
+    if x.shape[-1] == 0:
+        raise ValueError(f"moments need at least one sample per row, got shape {x.shape}")
     # powers in place: a fresh temporary per power doubles the cost on a block
     a2 = np.abs(x)
     a2 *= a2

@@ -30,8 +30,9 @@ N_PREAMBLE = 64
 N_UW = 12
 
 
-class BurstError(ValueError):
-    """Raised for empty or inconsistent burst inputs."""
+class BurstError(ConfigError):
+    """Raised for empty or inconsistent burst inputs and malformed burst
+    files."""
 
 
 @dataclass(frozen=True)
@@ -478,8 +479,7 @@ def generate_fleet(n_sats: int, spread: FleetSpread | None = None, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# File output: atomic text and CSV writers, burst interchange in JSON and
-# packed binary.
+# File I/O: atomic text and CSV writers, and the packed binary burst format.
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -505,17 +505,6 @@ def write_csv_atomic(path, header, rows, lineterminator: str = "\r\n") -> None:
     w.writerow(header)
     w.writerows(rows)
     write_text_atomic(path, buf.getvalue())
-
-
-def _burst_header(b: Burst) -> dict:
-    truth = b.meta.truth
-    return {
-        "satellite_id": b.meta.satellite_id,
-        "n": b.n,
-        "snr_db": b.meta.channel.snr_db,
-        "modulation": b.meta.modulation,
-        "truth": None if truth is None else truth.as_json(),
-    }
 
 
 def _header_float(v, what: str, path) -> float:
@@ -559,88 +548,59 @@ def _burst_from_parts(hdr: dict, samples: np.ndarray, known: np.ndarray | None,
         meta = BurstMeta(satellite_id=hdr.get("satellite_id", ""), truth=truth,
                          channel=ChannelConfig(snr_db=snr_db), modulation=modulation)
         return Burst(samples=samples, known_symbols=known, meta=meta)
-    except (BurstError, ConfigError) as exc:
+    except ConfigError as exc:
         raise BurstError(f"{path}: {exc}") from None
 
 
-def _parse_json(raw: bytes, path, what: str):
-    try:
-        return json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError too
-        raise BurstError(f"{path}: malformed {what}: {exc}") from None
-
-
-def write_burst_json(b: Burst, path) -> None:
-    payload = _burst_header(b)
-    payload["samples"] = [[z.real, z.imag] for z in b.samples]
-    payload["known_symbols"] = [[z.real, z.imag] for z in b.known_symbols]
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def read_burst_json(path) -> Burst:
-    """Read a burst written by ``write_burst_json``; malformed content raises
-    ``BurstError``."""
-    with open(path, "rb") as fh:
-        payload = _parse_json(fh.read(), path, "JSON")
-    if not isinstance(payload, dict):
-        raise BurstError(f"{path}: need a JSON object")
-
-    def pairs(key):
-        x = _json_pairs(payload.get(key))
-        if x is None:
-            raise BurstError(f"{path}: {key} must be a JSON array of [re, im] number pairs")
-        return x
-
-    samples = pairs("samples")
-    known = pairs("known_symbols") if "known_symbols" in payload else None
-    return _burst_from_parts(payload, samples, known, path)
-
-
 def write_burst_binary(b: Burst, path) -> None:
-    """Length-prefixed JSON header, then N little-endian float64 (re, im) pairs."""
-    hdr = _burst_header(b)
-    hdr["has_known_symbols"] = True
-    raw = json.dumps(hdr).encode("utf-8")
+    """Length-prefixed JSON header, then N little-endian float64 (re, im)
+    pairs of samples and N of known symbols."""
+    truth = b.meta.truth
+    raw = json.dumps({
+        "satellite_id": b.meta.satellite_id,
+        "n": b.n,
+        "snr_db": b.meta.channel.snr_db,
+        "modulation": b.meta.modulation,
+        "truth": None if truth is None else truth.as_json(),
+        "has_known_symbols": True,
+    }).encode("utf-8")
+    body = np.concatenate([b.samples, b.known_symbols]).astype("<c16").tobytes()
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(raw)))
-        fh.write(raw)
-        inter = np.empty(2 * b.n)
-        inter[0::2] = b.samples.real
-        inter[1::2] = b.samples.imag
-        fh.write(inter.astype("<f8").tobytes())
-        inter[0::2] = b.known_symbols.real
-        inter[1::2] = b.known_symbols.imag
-        fh.write(inter.astype("<f8").tobytes())
-
-
-def _read_complex(fh, n: int, what: str, path) -> np.ndarray:
-    raw = fh.read(16 * n)
-    if len(raw) != 16 * n:
-        raise BurstError(f"{path}: the header says n = {n} but the file holds {len(raw) // 16} "
-                         f"{what} ({len(raw)} of {16 * n} bytes); truncated file?")
-    # read as complex pairs: rebuilding re + 1j * im would turn -0.0 into 0.0
-    return np.frombuffer(raw, dtype="<c16")
+        fh.write(struct.pack("<I", len(raw)) + raw + body)
 
 
 def read_burst_binary(path) -> Burst:
     """Read a burst written by ``write_burst_binary``; a malformed header or
     a truncated file raises ``BurstError``."""
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-        if len(head) != 4:
-            raise BurstError(f"{path}: {len(head)} bytes, too short for the header length")
-        (hlen,) = struct.unpack("<I", head)
-        raw = fh.read(hlen)
-        if len(raw) != hlen:
-            raise BurstError(f"{path}: the header length says {hlen} bytes but the file "
-                             f"holds {len(raw)}")
-        hdr = _parse_json(raw, path, "header")
-        n = hdr.get("n") if isinstance(hdr, dict) else None
-        if type(n) is not int or n < 0:
-            raise BurstError(f"{path}: the header needs an integer n >= 0, got {n!r}")
-        samples = _read_complex(fh, n, "samples", path)
-        known = None
-        if hdr.get("has_known_symbols"):
-            known = _read_complex(fh, n, "known symbols", path)
+    # one unbuffered read sized by the file, never by the counts in its header
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read()
+    if len(data) < 4:
+        raise BurstError(f"{path}: {len(data)} bytes, too short for the header length")
+    (hlen,) = struct.unpack_from("<I", data)
+    raw = data[4:4 + hlen]
+    if len(raw) != hlen:
+        raise BurstError(f"{path}: the header length says {hlen} bytes but the file "
+                         f"holds {len(raw)}")
+    try:
+        hdr = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError too
+        raise BurstError(f"{path}: malformed header: {exc}") from None
+    n = hdr.get("n") if isinstance(hdr, dict) else None
+    if type(n) is not int or n < 0:
+        raise BurstError(f"{path}: the header needs an integer n >= 0, got {n!r}")
+
+    def pairs(k: int, what: str) -> np.ndarray:
+        """The k-th run of n (re, im) pairs after the header."""
+        start = 4 + hlen + 16 * n * k
+        chunk = data[start:start + 16 * n]
+        if len(chunk) != 16 * n:
+            raise BurstError(f"{path}: the header says n = {n} but the file holds "
+                             f"{len(chunk) // 16} {what} ({len(chunk)} of {16 * n} bytes); "
+                             "truncated file?")
+        # read as complex pairs: rebuilding re + 1j * im would turn -0.0 into 0.0
+        return np.frombuffer(chunk, dtype="<c16")
+
+    samples = pairs(0, "samples")
+    known = pairs(1, "known symbols") if hdr.get("has_known_symbols") else None
     return _burst_from_parts(hdr, samples, known, path)

@@ -116,6 +116,11 @@ def test_accumulate_errors():
             accumulate(np.ones((2, N_FEAT)), [10.0, bad])
 
 
+def test_accumulate_weights_whose_sum_overflows():
+    # each 3080 dB weight is finite (~1e308); their sum is not
+    assert accumulate(np.ones((2, 3)), [3080.0, 3080.0]).tolist() == [1.0, 1.0, 1.0]
+
+
 def test_balanced_dr_identical_feature_is_zero():
     rng = np.random.default_rng(2)
     ids = np.repeat([f"S{i}" for i in range(4)], 40)

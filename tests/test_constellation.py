@@ -84,6 +84,12 @@ def test_predicted_rank_matches_beta():
     assert predicted_fim_rank(moments(x)).tolist() == [2, 4, 4, 2]
 
 
+@pytest.mark.parametrize("shape", [(0,), (3, 0)])
+def test_moments_need_a_sample(shape):
+    with pytest.raises(ValueError, match="at least one sample"):
+        moments(np.zeros(shape, dtype=complex))
+
+
 def test_moments_brute_force_self_oracle():
     pts = [0.3 + 1j, -1.2 + 0.4j, 2.0 - 0.5j, -0.1 - 1.1j, 0.9 + 0.2j]
     c = make_constellation("custom", points=pts)

@@ -18,9 +18,9 @@ from rfident.signal_model import (
     bpsk_collapse,
     iridium_known_symbols,
     random_known_symbols,
-    read_burst_json,
+    read_burst_binary,
     synthesize_burst,
-    write_burst_json,
+    write_burst_binary,
 )
 
 TRUTH = HwiParams(eps=0.03, phi=math.radians(2.0), alpha3=0.02 + 0.01j)
@@ -74,10 +74,10 @@ def test_default_start_is_the_truth_or_the_zero_fingerprint(tmp_path):
     # without init the fit starts at meta.truth; a burst read from a file
     # that records no truth starts at HwiParams()
     b = _noise_free_burst()
-    path = tmp_path / "burst.json"
-    write_burst_json(Burst(samples=b.samples, known_symbols=b.known_symbols,
-                           meta=replace(b.meta, truth=None)), path)
-    recorded = read_burst_json(path)
+    path = tmp_path / "burst.bin"
+    write_burst_binary(Burst(samples=b.samples, known_symbols=b.known_symbols,
+                             meta=replace(b.meta, truth=None)), path)
+    recorded = read_burst_binary(path)
     assert recorded.meta.truth is None
     for burst, start in ((b, TRUTH), (recorded, HwiParams())):
         est, status = nls_estimate(burst, b.meta.channel.h)
