@@ -503,7 +503,7 @@ def simulate_campaign(
         samples = _synthesize_rows(x, p, ch, cfo, h, noise)
         blocks.append(_extract_stack(samples, x, first=len(ids))[0])
         ids += [sat or "unknown"] * n_bursts
-    return _table(ids, [cfg.snr_db if cfg.snr_db is not None else math.inf] * len(ids), blocks)
+    return _table(ids, [cfg.snr_db] * len(ids), blocks)
 
 
 def _grouped_means(ids, matrix: np.ndarray, start: int = 0, stop: int | None = None,
@@ -617,15 +617,15 @@ def feature_table_from_bursts(bursts, pipeline: PipelineConfig | None = None) ->
     stream = iter(bursts)
     while block := list(itertools.islice(stream, _BLOCK)):
         blocks.append(_extract_bursts(block, n_known, first=len(ids))[0])
-        for b in block:
-            ids.append(b.meta.satellite_id or "unknown")
-            snrs.append(b.meta.channel.snr_db if b.meta.channel.snr_db is not None else math.inf)
+        ids += [b.meta.satellite_id or "unknown" for b in block]
+        snrs += [b.meta.channel.snr_db for b in block]
     return _table(ids, snrs, blocks)
 
 
 def _table(ids: list, snrs: list, blocks: list) -> FeatureTable:
-    """The table of per-burst satellite ids, SNRs and feature blocks, with
-    each satellite's bursts numbered in arrival order."""
+    """The table of per-burst satellite ids, SNRs (None, noise-free, reads
+    as inf) and feature blocks, with each satellite's bursts numbered in
+    arrival order."""
     counters: dict = {}
     idxs = []
     for sat in ids:
@@ -634,6 +634,6 @@ def _table(ids: list, snrs: list, blocks: list) -> FeatureTable:
     return FeatureTable(
         satellite_ids=np.asarray(ids),
         burst_index=np.asarray(idxs),
-        snr_db=np.asarray(snrs, dtype=float),
+        snr_db=np.array([math.inf if s is None else s for s in snrs], dtype=float),
         matrix=np.concatenate(blocks) if blocks else np.empty((0, len(FEATURE_NAMES))),
     )

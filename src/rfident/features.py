@@ -258,13 +258,17 @@ def _extract_bursts(bursts, n_known: int, first: int = 0) -> tuple[np.ndarray, n
     """``_extract_stack`` over the first n_known samples of a list of
     bursts; a burst shorter than n_known fails its length check."""
     lengths = np.array([b.n for b in bursts])
-    samples = np.zeros((len(bursts), n_known), dtype=complex)
-    known = np.zeros_like(samples)
-    for i, b in enumerate(bursts):
-        if lengths[i] >= n_known:
-            samples[i] = b.samples[:n_known]
-            known[i] = b.known_symbols[:n_known]
-    return _extract_stack(samples, known, first, lengths)
+    # one concatenation per array; a burst shorter than n_known gives a row
+    # of zeros, and fails its length check
+    full = (lengths >= n_known).tolist()
+    zeros = np.zeros(n_known, dtype=complex)
+
+    def block(arrays) -> np.ndarray:
+        rows = [a[:n_known] if f else zeros for a, f in zip(arrays, full)]
+        return np.concatenate(rows).reshape(len(full), n_known)
+
+    return _extract_stack(block(b.samples for b in bursts),
+                          block(b.known_symbols for b in bursts), first, lengths)
 
 
 def _extract_stack(samples: np.ndarray, known: np.ndarray, first: int = 0,

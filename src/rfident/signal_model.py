@@ -9,6 +9,7 @@ reproducible for a fixed seed.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -197,6 +198,9 @@ class BurstMeta:
     h_realized: complex = 1.0 + 0.0j
 
 
+_EMPTY_BURST = "samples and known_symbols must have equal length >= 1"
+
+
 @dataclass(frozen=True)
 class Burst:
     """One transmission's known-symbol segment at symbol rate."""
@@ -208,12 +212,20 @@ class Burst:
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=complex)
         x = np.asarray(self.known_symbols, dtype=complex)
-        s.flags.writeable = False
-        x.flags.writeable = False
-        object.__setattr__(self, "samples", s)
-        object.__setattr__(self, "known_symbols", x)
+        if s.ndim != 1 or x.ndim != 1:
+            raise BurstError(f"samples and known_symbols must be 1-D, got shapes "
+                             f"{s.shape} and {x.shape}")
         if s.size < 1 or s.size != x.size:
-            raise BurstError("samples and known_symbols must have equal length >= 1")
+            raise BurstError(_EMPTY_BURST)
+        # the file reader passes read-only complex arrays: nothing to set
+        if s.flags.writeable:
+            s.flags.writeable = False
+        if x.flags.writeable:
+            x.flags.writeable = False
+        if s is not self.samples:
+            object.__setattr__(self, "samples", s)
+        if x is not self.known_symbols:
+            object.__setattr__(self, "known_symbols", x)
 
     @property
     def n(self) -> int:
@@ -507,49 +519,81 @@ def write_csv_atomic(path, header, rows, lineterminator: str = "\r\n") -> None:
     write_text_atomic(path, buf.getvalue())
 
 
-def _header_float(v, what: str, path) -> float:
+def _header_float(v, what: str) -> float:
     """A header number as a float; an integer beyond float range fails."""
     try:
         return float(v)
     except OverflowError:
-        raise BurstError(f"{path}: {what} is an integer too large for a float") from None
+        raise BurstError(f"{what} is an integer too large for a float") from None
 
 
-def _burst_from_parts(hdr: dict, samples: np.ndarray, known: np.ndarray | None,
-                      path) -> Burst:
+def _header_meta(hdr: dict, n: int, has_known: bool) -> tuple:
+    """The semantic checks of a parsed burst header, in the order the reader
+    has always made them: the burst's ``BurstMeta`` and, for a file without
+    known symbols, the read-only Iridium pilots its modulation implies (else
+    None). ``ConfigError`` for a header that describes no valid burst."""
     t, snr_db = hdr.get("truth"), hdr.get("snr_db")
     truth = None
     if t is not None:
         alpha3 = _json_pairs([t.get("alpha3")]) if isinstance(t, dict) else None
         if alpha3 is None or not all(type(t.get(k)) in (int, float) for k in ("eps", "phi")):
-            raise BurstError(f"{path}: truth must be null or hold numbers eps and phi and "
+            raise BurstError("truth must be null or hold numbers eps and phi and "
                              f"an [re, im] number pair alpha3, got {t!r}")
-        truth = HwiParams(eps=_header_float(t["eps"], "truth.eps", path),
-                          phi=_header_float(t["phi"], "truth.phi", path),
+        truth = HwiParams(eps=_header_float(t["eps"], "truth.eps"),
+                          phi=_header_float(t["phi"], "truth.phi"),
                           alpha3=complex(alpha3[0]))
         if not np.all(np.isfinite(truth.as_vector())):
-            raise BurstError(f"{path}: truth eps, phi and alpha3 must be finite, got {t!r}")
+            raise BurstError(f"truth eps, phi and alpha3 must be finite, got {t!r}")
     # null and +Infinity read as noise-free; NaN and -Infinity fail
     if snr_db is not None:
         if type(snr_db) not in (int, float) or not snr_db > -math.inf:
-            raise BurstError(f"{path}: snr_db must be null or a number > -Infinity, "
-                             f"got {snr_db!r}")
-        snr_db = _header_float(snr_db, "snr_db", path)
-    modulation = hdr.get("modulation", "qpsk")
-    if known is None:
+            raise BurstError(f"snr_db must be null or a number > -Infinity, got {snr_db!r}")
+        snr_db = _header_float(snr_db, "snr_db")
+    # strings, so that a memoized meta holds no mutable JSON value
+    sat, modulation = hdr.get("satellite_id", ""), hdr.get("modulation", "qpsk")
+    if type(sat) is not str or type(modulation) is not str:
+        raise BurstError(f"satellite_id and modulation must be strings, got {sat!r} "
+                         f"and {modulation!r}")
+    pilots = None
+    if not has_known:
         if modulation != "iridium":
-            raise BurstError(f"{path}: the file lacks known symbols and the modulation "
+            raise BurstError("the file lacks known symbols and the modulation "
                              f"{modulation!r} does not imply them")
-        if samples.size > N_PREAMBLE + N_UW:
-            raise BurstError(f"{path}: the modulation 'iridium' implies {N_PREAMBLE + N_UW} "
-                             f"known symbols, but the file holds {samples.size} samples")
-        known = iridium_known_symbols(samples.size)
+        if n > N_PREAMBLE + N_UW:
+            raise BurstError(f"the modulation 'iridium' implies {N_PREAMBLE + N_UW} "
+                             f"known symbols, but the file holds {n} samples")
+        pilots = iridium_known_symbols(n)
+        pilots.flags.writeable = False
+    meta = BurstMeta(satellite_id=sat, truth=truth,
+                     channel=ChannelConfig(snr_db=snr_db), modulation=modulation)
+    if n == 0:
+        raise BurstError(_EMPTY_BURST)
+    return meta, pilots
+
+
+@functools.lru_cache(maxsize=1024)
+def _burst_header(raw: bytes) -> tuple:
+    """(n, has_known_symbols, meta, pilots, error) of a burst file's header
+    bytes, memoized by those bytes: every file of one satellite in one
+    campaign repeats them, and the cached meta and pilots are immutable.
+    A header that is not JSON or lacks an integer n >= 0 raises
+    ``BurstError`` (and is not cached); one that fails ``_header_meta`` is
+    cached with meta and pilots None and its message as ``error``, which
+    the reader raises after its size checks."""
     try:
-        meta = BurstMeta(satellite_id=hdr.get("satellite_id", ""), truth=truth,
-                         channel=ChannelConfig(snr_db=snr_db), modulation=modulation)
-        return Burst(samples=samples, known_symbols=known, meta=meta)
+        hdr = json.loads(raw.decode("utf-8"))
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors; nesting too
+    # deep for the parser is a RecursionError
+    except (ValueError, RecursionError) as exc:
+        raise BurstError(f"malformed header: {exc}") from None
+    n = hdr.get("n") if isinstance(hdr, dict) else None
+    if type(n) is not int or n < 0:
+        raise BurstError(f"the header needs an integer n >= 0, got {n!r}")
+    has_known = bool(hdr.get("has_known_symbols"))
+    try:
+        return (n, has_known, *_header_meta(hdr, n, has_known), None)
     except ConfigError as exc:
-        raise BurstError(f"{path}: {exc}") from None
+        return n, has_known, None, None, str(exc)
 
 
 def write_burst_binary(b: Burst, path) -> None:
@@ -570,37 +614,38 @@ def write_burst_binary(b: Burst, path) -> None:
 
 
 def read_burst_binary(path) -> Burst:
-    """Read a burst written by ``write_burst_binary``; a malformed header or
-    a truncated file raises ``BurstError``."""
+    """Read a burst written by ``write_burst_binary``; a malformed header, a
+    truncated file or bytes beyond the runs its header declares raise
+    ``BurstError``. The samples and known symbols are read-only views of
+    the file's bytes."""
     # one unbuffered read sized by the file, never by the counts in its header
     with open(path, "rb", buffering=0) as fh:
         data = fh.read()
     if len(data) < 4:
         raise BurstError(f"{path}: {len(data)} bytes, too short for the header length")
     (hlen,) = struct.unpack_from("<I", data)
-    raw = data[4:4 + hlen]
-    if len(raw) != hlen:
+    body = len(data) - 4 - hlen
+    if body < 0:
         raise BurstError(f"{path}: the header length says {hlen} bytes but the file "
-                         f"holds {len(raw)}")
+                         f"holds {len(data) - 4}")
     try:
-        hdr = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError too
-        raise BurstError(f"{path}: malformed header: {exc}") from None
-    n = hdr.get("n") if isinstance(hdr, dict) else None
-    if type(n) is not int or n < 0:
-        raise BurstError(f"{path}: the header needs an integer n >= 0, got {n!r}")
-
-    def pairs(k: int, what: str) -> np.ndarray:
-        """The k-th run of n (re, im) pairs after the header."""
-        start = 4 + hlen + 16 * n * k
-        chunk = data[start:start + 16 * n]
-        if len(chunk) != 16 * n:
+        n, has_known, meta, pilots, error = _burst_header(data[4:4 + hlen])
+    except BurstError as exc:
+        raise BurstError(f"{path}: {exc}") from None
+    runs = 1 + has_known
+    if body != 16 * n * runs:
+        if body < 16 * n * runs:
+            k = int(body >= 16 * n)  # the first run of n pairs cut short
+            held = body - 16 * n * k
             raise BurstError(f"{path}: the header says n = {n} but the file holds "
-                             f"{len(chunk) // 16} {what} ({len(chunk)} of {16 * n} bytes); "
-                             "truncated file?")
-        # read as complex pairs: rebuilding re + 1j * im would turn -0.0 into 0.0
-        return np.frombuffer(chunk, dtype="<c16")
-
-    samples = pairs(0, "samples")
-    known = pairs(1, "known symbols") if hdr.get("has_known_symbols") else None
-    return _burst_from_parts(hdr, samples, known, path)
+                             f"{held // 16} {('samples', 'known symbols')[k]} "
+                             f"({held} of {16 * n} bytes); truncated file?")
+        raise BurstError(f"{path}: the header declares {4 + hlen + 16 * n * runs} bytes "
+                         f"(n = {n}, {runs} run(s) of pairs) but the file holds "
+                         f"{len(data)}; trailing bytes?")
+    if error is not None:
+        raise BurstError(f"{path}: {error}")
+    # read as complex pairs: rebuilding re + 1j * im would turn -0.0 into 0.0
+    pairs = np.frombuffer(data, dtype="<c16", offset=4 + hlen)
+    return Burst(samples=pairs[:n], known_symbols=pairs[n:] if has_known else pilots,
+                 meta=meta)

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import struct
 
@@ -10,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from rfident.constellation import ConfigError, make_constellation
 from rfident.signal_model import (
     _KEY_CHUNK,
+    _burst_header,
     _draw_rows,
     _keyed_generators,
     _synthesize_rows,
@@ -514,6 +516,20 @@ def _with_header(header: bytes) -> bytes:
     (_with_header(b'{"n": 1099511627776}') + bytes(32),
      "n = 1099511627776 but the file holds 2 samples"),
     (struct.pack("<I", 2**32 - 1), "says 4294967295 bytes but the file holds 0"),
+    # a file must be exactly the size its header declares: bytes beyond the
+    # declared runs would be data a too-small n drops
+    (_with_header(b'{"n": 1, "has_known_symbols": true}') + bytes(16 * 5),
+     r"declares 71 bytes \(n = 1, 2 run\(s\) of pairs\) but the file holds 119; trailing"),
+    (_with_header(b'{"n": 1, "modulation": "iridium"}') + bytes(17),
+     r"declares 53 bytes \(n = 1, 1 run\(s\) of pairs\) but the file holds 54"),
+    # the size checks come before the semantic ones
+    (_with_header(b'{"n": 0}') + b"\x00", "declares 12 bytes .* holds 13; trailing"),
+    (_with_header(b'{"n": 1, "satellite_id": ["S"], "has_known_symbols": true}') + bytes(32),
+     r"satellite_id and modulation must be strings, got \['S'\] and 'qpsk'"),
+    (_with_header(b'{"n": 1, "modulation": 4, "has_known_symbols": true}') + bytes(32),
+     "satellite_id and modulation must be strings, got '' and 4"),
+    pytest.param(_with_header(b"[" * 100_000), "malformed header: maximum recursion depth",
+                 id="deeply-nested-header"),
 ])
 def test_malformed_binary_burst_header(tmp_path, data, message):
     path = tmp_path / "burst.bin"
@@ -528,3 +544,118 @@ def test_burst_length_mismatch():
         Burst(samples=np.ones(3, dtype=complex), known_symbols=np.ones(4, dtype=complex),
               meta=synthesize_burst([1.0], HwiParams(), ChannelConfig(snr_db=None), seed=0).meta)
 
+
+def test_burst_rejects_arrays_that_are_not_1d():
+    x = np.ones(76, dtype=complex)
+    meta = BurstMeta()
+    for samples, known in ((x.reshape(2, 38), x), (x.reshape(2, 38), x.reshape(2, 38)),
+                           (x, x.reshape(76, 1)), (np.array(1 + 0j), np.array(1 + 0j))):
+        with pytest.raises(BurstError, match="must be 1-D, got shapes"):
+            Burst(samples=samples, known_symbols=known, meta=meta)
+
+
+def _burst_file(path, samples):
+    b = Burst(samples=samples, known_symbols=np.ones(samples.size, dtype=complex),
+              meta=BurstMeta(satellite_id="SAT03", channel=ChannelConfig(snr_db=20.0)))
+    write_burst_binary(b, path)
+    return b
+
+
+def test_equal_burst_headers_read_back_their_own_samples(tmp_path):
+    rng = np.random.default_rng(5)
+    a = _burst_file(tmp_path / "a.bin", rng.standard_normal(76) + 0j)
+    b = _burst_file(tmp_path / "b.bin", rng.standard_normal(76) + 0j)
+    hdr = 4 + struct.unpack_from("<I", (tmp_path / "a.bin").read_bytes())[0]
+    assert (tmp_path / "a.bin").read_bytes()[:hdr] == (tmp_path / "b.bin").read_bytes()[:hdr]
+    back_a = read_burst_binary(tmp_path / "a.bin")
+    hits = _burst_header.cache_info().hits
+    back_b = read_burst_binary(tmp_path / "b.bin")
+    # the second file's header is a memo hit, its body its own
+    assert _burst_header.cache_info().hits == hits + 1
+    assert back_a.meta is back_b.meta
+    assert np.array_equal(back_a.samples, a.samples)
+    assert np.array_equal(back_b.samples, b.samples)
+    assert not np.array_equal(back_a.samples, back_b.samples)
+
+
+@pytest.mark.parametrize("header, message", [
+    (b'{"n": ', "malformed header"),
+    (b'{"n": 2.5}', "got 2.5"),
+])
+def test_malformed_burst_header_raises_on_every_read_with_its_path(tmp_path, header, message):
+    paths = [tmp_path / "one.bin", tmp_path / "two.bin"]
+    for path in paths:
+        path.write_bytes(_with_header(header) + bytes(32))
+    for path in paths * 2:
+        with pytest.raises(BurstError, match=message) as info:
+            read_burst_binary(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+
+def test_burst_header_failing_its_semantic_checks_never_reads_as_valid(tmp_path):
+    # parses, has a valid n and a full body, but its SNR has no linear value
+    bad = _with_header(b'{"n": 1, "snr_db": 4000, "has_known_symbols": true}') + bytes(32)
+    paths = [tmp_path / "one.bin", tmp_path / "two.bin"]
+    for path in paths:
+        path.write_bytes(bad)
+    for path in paths * 2:
+        with pytest.raises(BurstError, match="snr_db = 4000.0 dB") as info:
+            read_burst_binary(path)
+        assert str(info.value).startswith(f"{path}: ")
+    # the same header over a short body still fails on its size first
+    paths[0].write_bytes(bad[:-16])
+    with pytest.raises(BurstError, match="holds 0 known symbols"):
+        read_burst_binary(paths[0])
+
+
+def test_read_bursts_are_read_only(tmp_path):
+    _burst_file(tmp_path / "known.bin", np.arange(1.0, 5.0) + 0j)
+    hdr = b'{"n": 3, "modulation": "iridium"}'
+    (tmp_path / "pilots.bin").write_bytes(_with_header(hdr) + np.ones(3, "<c16").tobytes())
+    for name in ("known.bin", "pilots.bin", "known.bin", "pilots.bin"):
+        b = read_burst_binary(tmp_path / name)
+        for a in (b.samples, b.known_symbols):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 7.0
+    assert np.array_equal(read_burst_binary(tmp_path / "pilots.bin").known_symbols,
+                          iridium_known_symbols(3))
+
+
+def _valid_burst_bytes(data) -> bytes:
+    """A well-formed burst file: with known symbols, or an Iridium file
+    whose pilots are implied."""
+    n = data.draw(st.integers(1, 6))
+    samples = data.draw(arrays(np.complex128, n, elements=st.complex_numbers(
+        allow_nan=False, allow_infinity=False, max_magnitude=1e3)))
+    snr_db = data.draw(st.none() | st.floats(-30.0, 60.0))
+    if data.draw(st.booleans()):
+        hdr = {"satellite_id": "S1", "n": n, "snr_db": snr_db, "modulation": "qpsk",
+               "truth": None, "has_known_symbols": True}
+        body = np.concatenate([samples, np.ones(n, dtype=complex)])
+    else:
+        hdr = {"n": n, "snr_db": snr_db, "modulation": "iridium"}
+        body = samples
+    return _with_header(json.dumps(hdr).encode("utf-8")) + body.astype("<c16").tobytes()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), damage=st.sampled_from(["truncate", "flip", "append"]))
+def test_damaged_burst_file_reads_or_raises_burst_error(tmp_path, data, damage):
+    blob = bytearray(_valid_burst_bytes(data))
+    if damage == "truncate":
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    elif damage == "flip":
+        for i in data.draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=4)):
+            blob[i] ^= data.draw(st.integers(1, 255))
+    else:
+        blob += data.draw(st.binary(min_size=1, max_size=40))
+    path = tmp_path / "damaged.bin"
+    path.write_bytes(bytes(blob))
+    try:
+        b = read_burst_binary(path)
+    except BurstError as exc:
+        assert str(exc).startswith(f"{path}: ")
+    else:
+        assert isinstance(b, Burst)
