@@ -230,7 +230,7 @@ class StabilityRow:
 def cross_stability(a: tuple, b: tuple) -> dict:
     """Per-feature Pearson correlation of fingerprint means across the
     satellites common to two campaigns. Each campaign is an ``(ids, means)``
-    pair, one row of means per satellite, as ``_grouped_means`` returns."""
+    pair, one row of means per satellite."""
     by_id = []
     for ids, means in (a, b):
         uniq, counts = np.unique(ids, return_counts=True)
@@ -304,19 +304,25 @@ def _columns(x, feature_names, normalizer: tuple) -> np.ndarray:
 
 def iwat_score(probes: np.ndarray, enrollment: np.ndarray, weights) -> np.ndarray:
     """(probes x enrollment) weighted squared distances between the rows of
-    two fingerprint arrays. Accumulating one feature at a time keeps the
-    temporaries at (probes x enrollment) size and, for fewer than eight
-    features, adds in the same order as a per-pair ``np.sum``."""
+    two fingerprint arrays. Accumulating one feature at a time in one
+    reused (probes x enrollment) buffer adds, for fewer than eight features,
+    in the same order as a per-pair ``np.sum``."""
     out = np.zeros((probes.shape[0], enrollment.shape[0]))
+    term = np.empty_like(out)
     for f, w_f in enumerate(weights):
-        out += w_f * (probes[:, None, f] - enrollment[None, :, f]) ** 2
+        np.subtract(probes[:, None, f], enrollment[None, :, f], out=term)
+        np.square(term, out=term)
+        term *= w_f
+        out += term
     return out
 
 
-def _glrt_precision(x: np.ndarray, ids, ridge: float) -> np.ndarray:
+def _glrt_precision(x: np.ndarray, ids: tuple, ridge: float) -> np.ndarray:
     """Inverse of the ridge-regularized covariance of the rows of x, each row
-    centred on the mean of its satellite's rows."""
-    x = x - _grouped_means(ids, x)[1][np.unique(ids, return_inverse=True)[1]]
+    centred on the mean of its satellite's rows; ``ids`` are the rows'
+    coded satellite ids (see ``_code_ids``)."""
+    (_, sats), means = _grouped_means(ids, x)
+    x = x - means[np.searchsorted(sats, ids[1])]
     cov = np.atleast_2d(np.cov(x, rowvar=False, ddof=1)) + ridge * np.eye(x.shape[1])
     cond = np.linalg.cond(cov)
     if not np.isfinite(cond) or cond > 1e14:
@@ -331,13 +337,17 @@ def glrt_score(probes: np.ndarray, enrollment: np.ndarray, precision: np.ndarray
     return np.einsum("prk,kl,prl->pr", d, precision, d)
 
 
-def _genuine_impostor(scores: np.ndarray, probe_ids, ref_ids) -> tuple:
+def _genuine_impostor(scores: np.ndarray, probe_ids: tuple, ref_ids: tuple) -> tuple:
     """Split a (probes x refs) score matrix into genuine scores (probe and
-    reference are the same satellite) and impostor scores (all others)."""
-    missing = ~np.isin(probe_ids, ref_ids)
+    reference are the same satellite) and impostor scores (all others), for
+    probe and reference ids coded over one set of names (see ``_code_ids``)."""
+    (names, probe), (_, ref) = probe_ids, ref_ids
+    enrolled = np.zeros(len(names), dtype=bool)
+    enrolled[ref] = True
+    missing = ~enrolled[probe]
     if np.any(missing):
-        raise AuthConfigError(f"probe satellite {probe_ids[np.argmax(missing)]} not enrolled")
-    same = probe_ids[:, None] == ref_ids[None, :]
+        raise AuthConfigError(f"probe satellite {names[probe[np.argmax(missing)]]} not enrolled")
+    same = probe[:, None] == ref[None, :]
     return scores[same], scores[~same]
 
 
@@ -481,8 +491,8 @@ def simulate_campaign(
 
     Burst ``bi`` of satellite ``si`` takes its CFO, its QPSK symbols (unless
     the Iridium pilots are sent), its channel and its noise, in that order,
-    from the stream of ``default_rng((campaign_seed, si, bi))``, with a
-    satellite's streams seeded in bulk by ``_keyed_generators``; each
+    from the stream of ``default_rng((campaign_seed, si, bi))``, with the
+    fleet's streams seeded in bulk by ``_keyed_generators``; each
     satellite's bursts are then synthesized and their features extracted as
     one stack."""
     n_bursts = n_bursts if n_bursts is not None else cfg.n_enroll
@@ -496,9 +506,9 @@ def simulate_campaign(
         x[:] = iridium_known_symbols(cfg.n_known)
     cfo_u = np.empty(n_bursts)
     ids, blocks = [], []
-    for si, (sat, p) in enumerate(fleet):
-        h, noise = _draw_rows(_keyed_generators((campaign_seed, si), n_bursts), ch, x,
-                              alphabet, cfo_u=cfo_u)
+    keyed = _keyed_generators((campaign_seed,), (len(fleet), n_bursts))
+    for sat, p in fleet:
+        h, noise = _draw_rows(keyed, ch, x, alphabet, cfo_u=cfo_u)
         cfo = _uniform(-cfg.cfo_jitter, cfg.cfo_jitter, cfo_u)
         samples = _synthesize_rows(x, p, ch, cfo, h, noise)
         blocks.append(_extract_stack(samples, x, first=len(ids))[0])
@@ -506,26 +516,40 @@ def simulate_campaign(
     return _table(ids, [cfg.snr_db] * len(ids), blocks)
 
 
-def _grouped_means(ids, matrix: np.ndarray, start: int = 0, stop: int | None = None,
-                   size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _code_ids(*id_lists) -> list:
+    """Each list of satellite ids as a coded pair (names, codes): ``names``
+    the sorted unique ids of all the lists, one array shared by every pair,
+    and ``codes`` each row's index into it, so that ids compare as ints."""
+    names, codes = np.unique(np.concatenate(id_lists), return_inverse=True)
+    return [(names, c) for c in np.split(codes, np.cumsum([len(i) for i in id_lists])[:-1])]
+
+
+def _grouped_means(ids: tuple, matrix: np.ndarray, start: int = 0, stop: int | None = None,
+                   size: int | None = None) -> tuple[tuple, np.ndarray]:
     """Means of consecutive per-satellite row chunks.
 
-    Each satellite (in sorted id order) contributes its rows ``[start:stop]``
-    in table order: all of them as one chunk when ``size`` is None, otherwise
-    disjoint chunks of ``size`` rows with a short tail dropped. Returns the
-    chunks' satellite ids and their (chunks x features) means.
+    ``ids`` are the rows' coded satellite ids (see ``_code_ids``). Each
+    satellite of the table (in code order, which is sorted id order)
+    contributes its rows ``[start:stop]`` in table order: all of them as
+    one chunk when ``size`` is None, otherwise disjoint chunks of ``size``
+    rows with a short tail dropped. Returns the chunks' coded satellite ids
+    and their (chunks x features) means.
     """
-    ids = np.asarray(ids)
-    chunk_ids, means = [], []
-    for s in np.unique(ids):
-        x = matrix[np.flatnonzero(ids == s)[start:stop]]
+    names, codes = ids
+    # one stable sort lists each satellite's rows in table order
+    order = np.argsort(codes, kind="stable")
+    counts = np.bincount(codes, minlength=len(names))
+    ends = np.cumsum(counts)
+    chunk_codes, means = [], []
+    for code in np.flatnonzero(counts):
+        x = matrix[order[ends[code] - counts[code]:ends[code]][start:stop]]
         n = x.shape[0] if size is None else size
         if n < 1:
-            raise AuthConfigError(f"satellite {s} has no rows to average")
+            raise AuthConfigError(f"satellite {names[code]} has no rows to average")
         k = x.shape[0] // n
         means.append(x[: k * n].reshape(k, n, matrix.shape[1]).mean(axis=1))
-        chunk_ids += [str(s)] * k
-    return np.asarray(chunk_ids), np.concatenate(means)
+        chunk_codes.append(np.full(k, code))
+    return (names, np.concatenate(chunk_codes)), np.concatenate(means)
 
 
 def run_auth_experiment(cfg: FleetProtocolConfig | None = None, seed: int = 0) -> AuthReport:
@@ -544,7 +568,8 @@ def run_auth_experiment(cfg: FleetProtocolConfig | None = None, seed: int = 0) -
 
     dr_table = balanced_dr(table_a, n_bal=cfg.n_bal, n_trials=cfg.n_dr_trials, seed=seed + 101)
     beta = moments(make_constellation("qpsk" if cfg.burst_mode != "iridium" else "bpsk").points).beta
-    enrollment = _grouped_means(table_a.satellite_ids, table_a.matrix)
+    ids_a, ids_b = _code_ids(table_a.satellite_ids, table_b.satellite_ids)
+    enrollment = _grouped_means(ids_a, table_a.matrix)
 
     def split(name, probes, refs=enrollment):
         """Genuine and impostor scores of strategy ``name`` for the
@@ -553,14 +578,14 @@ def run_auth_experiment(cfg: FleetProtocolConfig | None = None, seed: int = 0) -
         (probe_ids, p), (ref_ids, r) = probes, refs
         p, r = _columns(p, subset, normalizer), _columns(r, subset, normalizer)
         if mode is None:
-            prec = _glrt_precision(_columns(table_a.matrix, subset, normalizer),
-                                   table_a.satellite_ids, cfg.ridge)
+            prec = _glrt_precision(_columns(table_a.matrix, subset, normalizer), ids_a,
+                                   cfg.ridge)
             scores = glrt_score(p, r, prec)
         else:
             scores = iwat_score(p, r, iwat_weights(dr_table, subset, mode).weights)
         return _genuine_impostor(scores, probe_ids, ref_ids)
 
-    probes = _grouped_means(table_b.satellite_ids, table_b.matrix, size=cfg.probe_acc)
+    probes = _grouped_means(ids_b, table_b.matrix, size=cfg.probe_acc)
     results = {}
     roc_curves = {}
     for name in STRATEGIES:
@@ -572,12 +597,13 @@ def run_auth_experiment(cfg: FleetProtocolConfig | None = None, seed: int = 0) -
 
     # accumulation curves for the PA-led and IQ-only strategies
     grid = [n for n in cfg.n_acc_grid if n <= cfg.n_probe]
-    chunks = [_grouped_means(table_b.satellite_ids, table_b.matrix, size=n) for n in grid]
+    chunks = [_grouped_means(ids_b, table_b.matrix, size=n) for n in grid]
 
     def auc(name, probes):
-        """The AUC alone: the curves need no threshold sweep."""
+        """The AUC alone: the curves need no threshold sweep. Sorted
+        genuine scores search the impostors faster, for the same counts."""
         genuine, impostor = split(name, probes)
-        return _auc(genuine, np.sort(impostor))
+        return _auc(np.sort(genuine), np.sort(impostor))
 
     auc_vs_nacc = {name: ([int(n) for n in grid], [auc(name, c) for c in chunks])
                    for name in ("pa_only_3", "dr2_iwat_all6", "iq_only_2")}
@@ -585,9 +611,8 @@ def run_auth_experiment(cfg: FleetProtocolConfig | None = None, seed: int = 0) -
     # enrollment-only threshold at the target false-accept rate: each
     # satellite's first half of enrollment bursts enrolls, the rest probes
     half = cfg.n_enroll // 2
-    _, impostor = split("dr2_iwat_all6",
-                        _grouped_means(table_a.satellite_ids, table_a.matrix, start=half),
-                        refs=_grouped_means(table_a.satellite_ids, table_a.matrix, stop=half))
+    _, impostor = split("dr2_iwat_all6", _grouped_means(ids_a, table_a.matrix, start=half),
+                        refs=_grouped_means(ids_a, table_a.matrix, stop=half))
     impostor = np.sort(impostor)
     k = int(math.floor(cfg.target_fa * impostor.size))
     threshold = float(impostor[k] if k < impostor.size else math.inf)

@@ -283,8 +283,8 @@ def mc_crb_validation(
     ``fit_batch`` fits only alpha3 with the IQ pair held at its initial
     value, which is the fit that bound describes. Deterministic per seed:
     trial ``t`` of SNR point ``k`` draws its symbols, burst and initial point
-    from the stream of ``default_rng((seed, k, t))``, with the streams of a
-    point seeded in bulk by ``_keyed_generators``, and each SNR point fits
+    from the stream of ``default_rng((seed, k, t))``, with the streams of
+    the grid seeded in bulk by ``_keyed_generators``, and each SNR point fits
     all its trials in one ``fit_batch`` call.
     """
     if pilot_mode not in ("random", "iridium"):
@@ -305,7 +305,9 @@ def mc_crb_validation(
     if alphabet is None:
         x[:] = iridium_known_symbols(n)
     rows = []
-    for k, snr_db in enumerate(np.atleast_1d(np.asarray(snr_grid_db, dtype=float))):
+    grid = np.atleast_1d(np.asarray(snr_grid_db, dtype=float))
+    keyed = _keyed_generators((seed,), (grid.size, n_trials))
+    for snr_db in grid:
         gamma = _db_to_linear(snr_db, "snr_grid_db")
         fim = fim_closed_form(mom, truth, n, gamma)
         fim_exact = fim_numerical(c, truth, n, gamma)
@@ -323,7 +325,6 @@ def mc_crb_validation(
         ch = ChannelConfig(h=1.0 + 0.0j, snr_db=float(snr_db))
         r = np.empty_like(x)
         gauss = np.empty((n_trials, 4))
-        keyed = _keyed_generators((seed, k), n_trials)
         # synthesized in blocks, so that the noise draws never span all trials
         for start in range(0, n_trials, _BLOCK_TRIALS):
             stop = min(start + _BLOCK_TRIALS, n_trials)

@@ -72,9 +72,10 @@ def _raise_first_bad(checks, first: int = 0, **fields) -> None:
                                    + message.format(**{k: v[i] for k, v in fields.items()}))
 
 
-def _sample_checks(z: np.ndarray) -> list:
+def _sample_checks(z: np.ndarray, mag: np.ndarray) -> list:
+    """The checks of a (bursts, n) sample stack z with magnitudes mag = |z|."""
     return [(~np.all(np.isfinite(z), axis=1), "non-finite sample"),
-            (np.any(np.abs(z) < 1e-300, axis=1), "zero-amplitude sample")]
+            (np.any(mag < 1e-300, axis=1), "zero-amplitude sample")]
 
 
 def _power(u: np.ndarray, p: int) -> np.ndarray:
@@ -104,16 +105,21 @@ def _unwrap_rows(phase: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cfo_block(z: np.ndarray, strip_power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise ``remove_cfo`` of a checked (bursts, n) stack with one strip
-    power per row."""
+def _cfo_block(z: np.ndarray, mag: np.ndarray,
+               strip_power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``remove_cfo`` of a checked (bursts, n) stack with
+    magnitudes mag = |z| and one strip power per row."""
     n = np.arange(z.shape[1])
     # strip modulation, keep magnitudes tame for the angle
-    unit = z / np.abs(z)
-    stripped = np.empty_like(unit)
-    for p in np.unique(strip_power):
-        rows = strip_power == p
-        stripped[rows] = _power(unit[rows], int(p))
+    unit = z / mag
+    powers = np.unique(strip_power)
+    if powers.size == 1:
+        stripped = _power(unit, int(powers[0]))
+    else:
+        stripped = np.empty_like(unit)
+        for p in powers:
+            rows = strip_power == p
+            stripped[rows] = _power(unit[rows], int(p))
     phase = _unwrap_rows(np.angle(stripped))
     # least-squares slope against the centred index c: sum(c) = 0 drops the intercept
     c = n - (n.size - 1) / 2.0
@@ -134,8 +140,9 @@ def remove_cfo(samples, strip_power: int = 4):
     z = np.asarray(samples, dtype=complex).reshape(1, -1)
     if z.size < 4:
         raise DegenerateInputError("need at least 4 samples for the phase fit")
-    _raise_first_bad(_sample_checks(z))
-    derot, slope = _cfo_block(z, np.array([strip_power]))
+    mag = np.abs(z)
+    _raise_first_bad(_sample_checks(z, mag))
+    derot, slope = _cfo_block(z, mag, np.array([strip_power]))
     return derot[0], float(slope[0])
 
 
@@ -209,21 +216,24 @@ def _image_ratio(z: np.ndarray, x: np.ndarray, collinear: np.ndarray,
     return rho, flat
 
 
-def _feature_block(samples: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _feature_block(samples: np.ndarray, mag: np.ndarray,
+                   x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 13 features (columns in FEATURE_NAMES order) and the degenerate
     mask (columns in ``_FLAGS`` order) of each row of checked (bursts,
-    n_known) stacks of samples and known symbols x."""
+    n_known) stacks of samples, their magnitudes mag and known symbols x."""
     collinear = predicted_fim_rank(moments(x)) == 2
-    derot, cfo_hat = _cfo_block(samples, np.where(collinear, 2, 4))
+    derot, cfo_hat = _cfo_block(samples, mag, np.where(collinear, 2, 4))
     z = normalize_amplitude(derot)
 
     a = np.abs(z)
     a_mean = np.mean(a, axis=1)
-    a_var = np.var(a, axis=1)
     hi, lo = _row_percentiles(a, (_PERCENTILE_HI, _PERCENTILE_LO))
     da = a - a_mean[:, None]
     d2 = da * da
     a_dd = np.sum(d2, axis=1)
+    # the variances are np.var's sums of squared deviations over n, bit for bit
+    n = z.shape[1]
+    a_var = a_dd / n
 
     psi = _unwrap_rows(np.angle(_power(z / a, 4)))
     dp = psi - np.mean(psi, axis=1)[:, None]
@@ -238,7 +248,6 @@ def _feature_block(samples: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.n
     # a flat denominator falls back to 0 and sets the feature's flag; a flat
     # phase is one whose n deviations are rounding errors of the angles,
     # each below n pi eps for unwrapped phases of at most n pi in magnitude
-    n = z.shape[1]
     flat_var, flat_a = a_var <= 1e-30, a_dd <= 1e-30
     flat_p = p_dd <= n * (n * math.pi * _EPS) ** 2
     flat_ap = flat_a | flat_p
@@ -249,7 +258,7 @@ def _feature_block(samples: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.n
 
     out = np.column_stack([
         a_var / (a_mean * a_mean), hi - lo, np.where(flat_var, 0.0, kurtosis),
-        np.clip(amp_acf1, -1.0, 1.0), np.clip(phase_acf1, -1.0, 1.0), np.var(psi, axis=1),
+        np.clip(amp_acf1, -1.0, 1.0), np.clip(phase_acf1, -1.0, 1.0), p_dd / n,
         cfo_hat, evm, -2.0 * rho.real, 2.0 * rho.imag, dc.real, dc.imag, pa_cross])
     return out, np.column_stack([flat_var, flat_a, flat_p, iq_flat, flat_ap])
 
@@ -282,16 +291,17 @@ def _extract_stack(samples: np.ndarray, known: np.ndarray, first: int = 0,
     n_known = samples.shape[1]
     if lengths is None:
         lengths = np.full(samples.shape[0], n_known)
+    mag = np.abs(samples)
     with np.errstate(over="ignore"):
         # finite samples whose mean power overflows would normalize to zero
-        power = np.mean(np.abs(samples) ** 2, axis=1)
+        power = np.mean(mag ** 2, axis=1)
     checks = [(lengths < n_known, f"has {{n}} samples, needs {n_known}"),
               (~np.all(np.isfinite(known), axis=1), "non-finite known symbol"),
               (~np.any(known, axis=1), "known symbols are all zero"),
-              *_sample_checks(samples),
+              *_sample_checks(samples, mag),
               (~np.isfinite(power), "sample power overflows")]
     _raise_first_bad(checks, first, n=lengths)
-    return _feature_block(samples, known)
+    return _feature_block(samples, mag, known)
 
 
 class BurstFeatures(NamedTuple):

@@ -168,18 +168,40 @@ class ChannelConfig:
 
 
 def draw_channel(ch: ChannelConfig, rng: np.random.Generator) -> complex:
-    """Per-burst channel coefficient with E[|h|^2] equal to |ch.h|^2."""
-    h = complex(ch.h)
-    if ch.rician_k_db is not None:
+    """Per-burst channel coefficient with E[|h|^2] equal to |ch.h|^2: the
+    one-row case of the channel draws of ``_draw_rows`` (two Rician
+    normals, then the phase uniform) and of their map ``_channel_map``."""
+    scatter = rng.standard_normal((1, 2)) if ch.rician_k_db is not None else None
+    phase_u = np.array([rng.random()]) if ch.random_phase else None
+    return complex(_channel_map(ch, 1, scatter, phase_u)[0])
+
+
+def _channel_map(ch: ChannelConfig, rows: int, scatter: np.ndarray | None,
+                 phase_u: np.ndarray | None) -> np.ndarray:
+    """The (rows,) channel coefficients: ch.h times, per row, the Rician
+    factor of its two standard normals ``scatter`` (rows, 2) and the phase
+    rotation of its standard uniform ``phase_u`` (rows,) (see ``_uniform``),
+    each factor left out where its array is None."""
+    h = np.full(rows, complex(ch.h))
+    if scatter is not None:
         k = _db_to_linear(ch.rician_k_db, "rician_k_db")
-        los = math.sqrt(k / (k + 1.0))
-        scatter = math.sqrt(1.0 / (k + 1.0)) * (
-            rng.standard_normal() + 1j * rng.standard_normal()
-        ) / math.sqrt(2.0)
-        h = h * (los + scatter)
-    if ch.random_phase:
-        h = h * np.exp(1j * _uniform(0.0, 2.0 * np.pi, rng.random()))
+        # los + sqrt(1 / (k + 1)) (re + j im) / sqrt(2)
+        g = scatter * math.sqrt(1.0 / (k + 1.0)) / math.sqrt(2.0)
+        g[:, 0] += math.sqrt(k / (k + 1.0))
+        h = _complex_product(h, g.view(complex)[:, 0])
+    if phase_u is not None:
+        h = _complex_product(h, np.exp(1j * _uniform(0.0, 2.0 * np.pi, phase_u)))
     return h
+
+
+def _complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise as (ar br - ai bi) + j (ar bi + ai br) with every
+    product rounded, as a scalar complex product (Python's or numpy's) is:
+    numpy's complex array loops may fuse a product and a sum into one FMA."""
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def _uniform(low: float, high: float, u):
@@ -257,10 +279,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE, _MASK32 = 4, 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier and state width
-_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
-# keys hashed per pass; a power of two <= 2**32, so every key of a pass
-# splits into the same number of 32-bit words
+# keys hashed per pass
 _KEY_CHUNK = 4096
 
 
@@ -282,10 +301,10 @@ def _hash_words(value, hash_const: int, mult: int):
     return value ^ (value >> 16), next_const
 
 
-def _hashed_pcg64_seeds(entropy: list) -> list:
+def _hashed_pcg64_seeds(entropy: list) -> np.ndarray:
     """SeedSequence(entropy).generate_state(4, uint64) for each column of
-    ``entropy``, a list of equal-length uint32 word arrays, taken as the
-    pairs (initstate, initseq) of 128-bit ints that seed PCG64."""
+    ``entropy``, a list of equal-length uint32 word arrays, as the rows of
+    one (columns, 4) array."""
     hash_const = _INIT_A
 
     def hashmix(value):
@@ -311,8 +330,28 @@ def _hashed_pcg64_seeds(entropy: list) -> list:
         value, hash_const = _hash_words(pool[i % _POOL_SIZE], hash_const, _MULT_B)
         state.append(value.astype(np.uint64))
     # uint64 word k is uint32 words 2k (low) and 2k + 1 (high)
-    w = [(state[2 * k] | (state[2 * k + 1] << np.uint64(32))).tolist() for k in range(4)]
-    return [((a << 64) | b, (c << 64) | d) for a, b, c, d in zip(*w)]
+    return np.stack([state[2 * k] | (state[2 * k + 1] << np.uint64(32)) for k in range(4)],
+                    axis=1)
+
+
+@functools.cache
+def _hashed_seed_type() -> type:
+    """The type of a seed sequence whose state words were hashed in bulk:
+    it hands PCG64, which asks for generate_state(4, uint64) and seeds
+    itself from those words, a C-contiguous row of ``_hashed_pcg64_seeds``.
+    Built on first use, so that ``import rfident`` loads no numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class HashedSeed(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return HashedSeed
 
 
 def _check_seed(seed: int) -> int:
@@ -322,34 +361,25 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def _keyed_generators(prefix, n: int):
-    """Yield, for i in range(n), a generator in the state of
-    ``np.random.default_rng((*prefix, i))``, bit for bit.
+def _keyed_generators(prefix, shape: tuple):
+    """Yield, for every index ``idx`` of ``shape`` in C order, a generator
+    in the state of ``np.random.default_rng((*prefix, *idx))``, bit for bit.
 
     The SeedSequence hashing runs over up to ``_KEY_CHUNK`` keys at once on
-    uint32 arrays and PCG64 is seeded in Python ints, which is several times
-    faster than one ``default_rng`` per key. One ``Generator`` is reused:
-    each yielded generator is valid only until the next one is drawn. A
-    negative prefix entry raises ``ConfigError`` when the first generator is
-    drawn."""
+    uint32 arrays, which is several times faster than one ``default_rng``
+    per key. A negative prefix entry raises ``ConfigError`` when the first
+    generator is drawn."""
     head = [w for v in prefix for w in _uint32_words(_check_seed(v))]
-    rng = np.random.Generator(np.random.PCG64(0))
-    for start in range(0, n, _KEY_CHUNK):
-        keys = np.arange(start, min(start + _KEY_CHUNK, n), dtype=np.uint64)
-        key_words = [(keys >> np.uint64(32 * j)).astype(np.uint32)
-                     for j in range(len(_uint32_words(start)))]
-        entropy = [np.full(keys.size, w, dtype=np.uint32) for w in head] + key_words
-        for initstate, initseq in _hashed_pcg64_seeds(entropy):
-            # PCG64's seeding: an odd increment from initseq, then two LCG
-            # steps from state 0 with initstate added between them
-            inc = ((initseq << 1) | 1) & _MASK128
-            rng.bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": ((inc + initstate) * _PCG_MULT + inc) & _MASK128,
-                          "inc": inc},
-                "has_uint32": 0, "uinteger": 0,
-            }
-            yield rng
+    # every index entry is then one 32-bit word, so every key has one layout
+    if any(d > 1 << 32 for d in shape):
+        raise ConfigError(f"a stream index takes at most 2**32 entries per axis, got {shape}")
+    total, hashed_seed = math.prod(shape), _hashed_seed_type()
+    for start in range(0, total, _KEY_CHUNK):
+        idx = np.unravel_index(np.arange(start, min(start + _KEY_CHUNK, total)), shape)
+        entropy = ([np.full(idx[0].size, w, dtype=np.uint32) for w in head]
+                   + [i.astype(np.uint32) for i in idx])
+        for words in _hashed_pcg64_seeds(entropy):
+            yield np.random.Generator(np.random.PCG64(hashed_seed(words)))
 
 
 def _draw_rows(rngs, ch: ChannelConfig, x: np.ndarray, alphabet: Constellation | None = None,
@@ -357,27 +387,32 @@ def _draw_rows(rngs, ch: ChannelConfig, x: np.ndarray, alphabet: Constellation |
                normals: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Draw row i of a (rows, n) block from the i-th generator of ``rngs``
     (an iterable that may hold more; only ``rows`` are taken), in the
-    stream order synthesis has always used: the CFO's standard
-    uniform into ``cfo_u[i]`` (see ``_uniform``), the known symbols into
-    ``x[i]`` when ``alphabet`` is given, the channel coefficient, the (2, n)
-    standard normal noise (real parts, then imaginary parts) and the
-    standard normals ``normals[i]``; a None array is not drawn. Returns the
-    channel coefficients (rows,) and the noise (rows, 2, n), None when
-    noise-free, as ``_synthesize_rows`` takes them."""
+    stream order synthesis has always used: the CFO's standard uniform into
+    ``cfo_u[i]`` (see ``_uniform``), the known symbols into ``x[i]`` when
+    ``alphabet`` is given, the channel's draws (as ``draw_channel`` makes
+    them), the (2, n) standard normal noise (real parts, then imaginary
+    parts) and the standard normals ``normals[i]``; a None array is not
+    drawn. Returns the channel coefficients (rows,) and the noise (rows, 2,
+    n), None when noise-free, as ``_synthesize_rows`` takes them."""
     rows, n = x.shape
-    h = np.empty(rows, dtype=complex)
     noise = None if ch.noise_free else np.empty((rows, 2, n))
+    # the channel's draws, mapped to h for the whole block after the loop
+    scatter = np.empty((rows, 2)) if ch.rician_k_db is not None else None
+    phase_u = np.empty(rows) if ch.random_phase else None
     for i, rng in zip(range(rows), rngs):
         if cfo_u is not None:
             cfo_u[i] = rng.random()
         if alphabet is not None:
             x[i] = random_known_symbols(alphabet, n, rng)
-        h[i] = draw_channel(ch, rng)
+        if scatter is not None:
+            rng.standard_normal(out=scatter[i])
+        if phase_u is not None:
+            phase_u[i] = rng.random()
         if noise is not None:
             rng.standard_normal(out=noise[i])
         if normals is not None:
             rng.standard_normal(out=normals[i])
-    return h, noise
+    return _channel_map(ch, rows, scatter, phase_u), noise
 
 
 def _synthesize_rows(x: np.ndarray, p: HwiParams, ch: ChannelConfig, cfo: np.ndarray,
@@ -598,16 +633,27 @@ def _burst_header(raw: bytes) -> tuple:
 
 def write_burst_binary(b: Burst, path) -> None:
     """Length-prefixed JSON header, then N little-endian float64 (re, im)
-    pairs of samples and N of known symbols."""
+    pairs of samples and N of known symbols. A header that
+    ``read_burst_binary`` would refuse raises ``BurstError`` and writes no
+    file."""
     truth = b.meta.truth
-    raw = json.dumps({
-        "satellite_id": b.meta.satellite_id,
-        "n": b.n,
-        "snr_db": b.meta.channel.snr_db,
-        "modulation": b.meta.modulation,
-        "truth": None if truth is None else truth.as_json(),
-        "has_known_symbols": True,
-    }).encode("utf-8")
+    try:
+        raw = json.dumps({
+            "satellite_id": b.meta.satellite_id,
+            "n": b.n,
+            "snr_db": b.meta.channel.snr_db,
+            "modulation": b.meta.modulation,
+            "truth": None if truth is None else truth.as_json(),
+            "has_known_symbols": True,
+        }).encode("utf-8")
+    # a value JSON cannot hold, such as a numpy integer id
+    except TypeError as exc:
+        raise BurstError(f"{path}: {exc}") from None
+    # the reader's one rule for a header; it raises only for malformed JSON
+    # or n, which this header cannot have
+    error = _burst_header(raw)[-1]
+    if error is not None:
+        raise BurstError(f"{path}: {error}")
     body = np.concatenate([b.samples, b.known_symbols]).astype("<c16").tobytes()
     with open(path, "wb") as fh:
         fh.write(struct.pack("<I", len(raw)) + raw + body)

@@ -18,6 +18,7 @@ from rfident.auth import (
     DrRow,
     FeatureTable,
     FleetProtocolConfig,
+    _code_ids,
     _genuine_impostor,
     _glrt_precision,
     _grouped_means,
@@ -324,15 +325,16 @@ def test_iwat_empty_enrollment():
     scores = iwat_score(np.zeros((1, 1)), np.empty((0, 1)), w.weights)
     assert scores.shape == (1, 0)
     with pytest.raises(AuthConfigError, match="not enrolled"):
-        _genuine_impostor(scores, np.array(["S0"]), np.array([], dtype=str))
+        _genuine_impostor(scores, *_code_ids(np.array(["S0"]), np.array([], dtype=str)))
 
 
 def test_unenrolled_probe_satellite_is_rejected():
     scores = np.arange(6.0).reshape(3, 2)
-    genuine, impostor = _genuine_impostor(scores, np.array(["A", "B", "A"]), np.array(["A", "B"]))
+    genuine, impostor = _genuine_impostor(scores, *_code_ids(np.array(["A", "B", "A"]),
+                                                             np.array(["A", "B"])))
     assert list(genuine) == [0.0, 3.0, 4.0] and list(impostor) == [1.0, 2.0, 5.0]
     with pytest.raises(AuthConfigError, match="probe satellite C not enrolled"):
-        _genuine_impostor(scores, np.array(["A", "C", "A"]), np.array(["A", "B"]))
+        _genuine_impostor(scores, *_code_ids(np.array(["A", "C", "A"]), np.array(["A", "B"])))
 
 
 def test_glrt_identity_covariance_is_euclidean():
@@ -350,7 +352,7 @@ def test_glrt_identity_covariance_is_euclidean():
     x = x @ np.linalg.inv(chol).T
 
     def glrt(rows, ids):
-        prec = _glrt_precision(_cols(rows, subset), ids, ridge=0.0)
+        prec = _glrt_precision(_cols(rows, subset), _code_ids(ids)[0], ridge=0.0)
         return glrt_score(_cols(probe[None], subset), _cols(means, subset), prec)[0]
 
     euclid = np.sum((probe[idx] - means[:, idx]) ** 2, axis=1)
@@ -368,11 +370,11 @@ def test_glrt_identical_row_scores_zero():
     subset = ("amp_var", "amp_range", "amp_acf1")
     ids = np.repeat([f"S{i:02d}" for i in range(20)], 10)
     rows = rng.normal(size=(ids.size, N_FEAT))
-    enroll_ids, means = _grouped_means(ids, rows)
-    prec = _glrt_precision(_cols(rows, subset), ids, ridge=1e-6)
+    (names, enroll_ids), means = _grouped_means(_code_ids(ids)[0], rows)
+    prec = _glrt_precision(_cols(rows, subset), _code_ids(ids)[0], ridge=1e-6)
     enroll = _cols(means, subset)
     scores = glrt_score(enroll[4:5], enroll, prec)[0]
-    assert enroll_ids[4] == "S04"
+    assert names[enroll_ids[4]] == "S04"
     assert scores[4] == pytest.approx(0.0, abs=1e-12)
     assert np.argmin(scores) == 4
 
@@ -383,7 +385,7 @@ def test_glrt_precision_rejects_singular_covariance():
     rng = np.random.default_rng(15)
     x = rng.normal(size=(50, 2))
     x = np.column_stack([x, x[:, 0]])
-    ids = np.repeat(["a", "b"], 25)
+    ids = _code_ids(np.repeat(["a", "b"], 25))[0]
     with pytest.raises(AuthConfigError, match="singular regularized covariance"):
         _glrt_precision(x, ids, ridge=0.0)
     prec = _glrt_precision(x, ids, ridge=1e-6)
@@ -597,25 +599,101 @@ def test_run_auth_experiment_rejects_negative_seed():
         run_auth_experiment(seed=-1)
 
 
+def _grouped_means_by_scan(ids, matrix, start=0, stop=None, size=None):
+    """The per-id scan ``_grouped_means`` replaced: one string comparison
+    over the table per satellite, in sorted id order."""
+    chunk_ids, means = [], []
+    for s in np.unique(ids):
+        x = matrix[np.flatnonzero(ids == s)[start:stop]]
+        n = x.shape[0] if size is None else size
+        if n < 1:
+            raise AuthConfigError(f"satellite {s} has no rows to average")
+        k = x.shape[0] // n
+        means.append(x[: k * n].reshape(k, n, matrix.shape[1]).mean(axis=1))
+        chunk_ids += [str(s)] * k
+    return np.asarray(chunk_ids), np.concatenate(means)
+
+
+def _genuine_impostor_by_scan(scores, probe_ids, ref_ids):
+    """The string-comparing split ``_genuine_impostor`` replaced."""
+    missing = ~np.isin(probe_ids, ref_ids)
+    if np.any(missing):
+        raise AuthConfigError(f"probe satellite {probe_ids[np.argmax(missing)]} not enrolled")
+    same = probe_ids[:, None] == ref_ids[None, :]
+    return scores[same], scores[~same]
+
+
+def _decoded(coded_means):
+    (names, codes), means = coded_means
+    return names[codes], means
+
+
 def test_grouped_means_chunks_follow_table_order():
     # satellites interleaved in the table; B has five rows (odd), A has four
     ids = np.array(["B", "A", "B", "A", "B", "B", "A", "B", "A"])
+    coded = _code_ids(ids)[0]
     x = np.arange(ids.size * 2, dtype=float).reshape(-1, 2) ** 2
     rows = {s: x[ids == s] for s in ("A", "B")}
-    got_ids, got = _grouped_means(ids, x)
+    got_ids, got = _decoded(_grouped_means(coded, x))
     assert list(got_ids) == ["A", "B"]
     assert np.array_equal(got, [rows["A"].mean(axis=0), rows["B"].mean(axis=0)])
-    got_ids, got = _grouped_means(ids, x, size=2)  # B's fifth row is dropped
+    got_ids, got = _decoded(_grouped_means(coded, x, size=2))  # B's fifth row is dropped
     assert list(got_ids) == ["A", "A", "B", "B"]
     assert np.array_equal(got, [rows[s][k:k + 2].mean(axis=0)
                                 for s, k in (("A", 0), ("A", 2), ("B", 0), ("B", 2))])
     # an odd count splits into the first half and the rest: 2 + 3 rows for B
-    _, first = _grouped_means(ids, x, stop=2)
-    _, rest = _grouped_means(ids, x, start=2)
+    _, first = _grouped_means(coded, x, stop=2)
+    _, rest = _grouped_means(coded, x, start=2)
     assert np.array_equal(first[1], rows["B"][:2].mean(axis=0))
     assert np.array_equal(rest[1], rows["B"][2:].mean(axis=0))
     with pytest.raises(AuthConfigError):
-        _grouped_means(ids, x, start=4)  # A has no rows left
+        _grouped_means(coded, x, start=4)  # A has no rows left
+
+
+# unsorted, interleaved ids of unequal counts; "S10" sorts before "S2"
+_SCAN_IDS = np.array(["S2", "S10", "S2", "S07", "S10", "S2", "S07", "S07", "S2", "S10",
+                      "S2", "S07", "S10", "S2", "S2"])
+
+
+# the last two raise for satellite S07: no rows left, and chunks of no rows
+@pytest.mark.parametrize("start, stop, size", [(0, None, None), (0, None, 2), (0, None, 3),
+                                               (1, None, 2), (0, 3, None), (2, None, None),
+                                               (1, 4, 1), (0, None, 5), (4, None, None),
+                                               (0, None, 0)])
+def test_grouped_means_equal_the_per_id_scan(start, stop, size):
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(_SCAN_IDS.size, 4))
+    try:
+        want_ids, want = _grouped_means_by_scan(_SCAN_IDS, x, start, stop, size)
+    except AuthConfigError as exc:
+        with pytest.raises(AuthConfigError) as coded:
+            _grouped_means(_code_ids(_SCAN_IDS)[0], x, start, stop, size)
+        assert str(coded.value) == str(exc)
+        return
+    got_ids, got = _decoded(_grouped_means(_code_ids(_SCAN_IDS)[0], x, start, stop, size))
+    assert np.array_equal(got_ids, want_ids)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("probe_ids, ref_ids", [
+    (_SCAN_IDS, np.array(["S07", "S2", "S10", "S2"])),
+    (_SCAN_IDS[::-1], _SCAN_IDS[3:9]),
+    # references the probes lack, and probes not enrolled: the first named
+    (_SCAN_IDS[:6], np.array(["S10", "S99", "S07"])),
+    (np.array(["S07", "S5", "S10", "S4"]), np.array(["S10", "S07"])),
+])
+def test_genuine_impostor_equal_the_string_split(probe_ids, ref_ids):
+    rng = np.random.default_rng(32)
+    scores = rng.normal(size=(probe_ids.size, ref_ids.size))
+    try:
+        want = _genuine_impostor_by_scan(scores, probe_ids, ref_ids)
+    except AuthConfigError as exc:
+        with pytest.raises(AuthConfigError) as coded:
+            _genuine_impostor(scores, *_code_ids(probe_ids, ref_ids))
+        assert str(coded.value) == str(exc)
+        return
+    got = _genuine_impostor(scores, *_code_ids(probe_ids, ref_ids))
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def test_run_auth_experiment_matches_per_probe_scoring():
@@ -727,8 +805,9 @@ def test_cross_campaign_stability_pattern():
                               n_dr_trials=5, probe_acc=60)
     table_a = simulate_campaign(fleet, cfg, campaign_seed=70, n_bursts=300)
     table_b = simulate_campaign(fleet, cfg, campaign_seed=71, n_bursts=300)
-    out = cross_stability(_grouped_means(table_a.satellite_ids, table_a.matrix),
-                          _grouped_means(table_b.satellite_ids, table_b.matrix))
+    ids_a, ids_b = _code_ids(table_a.satellite_ids, table_b.satellite_ids)
+    out = cross_stability(_decoded(_grouped_means(ids_a, table_a.matrix)),
+                          _decoded(_grouped_means(ids_b, table_b.matrix)))
     assert out["amp_var"].r > 0.95
     assert abs(out["iq_eps_hat"].r) < 0.8
     assert abs(out["iq_phi_hat"].r) < 0.8

@@ -172,11 +172,25 @@ def test_cfo_ramp_applied():
     assert np.allclose(b.samples, np.exp(1j * 0.02 * np.arange(16)), atol=1e-14)
 
 
+def _scalar_channel(ch, rng):
+    """The per-burst channel draw in Python complex arithmetic: Rician
+    normals, then the phase uniform, from one generator."""
+    h = complex(ch.h)
+    if ch.rician_k_db is not None:
+        k = 10.0 ** (ch.rician_k_db / 10.0)
+        scatter = math.sqrt(1.0 / (k + 1.0)) * (
+            rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
+        h = h * (math.sqrt(k / (k + 1.0)) + scatter)
+    if ch.random_phase:
+        h = h * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    return h
+
+
 def _reference_burst(x, p, ch, rng):
     """The per-burst synthesis formula, one numpy call at a time on one
     burst: the oracle the block synthesizer must match bit for bit. Returns
     the drawn channel coefficient and the samples."""
-    h = draw_channel(ch, rng)
+    h = _scalar_channel(ch, rng)
     g = (1.0 + p.eps) * np.exp(1j * p.phi)
     k1, k2 = (1.0 + g) / 2.0, (1.0 - np.conj(g)) / 2.0
     x_iq = k1 * x + k2 * np.conj(x)
@@ -212,20 +226,46 @@ def test_block_synthesis_is_bit_identical_row_by_row():
     # 300 x 76 complex samples are 365 KB: above the 256 KiB from which
     # numpy reuses temporaries as outputs, which must not change a bit
     rows, n = 300, 76
-    ch = ChannelConfig(snr_db=12.0, rician_k_db=4.0, random_phase=True)
     # Gaussian symbols: on a small alphabet the swapped products can agree
     sym_rng = np.random.default_rng(11)
     x = (sym_rng.standard_normal((rows, n)) + 1j * sym_rng.standard_normal((rows, n))) / 2.0
     cfo = sym_rng.uniform(-0.02, 0.02, rows)
-    h, noise = _draw_rows([np.random.default_rng(i) for i in range(rows)], ch, x)
-    block = _synthesize_rows(x, _P, ch, cfo, h, noise)
-    assert block.nbytes > 256 * 1024
+    for rician_k_db in (4.0, None):
+        ch = ChannelConfig(snr_db=12.0, rician_k_db=rician_k_db, random_phase=True)
+        h, noise = _draw_rows([np.random.default_rng(i) for i in range(rows)], ch, x)
+        block = _synthesize_rows(x, _P, ch, cfo, h, noise)
+        assert block.nbytes > 256 * 1024
+        for i in range(rows):
+            row_ch = ChannelConfig(snr_db=12.0, rician_k_db=rician_k_db, random_phase=True,
+                                   cfo_rad_per_symbol=float(cfo[i]))
+            h_row, want = _reference_burst(x[i], _P, row_ch, np.random.default_rng(i))
+            assert h[i] == h_row
+            assert np.array_equal(block[i], want)
+
+
+@pytest.mark.parametrize("ch", [
+    ChannelConfig(h=0.8 - 0.3j, snr_db=None),
+    ChannelConfig(h=0.8 - 0.3j, snr_db=10.0, random_phase=True),
+    ChannelConfig(h=1.0, snr_db=10.0, rician_k_db=-3.0),
+    ChannelConfig(h=-2.5j, snr_db=None, rician_k_db=7.0, random_phase=True),
+])
+def test_block_channel_draws_are_bit_identical_to_draw_channel(ch):
+    # the block map of h after the row loop equals draw_channel row by row,
+    # and both the Python complex arithmetic of one draw; a row's generator
+    # then stands where one draw_channel and the noise leave it
+    rows = 200
+    x = np.ones((rows, 8), dtype=complex)
+    block = [np.random.default_rng((9, i)) for i in range(rows)]
+    h, _ = _draw_rows(block, ch, x)
     for i in range(rows):
-        row_ch = ChannelConfig(snr_db=12.0, rician_k_db=4.0, random_phase=True,
-                               cfo_rad_per_symbol=float(cfo[i]))
-        h_row, want = _reference_burst(x[i], _P, row_ch, np.random.default_rng(i))
-        assert h[i] == h_row
-        assert np.array_equal(block[i], want)
+        one, scalar = np.random.default_rng((9, i)), np.random.default_rng((9, i))
+        want = draw_channel(ch, one)
+        assert struct.pack("<dd", h[i].real, h[i].imag) == struct.pack("<dd", want.real,
+                                                                       want.imag)
+        assert want == _scalar_channel(ch, scalar)
+        if not ch.noise_free:
+            one.standard_normal((2, 8))
+        assert block[i].bit_generator.state == one.bit_generator.state
 
 
 # the CFO draw of a campaign burst for jitters 0, 0.01 and 3.0 (the low end
@@ -242,14 +282,14 @@ def test_uniform_map_is_bit_identical_to_rng_uniform(low, high):
     assert got.tobytes() == want.tobytes()
 
 
-def _assert_keyed_like_default_rng(prefix, n):
-    count = 0
-    for i, rng in enumerate(_keyed_generators(prefix, n)):
-        ref = np.random.default_rng((*prefix, i))
-        assert rng.bit_generator.state == ref.bit_generator.state, (prefix, i)
-        assert np.array_equal(rng.standard_normal(8), ref.standard_normal(8)), (prefix, i)
-        count += 1
-    assert count == n
+def _assert_keyed_like_default_rng(prefix, shape):
+    # listed first: a yielded generator stays valid after the next is drawn
+    keyed = list(_keyed_generators(prefix, shape))
+    assert len(keyed) == math.prod(shape)
+    for idx, rng in zip(np.ndindex(*shape), keyed):
+        ref = np.random.default_rng((*prefix, *idx))
+        assert rng.bit_generator.state == ref.bit_generator.state, (prefix, idx)
+        assert np.array_equal(rng.standard_normal(8), ref.standard_normal(8)), (prefix, idx)
 
 
 # 2**70 splits into 3 words, so (2**70, 2**70) with its key holds 7 words
@@ -258,22 +298,39 @@ def _assert_keyed_like_default_rng(prefix, n):
 @pytest.mark.parametrize("prefix", [(), (0,), (2**32 - 1,), (2**32,), (2**70,),
                                     (2, 0, 2**32 - 1), (2**70, 2**70)])
 def test_keyed_generators_match_default_rng(prefix, n):
-    _assert_keyed_like_default_rng(prefix, n)
+    _assert_keyed_like_default_rng(prefix, (n,))
+
+
+# a campaign keys (seed, satellite, burst) and a Monte Carlo grid (seed,
+# SNR point, trial): two index entries per key, over the whole shape at once
+@pytest.mark.parametrize("shape", [(3, 65), (0, 5), (2, 0)])
+@pytest.mark.parametrize("prefix", [(), (2**70,), (2**32,)])
+def test_keyed_generators_match_default_rng_over_a_shape(prefix, shape):
+    _assert_keyed_like_default_rng(prefix, shape)
 
 
 @settings(max_examples=60, deadline=None)
 @given(prefix=st.lists(st.integers(0, 2**80 - 1), max_size=3), n=st.sampled_from([0, 1, 65]))
 def test_keyed_generators_match_default_rng_property(prefix, n):
-    _assert_keyed_like_default_rng(tuple(prefix), n)
+    _assert_keyed_like_default_rng(tuple(prefix), (n,))
 
 
 def test_keyed_generators_cross_the_hashing_chunk():
-    _assert_keyed_like_default_rng((5, 1), _KEY_CHUNK + 2)
+    _assert_keyed_like_default_rng((5, 1), (_KEY_CHUNK + 2,))
+    # a chunk that ends inside a row of the shape
+    _assert_keyed_like_default_rng((5,), (3, _KEY_CHUNK // 2 + 1))
 
 
 def test_keyed_generators_reject_negative_seeds():
     with pytest.raises(ConfigError, match="non-negative"):
-        next(_keyed_generators((3, -1), 2))
+        next(_keyed_generators((3, -1), (2,)))
+
+
+def test_keyed_generators_reject_an_axis_beyond_one_word():
+    # an index entry of 2**32 would take two words
+    with pytest.raises(ConfigError, match="2\\*\\*32"):
+        next(_keyed_generators((3,), (2, 2**32 + 1)))
+    assert sum(1 for _ in zip(range(2), _keyed_generators((3,), (2**32, 2)))) == 2
 
 
 def test_rician_mean_power():
@@ -423,6 +480,48 @@ def test_burst_files_roundtrip_property(tmp_path, data, n, sat, snr_db, truth, m
     for got, want in ((back.samples, b.samples), (back.known_symbols, b.known_symbols)):
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+    assert back.meta == b.meta
+
+
+@pytest.mark.parametrize("meta, message", [
+    (BurstMeta(truth=HwiParams(eps=math.nan)), "must be finite"),
+    (BurstMeta(truth=HwiParams(alpha3=complex(0.0, math.inf))), "must be finite"),
+    (BurstMeta(satellite_id=5), "must be strings"),
+    (BurstMeta(modulation=None), "must be strings"),
+    (BurstMeta(satellite_id=np.int64(5)), "not JSON serializable"),
+])
+def test_burst_writer_refuses_a_header_its_reader_refuses(tmp_path, meta, message):
+    b = Burst(samples=np.ones(3, dtype=complex), known_symbols=np.ones(3, dtype=complex),
+              meta=meta)
+    with pytest.raises(BurstError, match=message):
+        write_burst_binary(b, tmp_path / "b.bin")
+    assert not (tmp_path / "b.bin").exists()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 5),
+       sat=st.text(max_size=4) | st.integers() | st.none(),
+       snr_db=st.none() | st.floats(-3000.0, 3000.0) | st.just(math.inf),
+       truth=st.none() | st.builds(HwiParams, eps=st.floats() | st.integers(),
+                                   phi=st.floats(), alpha3=st.complex_numbers()),
+       modulation=st.sampled_from(["qpsk", "iridium"]) | st.text(max_size=3) | st.booleans())
+def test_any_burst_the_writer_accepts_reads_back_equal(tmp_path, n, sat, snr_db, truth,
+                                                       modulation):
+    b = Burst(samples=np.arange(n) - 1.5j, known_symbols=np.full(n, -0.0 + 1j),
+              meta=BurstMeta(satellite_id=sat, truth=truth, modulation=modulation,
+                             channel=ChannelConfig(snr_db=snr_db)))
+    path = tmp_path / "b.bin"
+    if path.exists():
+        path.unlink()
+    try:
+        write_burst_binary(b, path)
+    except BurstError:
+        assert not path.exists()
+        return
+    back = read_burst_binary(path)
+    for got, want in ((back.samples, b.samples), (back.known_symbols, b.known_symbols)):
+        assert got.tobytes() == want.tobytes()
     assert back.meta == b.meta
 
 
