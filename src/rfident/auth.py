@@ -10,6 +10,7 @@ feature carrying no satellite information scores near 1/sqrt(2) = 0.707.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -69,6 +70,12 @@ STRATEGIES = {
 # bursts per feature-extraction block: large enough that numpy's per-call
 # overhead is spread thin, small enough that a campaign streams in flat memory
 _BLOCK = 256
+# rows a campaign synthesizes before extracting them a block at a time: the
+# release of a buffer this large lifts glibc's dynamic mmap threshold above
+# a block's temporaries, which a 256-row buffer leaves to be trimmed from
+# the heap and page-faulted back on every block (~11,000 page faults per
+# default experiment, against ~1,300)
+_CAMPAIGN_BUFFER = 4 * _BLOCK
 
 
 class AuthConfigError(ValueError):
@@ -99,6 +106,13 @@ class FeatureTable:
     snr_db: np.ndarray
     matrix: np.ndarray
     feature_names: tuple = FEATURE_NAMES
+
+    @functools.cached_property
+    def coded_ids(self) -> tuple:
+        """The satellite ids as a coded pair (names, codes): the sorted
+        unique ids and each row's index into them, so that ids compare as
+        ints (see ``_share_names``)."""
+        return tuple(np.unique(self.satellite_ids, return_inverse=True))
 
     def to_csv(self, path) -> None:
         write_csv_atomic(
@@ -189,18 +203,21 @@ def balanced_dr(
     """
     if n_bal < 2 or n_trials < 1:
         raise ConfigError("need n_bal >= 2 and n_trials >= 1")
-    ids = np.asarray(table.satellite_ids)
-    uniq, counts = np.unique(ids, return_counts=True)
-    eligible = uniq[counts >= n_bal]
-    excluded = tuple(uniq[counts < n_bal])
+    names, codes = table.coded_ids
+    counts = np.bincount(codes, minlength=len(names))
+    eligible = np.flatnonzero(counts >= n_bal)
+    excluded = tuple(names[counts < n_bal])
     if eligible.size < 2:
         raise AuthConfigError("need at least 2 satellites with >= n_bal messages")
     half = n_bal // 2
     rng = np.random.default_rng(_check_seed(seed))
     drs = np.zeros((n_trials, table.matrix.shape[1]))
-    idx_by_sat = {s: np.flatnonzero(ids == s) for s in eligible}
+    # each eligible satellite's rows in table order
+    order = np.argsort(codes, kind="stable")
+    ends = np.cumsum(counts)
+    idx_by_sat = [order[ends[c] - counts[c]:ends[c]] for c in eligible]
     for t in range(n_trials):
-        picks = [rng.choice(idx_by_sat[s], size=n_bal, replace=False) for s in eligible]
+        picks = [rng.choice(idx, size=n_bal, replace=False) for idx in idx_by_sat]
         drawn = table.matrix[np.stack(picks)]  # (satellites, n_bal, features)
         m_a = drawn[:, :half].mean(axis=1)
         m_b = drawn[:, half:].mean(axis=1)
@@ -305,22 +322,25 @@ def _columns(x, feature_names, normalizer: tuple) -> np.ndarray:
 def iwat_score(probes: np.ndarray, enrollment: np.ndarray, weights) -> np.ndarray:
     """(probes x enrollment) weighted squared distances between the rows of
     two fingerprint arrays. Accumulating one feature at a time in one
-    reused (probes x enrollment) buffer adds, for fewer than eight features,
-    in the same order as a per-pair ``np.sum``."""
-    out = np.zeros((probes.shape[0], enrollment.shape[0]))
+    reused (enrollment x probes) buffer adds, for fewer than eight features,
+    in the same order as a per-pair ``np.sum``; the result is the buffer's
+    transpose, so that each pass runs along the probes' contiguous
+    feature columns."""
+    columns = np.ascontiguousarray(probes.T)
+    out = np.zeros((enrollment.shape[0], probes.shape[0]))
     term = np.empty_like(out)
     for f, w_f in enumerate(weights):
-        np.subtract(probes[:, None, f], enrollment[None, :, f], out=term)
+        np.subtract(columns[f], enrollment[:, f, None], out=term)
         np.square(term, out=term)
         term *= w_f
         out += term
-    return out
+    return out.T
 
 
 def _glrt_precision(x: np.ndarray, ids: tuple, ridge: float) -> np.ndarray:
     """Inverse of the ridge-regularized covariance of the rows of x, each row
     centred on the mean of its satellite's rows; ``ids`` are the rows'
-    coded satellite ids (see ``_code_ids``)."""
+    coded satellite ids (see ``_share_names``)."""
     (_, sats), means = _grouped_means(ids, x)
     x = x - means[np.searchsorted(sats, ids[1])]
     cov = np.atleast_2d(np.cov(x, rowvar=False, ddof=1)) + ridge * np.eye(x.shape[1])
@@ -340,7 +360,7 @@ def glrt_score(probes: np.ndarray, enrollment: np.ndarray, precision: np.ndarray
 def _genuine_impostor(scores: np.ndarray, probe_ids: tuple, ref_ids: tuple) -> tuple:
     """Split a (probes x refs) score matrix into genuine scores (probe and
     reference are the same satellite) and impostor scores (all others), for
-    probe and reference ids coded over one set of names (see ``_code_ids``)."""
+    probe and reference ids coded over one set of names (see ``_share_names``)."""
     (names, probe), (_, ref) = probe_ids, ref_ids
     enrolled = np.zeros(len(names), dtype=bool)
     enrolled[ref] = True
@@ -492,43 +512,67 @@ def simulate_campaign(
     Burst ``bi`` of satellite ``si`` takes its CFO, its QPSK symbols (unless
     the Iridium pilots are sent), its channel and its noise, in that order,
     from the stream of ``default_rng((campaign_seed, si, bi))``, with the
-    fleet's streams seeded in bulk by ``_keyed_generators``; each
-    satellite's bursts are then synthesized and their features extracted as
-    one stack."""
+    fleet's streams seeded in bulk by ``_keyed_generators``. The bursts are
+    synthesized satellite by satellite into a buffer of
+    ``_CAMPAIGN_BUFFER`` rows, and each time it fills, its features are
+    extracted in blocks of ``_BLOCK`` rows, whatever the satellite
+    boundaries, as ``feature_table_from_bursts`` reads a burst stream. The
+    Iridium pilots are one row that every burst shares."""
     n_bursts = n_bursts if n_bursts is not None else cfg.n_enroll
     if n_bursts < 1:
         raise ConfigError(f"a campaign needs n_bursts >= 1, got {n_bursts}")
     # one channel for every burst: the per-burst CFO is passed on its own
     ch = ChannelConfig(snr_db=cfg.snr_db, rician_k_db=cfg.rician_k_db, random_phase=True)
-    x = np.empty((n_bursts, cfg.n_known), dtype=complex)
-    alphabet = None if cfg.burst_mode == "iridium" else make_constellation("qpsk")
-    if alphabet is None:
-        x[:] = iridium_known_symbols(cfg.n_known)
-    cfo_u = np.empty(n_bursts)
-    ids, blocks = [], []
+    n, total = cfg.n_known, len(fleet) * n_bursts
+    buffer = max(1, min(_CAMPAIGN_BUFFER, total))  # an empty fleet reads as no rows
+    if cfg.burst_mode == "iridium":
+        alphabet, known = None, iridium_known_symbols(n)[None]
+    else:
+        alphabet, known = make_constellation("qpsk"), np.empty((buffer, n), dtype=complex)
+
+    def symbols(rows: slice) -> np.ndarray:
+        return known if alphabet is None else known[rows]
+
+    samples = np.empty((buffer, n), dtype=complex)
+    cfo_u = np.empty(buffer)
     keyed = _keyed_generators((campaign_seed,), (len(fleet), n_bursts))
-    for sat, p in fleet:
-        h, noise = _draw_rows(keyed, ch, x, alphabet, cfo_u=cfo_u)
-        cfo = _uniform(-cfg.cfo_jitter, cfg.cfo_jitter, cfo_u)
-        samples = _synthesize_rows(x, p, ch, cfo, h, noise)
-        blocks.append(_extract_stack(samples, x, first=len(ids))[0])
-        ids += [sat or "unknown"] * n_bursts
-    return _table(ids, [cfg.snr_db] * len(ids), blocks)
+    blocks = []
+    for first in range(0, total, buffer):
+        stop = min(first + buffer, total)
+        # the buffer's rows of each satellite it reaches
+        for si in range(first // n_bursts, (stop - 1) // n_bursts + 1):
+            rows = slice(max(first, si * n_bursts) - first,
+                         min(stop, (si + 1) * n_bursts) - first)
+            # the draws fill a QPSK campaign's symbols into the buffer, and
+            # read only the row count off the shared pilot row
+            if alphabet is None:
+                x = np.broadcast_to(known, (rows.stop - rows.start, n))
+            else:
+                x = known[rows]
+            h, noise = _draw_rows(keyed, ch, x, alphabet, cfo_u=cfo_u[rows])
+            cfo = _uniform(-cfg.cfo_jitter, cfg.cfo_jitter, cfo_u[rows])
+            samples[rows] = _synthesize_rows(symbols(rows), fleet[si][1], ch, cfo, h, noise)
+        for start in range(0, stop - first, _BLOCK):
+            rows = slice(start, min(start + _BLOCK, stop - first))
+            blocks.append(_extract_stack(samples[rows], symbols(rows), first=first + start)[0])
+    names, codes = np.unique([sat or "unknown" for sat, _ in fleet], return_inverse=True)
+    return _table(names, np.repeat(codes, n_bursts), [cfg.snr_db] * total, blocks)
 
 
-def _code_ids(*id_lists) -> list:
-    """Each list of satellite ids as a coded pair (names, codes): ``names``
-    the sorted unique ids of all the lists, one array shared by every pair,
-    and ``codes`` each row's index into it, so that ids compare as ints."""
-    names, codes = np.unique(np.concatenate(id_lists), return_inverse=True)
-    return [(names, c) for c in np.split(codes, np.cumsum([len(i) for i in id_lists])[:-1])]
+def _share_names(*coded) -> list:
+    """Coded id pairs (names, codes), each over its own sorted names (such
+    as the ``coded_ids`` of tables), recoded over the sorted union of all
+    the names: ``names`` one array shared by every pair, and ``codes``
+    each row's index into it."""
+    names = np.unique(np.concatenate([own for own, _ in coded]))
+    return [(names, np.searchsorted(names, own)[codes]) for own, codes in coded]
 
 
 def _grouped_means(ids: tuple, matrix: np.ndarray, start: int = 0, stop: int | None = None,
                    size: int | None = None) -> tuple[tuple, np.ndarray]:
     """Means of consecutive per-satellite row chunks.
 
-    ``ids`` are the rows' coded satellite ids (see ``_code_ids``). Each
+    ``ids`` are the rows' coded satellite ids (see ``_share_names``). Each
     satellite of the table (in code order, which is sorted id order)
     contributes its rows ``[start:stop]`` in table order: all of them as
     one chunk when ``size`` is None, otherwise disjoint chunks of ``size``
@@ -568,7 +612,7 @@ def run_auth_experiment(cfg: FleetProtocolConfig | None = None, seed: int = 0) -
 
     dr_table = balanced_dr(table_a, n_bal=cfg.n_bal, n_trials=cfg.n_dr_trials, seed=seed + 101)
     beta = moments(make_constellation("qpsk" if cfg.burst_mode != "iridium" else "bpsk").points).beta
-    ids_a, ids_b = _code_ids(table_a.satellite_ids, table_b.satellite_ids)
+    ids_a, ids_b = _share_names(table_a.coded_ids, table_b.coded_ids)
     enrollment = _grouped_means(ids_a, table_a.matrix)
 
     def split(name, probes, refs=enrollment):
@@ -644,21 +688,21 @@ def feature_table_from_bursts(bursts, pipeline: PipelineConfig | None = None) ->
         blocks.append(_extract_bursts(block, n_known, first=len(ids))[0])
         ids += [b.meta.satellite_id or "unknown" for b in block]
         snrs += [b.meta.channel.snr_db for b in block]
-    return _table(ids, snrs, blocks)
+    return _table(*np.unique(ids, return_inverse=True), snrs, blocks)
 
 
-def _table(ids: list, snrs: list, blocks: list) -> FeatureTable:
-    """The table of per-burst satellite ids, SNRs (None, noise-free, reads
-    as inf) and feature blocks, with each satellite's bursts numbered in
-    arrival order."""
-    counters: dict = {}
-    idxs = []
-    for sat in ids:
-        counters[sat] = counters.get(sat, -1) + 1
-        idxs.append(counters[sat])
+def _table(names: np.ndarray, codes: np.ndarray, snrs: list, blocks: list) -> FeatureTable:
+    """The table of per-burst satellite ids, coded as ``names[codes]``, SNRs
+    (None, noise-free, reads as inf) and feature blocks, with each
+    satellite's bursts numbered in arrival order."""
+    # one stable sort lists each satellite's bursts in arrival order
+    order = np.argsort(codes, kind="stable")
+    counts = np.bincount(codes, minlength=len(names))
+    burst_index = np.empty(codes.size, dtype=int)
+    burst_index[order] = np.arange(codes.size) - np.repeat(np.cumsum(counts) - counts, counts)
     return FeatureTable(
-        satellite_ids=np.asarray(ids),
-        burst_index=np.asarray(idxs),
+        satellite_ids=names[codes],
+        burst_index=burst_index,
         snr_db=np.array([math.inf if s is None else s for s in snrs], dtype=float),
         matrix=np.concatenate(blocks) if blocks else np.empty((0, len(FEATURE_NAMES))),
     )

@@ -100,8 +100,22 @@ def _unwrap_rows(phase: np.ndarray) -> np.ndarray:
     step = np.diff(phase, axis=1)
     turns = (step < -np.pi).astype(float)
     turns -= step > np.pi
+    np.cumsum(turns, axis=1, out=turns)
+    turns *= 2.0 * np.pi
     out = phase.copy()
-    out[:, 1:] += 2.0 * np.pi * np.cumsum(turns, axis=1)
+    out[:, 1:] += turns
+    return out
+
+
+def _strip(unit: np.ndarray, strip_power: np.ndarray) -> np.ndarray:
+    """Each row of unit raised to its row's strip power."""
+    powers = np.unique(strip_power)
+    if powers.size == 1:
+        return _power(unit, int(powers[0]))
+    out = np.empty_like(unit)
+    for p in powers:
+        rows = strip_power == p
+        out[rows] = _power(unit[rows], int(p))
     return out
 
 
@@ -111,16 +125,7 @@ def _cfo_block(z: np.ndarray, mag: np.ndarray,
     magnitudes mag = |z| and one strip power per row."""
     n = np.arange(z.shape[1])
     # strip modulation, keep magnitudes tame for the angle
-    unit = z / mag
-    powers = np.unique(strip_power)
-    if powers.size == 1:
-        stripped = _power(unit, int(powers[0]))
-    else:
-        stripped = np.empty_like(unit)
-        for p in powers:
-            rows = strip_power == p
-            stripped[rows] = _power(unit[rows], int(p))
-    phase = _unwrap_rows(np.angle(stripped))
+    phase = _unwrap_rows(np.angle(_strip(z / mag, strip_power)))
     # least-squares slope against the centred index c: sum(c) = 0 drops the intercept
     c = n - (n.size - 1) / 2.0
     slope = np.sum(phase * c, axis=1) / np.sum(c * c) / strip_power
@@ -183,7 +188,8 @@ def _divide(num: np.ndarray, den: np.ndarray, flat: np.ndarray) -> np.ndarray:
 def _image_ratio(z: np.ndarray, x: np.ndarray, collinear: np.ndarray,
                  s_xx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's least-squares image-leakage ratio K2_hat / K1_hat from the
-    known symbols x, and whether it is degenerate.
+    known symbols x, and whether it is degenerate; x, ``collinear`` and
+    ``s_xx`` hold one entry per row of z, or one that every row shares.
 
     When the symbols have beta = 0 (``collinear``; real pilots, say) the
     regressors x and x* are collinear and the ratio is unidentifiable; the
@@ -193,51 +199,69 @@ def _image_ratio(z: np.ndarray, x: np.ndarray, collinear: np.ndarray,
     scale, so no power denominator: it would leak the noise floor in."""
     x_conj = np.conj(x)  # bound to a name, as ``ramp`` in ``_cfo_block``
     rhs1 = np.sum(z * x_conj, axis=1)
-    rho = np.zeros(x.shape[0], dtype=complex)
-    flat = np.ones(x.shape[0], dtype=bool)
+    # a block whose rows all take one branch (every campaign block) runs it
+    # on the whole stack, without copying rows out
+    if collinear.all():
+        return _circularity(z, rhs1 / s_xx), np.ones(z.shape[0], dtype=bool)
+    if not collinear.any():
+        return _widely_linear(z, x, rhs1, s_xx)
+    rho = np.empty(z.shape[0], dtype=complex)
+    flat = np.ones(z.shape[0], dtype=bool)
     rows = np.flatnonzero(collinear)
-    h_hat = rhs1[rows] / s_xx[rows]
-    usable = np.abs(h_hat) >= 1e-12
-    z_eq = z[rows[usable]] / h_hat[usable, None]
-    rho[rows[usable]] = np.mean(z_eq * z_eq, axis=1) / 2.0
-
-    # the other rows solve [[s_xx, s_x2*], [s_x2, s_xx]] [k1, k2] = [rhs1, rhs2]
+    rho[rows] = _circularity(z[rows], rhs1[rows] / s_xx[rows])
     rows = np.flatnonzero(~collinear)
-    if not rows.size:
-        return rho, flat
-    xr, s, r1 = x[rows], s_xx[rows], rhs1[rows]
-    s_x2, r2 = np.sum(xr * xr, axis=1), np.sum(z[rows] * xr, axis=1)
+    rho[rows], flat[rows] = _widely_linear(z[rows], x[rows], rhs1[rows], s_xx[rows])
+    return rho, flat
+
+
+def _circularity(z: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
+    """Half the mean of each row's z_eq^2, z_eq = z / h_hat the row equalized
+    by its channel estimate, and 0 where that estimate vanishes."""
+    usable = np.abs(h_hat) >= 1e-12
+    z_eq = z / np.where(usable, h_hat, 1.0)[:, None]
+    return np.where(usable, np.mean(z_eq * z_eq, axis=1) / 2.0, 0.0)
+
+
+def _widely_linear(z: np.ndarray, x: np.ndarray, r1: np.ndarray,
+                   s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ratios k2 / k1 of [[s, s_x2*], [s_x2, s]] [k1, k2] = [r1, r2],
+    with s_x2 = sum(x^2) and r2 = sum(z x) per row, and the rows whose k1
+    vanishes, which read 0."""
+    s_x2, r2 = np.sum(x * x, axis=1), np.sum(z * x, axis=1)
     det = s * s - (s_x2.real * s_x2.real + s_x2.imag * s_x2.imag)
     k1 = (s * r1 - np.conj(s_x2) * r2) / det
     k2 = (s * r2 - s_x2 * r1) / det
     usable = np.abs(k1) >= 1e-12
-    rho[rows[usable]] = k2[usable] / k1[usable]
-    flat[rows[usable]] = False
-    return rho, flat
+    return np.where(usable, k2 / np.where(usable, k1, 1.0), 0.0), ~usable
 
 
 def _feature_block(samples: np.ndarray, mag: np.ndarray,
                    x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 13 features (columns in FEATURE_NAMES order) and the degenerate
-    mask (columns in ``_FLAGS`` order) of each row of checked (bursts,
-    n_known) stacks of samples, their magnitudes mag and known symbols x."""
+    mask (columns in ``_FLAGS`` order) of each row of a checked (bursts,
+    n_known) stack of samples with magnitudes mag, from their known symbols
+    x: a stack of the same shape, or one (1, n_known) row that every burst
+    shares, whose rank, powers and sums are then taken once."""
+    # each stack is let go as soon as it is read, which keeps the
+    # temporaries of a 256-row block near 1.7 MB, not 2.8 MB (see
+    # ``auth._CAMPAIGN_BUFFER``)
     collinear = predicted_fim_rank(moments(x)) == 2
-    derot, cfo_hat = _cfo_block(samples, mag, np.where(collinear, 2, 4))
-    z = normalize_amplitude(derot)
+    z, cfo_hat = _cfo_block(samples, mag, np.where(collinear, 2, 4))
+    z = normalize_amplitude(z)
 
     a = np.abs(z)
     a_mean = np.mean(a, axis=1)
     hi, lo = _row_percentiles(a, (_PERCENTILE_HI, _PERCENTILE_LO))
+    dp = _unwrap_rows(np.angle(_power(z / a, 4)))
+    dp -= np.mean(dp, axis=1)[:, None]
+    p_dd = np.sum(dp * dp, axis=1)
+
     da = a - a_mean[:, None]
     d2 = da * da
     a_dd = np.sum(d2, axis=1)
     # the variances are np.var's sums of squared deviations over n, bit for bit
     n = z.shape[1]
     a_var = a_dd / n
-
-    psi = _unwrap_rows(np.angle(_power(z / a, 4)))
-    dp = psi - np.mean(psi, axis=1)[:, None]
-    p_dd = np.sum(dp * dp, axis=1)
 
     px = np.abs(x) ** 2
     evm = np.sqrt(np.mean(np.abs(z - x) ** 2, axis=1) / np.mean(px, axis=1))
@@ -282,25 +306,34 @@ def _extract_bursts(bursts, n_known: int, first: int = 0) -> tuple[np.ndarray, n
 
 def _extract_stack(samples: np.ndarray, known: np.ndarray, first: int = 0,
                    lengths: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``_feature_block`` over (bursts, n_known) stacks of samples and known
-    symbols, after the input checks; ``lengths`` holds each burst's length
-    before truncation (n_known by default). A bad burst raises
-    DegenerateInputError naming its index, counted from ``first``; with
-    several, the first one and its first failing check, as a burst-by-burst
-    loop would meet them."""
-    n_known = samples.shape[1]
-    if lengths is None:
-        lengths = np.full(samples.shape[0], n_known)
+    """``_feature_block`` over a (bursts, n_known) stack of samples and their
+    known symbols (a stack of the same shape, or one shared row), after the
+    input checks; ``lengths`` holds each burst's length before truncation
+    (n_known by default). A bad burst raises DegenerateInputError naming
+    its index, counted from ``first``; with several, the first one and its
+    first failing check, as a burst-by-burst loop would meet them."""
+    rows, n_known = samples.shape
     mag = np.abs(samples)
     with np.errstate(over="ignore"):
         # finite samples whose mean power overflows would normalize to zero
         power = np.mean(mag ** 2, axis=1)
-    checks = [(lengths < n_known, f"has {{n}} samples, needs {n_known}"),
-              (~np.all(np.isfinite(known), axis=1), "non-finite known symbol"),
-              (~np.any(known, axis=1), "known symbols are all zero"),
-              *_sample_checks(samples, mag),
-              (~np.isfinite(power), "sample power overflows")]
-    _raise_first_bad(checks, first, n=lengths)
+    # one summary passes a good block: a finite power means finite samples
+    # whose power does not overflow; the per-check masks name a bad burst
+    if not (np.isfinite(power).all() and mag.min() >= 1e-300
+            and (lengths is None or lengths.min() >= n_known)
+            and np.isfinite(known).all() and known.any(axis=1).all()):
+        if lengths is None:
+            lengths = np.full(rows, n_known)
+
+        def per_burst(mask):
+            return np.broadcast_to(mask, (rows,))
+
+        _raise_first_bad([
+            (lengths < n_known, f"has {{n}} samples, needs {n_known}"),
+            (per_burst(~np.all(np.isfinite(known), axis=1)), "non-finite known symbol"),
+            (per_burst(~np.any(known, axis=1)), "known symbols are all zero"),
+            *_sample_checks(samples, mag),
+            (~np.isfinite(power), "sample power overflows")], first, n=lengths)
     return _feature_block(samples, mag, known)
 
 

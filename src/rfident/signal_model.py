@@ -420,7 +420,9 @@ def _synthesize_rows(x: np.ndarray, p: HwiParams, ch: ChannelConfig, cfo: np.nda
     """Row i of the (bursts, n) result is
     h[i] * apply_hwi(x[i], p) * e^{j cfo[i] n} + sigma (noise[i, 0] + j noise[i, 1]),
     bit for bit what the row alone gives, for channel coefficients ``h`` and
-    noise from ``_draw_rows`` and the noise level of ``ch``."""
+    noise from ``_draw_rows`` and the noise level of ``ch``. The known
+    symbols x are a (bursts, n) stack, or one (1, n) row that every burst
+    shares, which is then impaired once."""
     n_idx = np.arange(x.shape[1])
     # 1j * cfo is exact, so every row gets the ramp of a single burst
     ramp = np.exp((1j * cfo)[:, None] * n_idx)

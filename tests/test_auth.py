@@ -18,10 +18,10 @@ from rfident.auth import (
     DrRow,
     FeatureTable,
     FleetProtocolConfig,
-    _code_ids,
     _genuine_impostor,
     _glrt_precision,
     _grouped_means,
+    _share_names,
     accumulate,
     balanced_dr,
     cross_stability,
@@ -54,6 +54,13 @@ PUBLISHED_DRS = {
     "amp_kurtosis": 0.92,
     "evm": 0.86,
 }
+
+
+def _code_ids(*id_lists) -> list:
+    """Oracle: each list of satellite ids as a coded pair (names, codes)
+    over the sorted unique ids of all the lists, coded in one np.unique."""
+    names, codes = np.unique(np.concatenate(id_lists), return_inverse=True)
+    return [(names, c) for c in np.split(codes, np.cumsum([len(i) for i in id_lists])[:-1])]
 
 
 def _table(ids, matrix, snr=15.0):
@@ -318,6 +325,24 @@ def test_iwat_scale_invariance_of_ranking():
     assert np.allclose(sorted(d1), sorted(d2))
 
 
+@pytest.mark.parametrize("n_features", range(1, 8))
+def test_iwat_score_equals_the_per_pair_sum(n_features):
+    # fewer than eight features add in np.sum's order, bit for bit, and the
+    # transposed result splits as a C-ordered matrix of the same scores does
+    rng = np.random.default_rng(40 + n_features)
+    probes = rng.normal(size=(50, n_features))
+    refs = rng.normal(size=(7, n_features))
+    w = rng.random(n_features)
+    w /= w.sum()
+    scores = iwat_score(probes, refs, w)
+    want = np.array([[np.sum(w * (p - e) ** 2) for e in refs] for p in probes])
+    assert scores.shape == want.shape
+    assert scores.tobytes() == want.tobytes()
+    ids = _code_ids(np.arange(50) % 7, np.arange(7))
+    split, want_split = _genuine_impostor(scores, *ids), _genuine_impostor(want, *ids)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(split, want_split))
+
+
 def test_iwat_empty_enrollment():
     # an empty enrollment scores to a (probes x 0) matrix, and splitting it
     # into genuine and impostor scores finds the probe's satellite not enrolled
@@ -485,21 +510,61 @@ def test_simulate_campaign_smoke():
     assert table.matrix.shape == (36, N_FEAT)
     assert np.all(np.isfinite(table.matrix))
     _assert_feature_ranges(table.matrix)
+    assert np.array_equal(table.burst_index, np.tile(np.arange(12), 3))
+
+
+# 4 satellites: 256 bursts each fill the synthesis buffer exactly, 300 cross
+# it inside a satellite, and every size past 64 crosses 256-row blocks
+@pytest.mark.parametrize("burst_mode", ["iridium", "qpsk_pilots"])
+@pytest.mark.parametrize("n_bursts", [1, 12, 100, 255, 256, 300])
+def test_streamed_campaign_equals_the_per_burst_oracle(n_bursts, burst_mode):
     # the campaign table is the generic burst-file table over the same
     # bursts, with noise, Rician channel draws or neither
-    for burst_mode, channel in itertools.product(
-            ("iridium", "qpsk_pilots"), ({}, {"rician_k_db": 6.0}, {"snr_db": math.inf})):
-        cfg = FleetProtocolConfig(n_sats=3, n_enroll=40, n_probe=60, probe_acc=30, n_bal=30,
+    fleet = generate_fleet(4, seed=5)
+    for channel in ({}, {"rician_k_db": 6.0}, {"snr_db": math.inf}):
+        cfg = FleetProtocolConfig(n_sats=4, n_enroll=40, n_probe=60, probe_acc=30, n_bal=30,
                                   burst_mode=burst_mode, **channel)
-        table = simulate_campaign(fleet, cfg, campaign_seed=1, n_bursts=12)
-        ref = feature_table_from_bursts(_campaign_bursts(fleet, cfg, 1, 12),
+        table = simulate_campaign(fleet, cfg, campaign_seed=1, n_bursts=n_bursts)
+        ref = feature_table_from_bursts(_campaign_bursts(fleet, cfg, 1, n_bursts),
                                         PipelineConfig(n_known=cfg.n_known))
-        assert list(table.satellite_ids) == list(ref.satellite_ids)
-        assert np.array_equal(table.burst_index, np.tile(np.arange(12), 3))
-        assert np.array_equal(table.burst_index, ref.burst_index)
+        assert np.array_equal(table.satellite_ids, ref.satellite_ids)
+        assert table.satellite_ids.dtype == ref.satellite_ids.dtype
+        assert np.array_equal(table.burst_index, np.tile(np.arange(n_bursts), 4))
+        assert table.burst_index.tobytes() == ref.burst_index.tobytes()
         assert np.array_equal(table.snr_db, ref.snr_db)
-        assert np.array_equal(table.matrix, ref.matrix)
+        assert table.matrix.tobytes() == ref.matrix.tobytes()
         _assert_feature_ranges(table.matrix)
+
+
+def test_empty_fleet_gives_an_empty_campaign():
+    for burst_mode in ("iridium", "qpsk_pilots"):
+        table = simulate_campaign([], FleetProtocolConfig(burst_mode=burst_mode), campaign_seed=1)
+        assert table.matrix.shape == (0, N_FEAT)
+        assert table.satellite_ids.size == table.burst_index.size == table.snr_db.size == 0
+
+
+def test_table_numbering_and_codes_follow_arrival_order():
+    # interleaved, unsorted ids: each satellite's bursts are numbered in
+    # arrival order, and the coded ids are the ones np.unique gives
+    ids = ["S2", "S10", "S2", "S07", "", "S10", "S2", "", "S07"]
+    bursts = [synthesize_burst(iridium_known_symbols(), p, ChannelConfig(snr_db=15.0), seed=i,
+                               satellite_id=sat)
+              for i, (sat, (_, p)) in enumerate(zip(ids, generate_fleet(9, seed=2)))]
+    table = feature_table_from_bursts(bursts)
+    want_ids = np.array([s or "unknown" for s in ids])
+    assert np.array_equal(table.satellite_ids, want_ids)
+    assert table.satellite_ids.dtype == want_ids.dtype
+    assert list(table.burst_index) == [0, 0, 1, 0, 0, 1, 2, 1, 1]
+    names, codes = table.coded_ids
+    want_names, want_codes = np.unique(want_ids, return_inverse=True)
+    assert np.array_equal(names, want_names) and np.array_equal(codes, want_codes)
+    # two tables over different names share one coding, as the raw ids do
+    other = _table(["S10", "S99", "S07"], np.zeros((3, N_FEAT)))
+    got = _share_names(table.coded_ids, other.coded_ids)
+    want = _code_ids(table.satellite_ids, other.satellite_ids)
+    for (got_names, got_codes), (want_names, want_codes) in zip(got, want):
+        assert np.array_equal(got_names, want_names)
+        assert got_codes.tobytes() == want_codes.tobytes()
 
 
 def test_noise_free_iridium_phase_is_flagged_flat():

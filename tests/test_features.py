@@ -12,6 +12,7 @@ from rfident.features import (
     _FLAGS,
     _cfo_block,
     _extract_bursts,
+    _extract_stack,
     _row_percentiles,
     _unwrap_rows,
     DegenerateInputError,
@@ -683,3 +684,71 @@ def test_row_percentiles_are_bit_identical_to_numpy_percentile_property(seed, n,
         a[:] = a[:, :1]
     want = np.percentile(a, [95.0, 5.0], axis=1)
     assert np.array(_row_percentiles(a, (95.0, 5.0))).tobytes() == want.tobytes()
+
+
+def _shared_row_samples(x, rows, seed):
+    """(rows, len(x)) samples of bursts that all carry the known symbols x,
+    with random fingerprints, CFOs and channel phases at 3-25 dB; every
+    fifth is noise-free with no impairment, so that flags get set."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((rows, x.size), dtype=complex)
+    for i in range(rows):
+        p, snr = HwiParams(), None
+        if i % 5:
+            p = HwiParams(eps=rng.uniform(-0.04, 0.04), phi=rng.uniform(-0.05, 0.05),
+                          alpha3=complex(rng.uniform(-0.04, 0.04), rng.uniform(-0.04, 0.04)))
+            snr = (3.0, 12.0, 25.0)[i % 3]
+        ch = ChannelConfig(snr_db=snr, cfo_rad_per_symbol=float(rng.uniform(-0.01, 0.01)),
+                           random_phase=True)
+        out[i] = synthesize_burst(x, p, ch, seed=rng).samples
+    return out
+
+
+@pytest.mark.parametrize("pilots", ["iridium", "qpsk"])
+@pytest.mark.parametrize("rows", [1, 120, 256, 300])
+def test_shared_row_extraction_equals_the_materialized_stack(pilots, rows):
+    # one (1, n) row of known symbols, taken once for the whole block, gives
+    # every burst the bits of the stack that repeats it, in both branches of
+    # the image ratio (collinear Iridium pilots, full-rank QPSK)
+    if pilots == "iridium":
+        x = iridium_known_symbols()
+    else:
+        x = random_known_symbols(QPSK, 76, np.random.default_rng(7))
+    samples = _shared_row_samples(x, rows, seed=rows)
+    got = _extract_stack(samples, x[None])
+    want = _extract_stack(samples, np.repeat(x[None], rows, axis=0))
+    assert all(g.shape == w.shape and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    assert np.any(got[1][:, _FLAGS.index("iq")]) == (pilots == "iridium")
+
+
+def _spoil(samples, known, lengths, bad, i):
+    """Make burst i of a stack bad in the way ``bad`` names."""
+    if bad == "overflow":
+        samples[i] *= 1e160
+    elif bad in ("nan", "inf", "zero"):
+        samples[i, 17] = {"nan": np.nan, "inf": complex(np.inf, 0.0), "zero": 0.0}[bad]
+    elif bad == "short":
+        lengths[i] = 40
+    else:
+        known[min(i, known.shape[0] - 1)] = (np.nan if bad == "known_nan" else 0.0)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("bad, message", [
+    ("nan", "non-finite sample"), ("inf", "non-finite sample"), ("zero", "zero-amplitude sample"),
+    ("overflow", "sample power overflows"), ("short", "has 40 samples, needs 76"),
+    ("known_nan", "non-finite known symbol"), ("known_zero", "known symbols are all zero")])
+def test_shared_row_checks_name_the_first_bad_burst(shared, bad, message):
+    # a block that fails the one-pass summary raises what the per-check
+    # masks raise: the first bad burst, counted from ``first``, and its first
+    # failing check; a bad shared row is every burst's, so burst ``first``
+    x = iridium_known_symbols()
+    samples = _shared_row_samples(x, 256, seed=3)
+    known = x[None].copy() if shared else np.repeat(x[None], 256, axis=0)
+    lengths = np.full(256, 76)
+    for i in (201, 230):
+        _spoil(samples, known, lengths, bad, i)
+    where = 1000 if shared and bad.startswith("known") else 1201
+    with pytest.raises(DegenerateInputError, match=f"^burst {where}: {message}$"):
+        _extract_stack(samples, known, first=1000, lengths=lengths)
+
