@@ -107,25 +107,13 @@ def _unwrap_rows(phase: np.ndarray) -> np.ndarray:
     return out
 
 
-def _strip(unit: np.ndarray, strip_power: np.ndarray) -> np.ndarray:
-    """Each row of unit raised to its row's strip power."""
-    powers = np.unique(strip_power)
-    if powers.size == 1:
-        return _power(unit, int(powers[0]))
-    out = np.empty_like(unit)
-    for p in powers:
-        rows = strip_power == p
-        out[rows] = _power(unit[rows], int(p))
-    return out
-
-
 def _cfo_block(z: np.ndarray, mag: np.ndarray,
-               strip_power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+               strip_power: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise ``remove_cfo`` of a checked (bursts, n) stack with
-    magnitudes mag = |z| and one strip power per row."""
+    magnitudes mag = |z|, every row stripped by the same power."""
     n = np.arange(z.shape[1])
     # strip modulation, keep magnitudes tame for the angle
-    phase = _unwrap_rows(np.angle(_strip(z / mag, strip_power)))
+    phase = _unwrap_rows(np.angle(_power(z / mag, strip_power)))
     # least-squares slope against the centred index c: sum(c) = 0 drops the intercept
     c = n - (n.size - 1) / 2.0
     slope = np.sum(phase * c, axis=1) / np.sum(c * c) / strip_power
@@ -147,7 +135,7 @@ def remove_cfo(samples, strip_power: int = 4):
         raise DegenerateInputError("need at least 4 samples for the phase fit")
     mag = np.abs(z)
     _raise_first_bad(_sample_checks(z, mag))
-    derot, slope = _cfo_block(z, mag, np.array([strip_power]))
+    derot, slope = _cfo_block(z, mag, strip_power)
     return derot[0], float(slope[0])
 
 
@@ -185,11 +173,11 @@ def _divide(num: np.ndarray, den: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=~flat)
 
 
-def _image_ratio(z: np.ndarray, x: np.ndarray, collinear: np.ndarray,
+def _image_ratio(z: np.ndarray, x: np.ndarray, collinear: bool,
                  s_xx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's least-squares image-leakage ratio K2_hat / K1_hat from the
-    known symbols x, and whether it is degenerate; x, ``collinear`` and
-    ``s_xx`` hold one entry per row of z, or one that every row shares.
+    known symbols x, and whether it is degenerate; x and ``s_xx`` hold one
+    entry per row of z, or one that every row shares.
 
     When the symbols have beta = 0 (``collinear``; real pilots, say) the
     regressors x and x* are collinear and the ratio is unidentifiable; the
@@ -199,19 +187,9 @@ def _image_ratio(z: np.ndarray, x: np.ndarray, collinear: np.ndarray,
     scale, so no power denominator: it would leak the noise floor in."""
     x_conj = np.conj(x)  # bound to a name, as ``ramp`` in ``_cfo_block``
     rhs1 = np.sum(z * x_conj, axis=1)
-    # a block whose rows all take one branch (every campaign block) runs it
-    # on the whole stack, without copying rows out
-    if collinear.all():
+    if collinear:
         return _circularity(z, rhs1 / s_xx), np.ones(z.shape[0], dtype=bool)
-    if not collinear.any():
-        return _widely_linear(z, x, rhs1, s_xx)
-    rho = np.empty(z.shape[0], dtype=complex)
-    flat = np.ones(z.shape[0], dtype=bool)
-    rows = np.flatnonzero(collinear)
-    rho[rows] = _circularity(z[rows], rhs1[rows] / s_xx[rows])
-    rows = np.flatnonzero(~collinear)
-    rho[rows], flat[rows] = _widely_linear(z[rows], x[rows], rhs1[rows], s_xx[rows])
-    return rho, flat
+    return _widely_linear(z, x, rhs1, s_xx)
 
 
 def _circularity(z: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
@@ -235,18 +213,18 @@ def _widely_linear(z: np.ndarray, x: np.ndarray, r1: np.ndarray,
     return np.where(usable, k2 / np.where(usable, k1, 1.0), 0.0), ~usable
 
 
-def _feature_block(samples: np.ndarray, mag: np.ndarray,
-                   x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _feature_block(samples: np.ndarray, mag: np.ndarray, x: np.ndarray,
+                   collinear: bool) -> tuple[np.ndarray, np.ndarray]:
     """The 13 features (columns in FEATURE_NAMES order) and the degenerate
     mask (columns in ``_FLAGS`` order) of each row of a checked (bursts,
     n_known) stack of samples with magnitudes mag, from their known symbols
     x: a stack of the same shape, or one (1, n_known) row that every burst
-    shares, whose rank, powers and sums are then taken once."""
+    shares, whose powers and sums are then taken once; ``collinear``: every
+    row's symbols have beta = 0 (strip by squaring, circularity fallback)."""
     # each stack is let go as soon as it is read, which keeps the
     # temporaries of a 256-row block near 1.7 MB, not 2.8 MB (see
     # ``auth._CAMPAIGN_BUFFER``)
-    collinear = predicted_fim_rank(moments(x)) == 2
-    z, cfo_hat = _cfo_block(samples, mag, np.where(collinear, 2, 4))
+    z, cfo_hat = _cfo_block(samples, mag, 2 if collinear else 4)
     z = normalize_amplitude(z)
 
     a = np.abs(z)
@@ -334,7 +312,17 @@ def _extract_stack(samples: np.ndarray, known: np.ndarray, first: int = 0,
             (per_burst(~np.any(known, axis=1)), "known symbols are all zero"),
             *_sample_checks(samples, mag),
             (~np.isfinite(power), "sample power overflows")], first, n=lengths)
-    return _feature_block(samples, mag, known)
+    # the beta = 0 decision, once per block; a block mixing both kinds runs
+    # each as its own stack, which gives its rows the same bits as any stack
+    collinear = predicted_fim_rank(moments(known)) == 2
+    if collinear.all() or not collinear.any():
+        return _feature_block(samples, mag, known, bool(collinear[0]))
+    values = np.empty((rows, len(FEATURE_NAMES)))
+    flags = np.empty((rows, len(_FLAGS)), dtype=bool)
+    for kind in (True, False):
+        r = collinear == kind
+        values[r], flags[r] = _feature_block(samples[r], mag[r], known[r], kind)
+    return values, flags
 
 
 class BurstFeatures(NamedTuple):
