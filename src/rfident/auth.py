@@ -31,10 +31,8 @@ from .signal_model import (
     ChannelConfig,
     FleetSpread,
     _check_seed,
-    _draw_rows,
     _keyed_generators,
     _synthesize_rows,
-    _uniform,
     generate_fleet,
     iridium_known_symbols,
     write_csv_atomic,
@@ -278,8 +276,10 @@ class WeightVector:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if np.any(w < -1e-12) or abs(float(np.sum(w)) - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1")
+        # stated as what must hold: NaN fails every comparison, and an
+        # infinite entry is negative or makes the sum inf or NaN
+        if not (np.all(w >= -1e-12) and abs(float(np.sum(w)) - 1.0) <= 1e-12):
+            raise ValueError("weights must be finite, nonnegative and sum to 1")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
@@ -299,13 +299,17 @@ def iwat_weights(dr: DrTable | dict, feature_names, mode: str = "dr2") -> Weight
     else:
         get = dr.dr if isinstance(dr, DrTable) else lambda k: float(dr[k])
         raw = np.array([get(k) for k in names], dtype=float)
-        if not np.all(raw >= 0):
-            raise ConfigError("discrimination ratios must be nonnegative numbers")
+        if not np.all((raw >= 0) & (raw < math.inf)):
+            raise ConfigError("discrimination ratios must be finite nonnegative numbers")
+        if mode not in ("dr", "dr2"):
+            raise ConfigError(f"unknown weight mode {mode!r}")
+    # a square or a sum beyond float range is inf, refused below
+    with np.errstate(over="ignore"):
         if mode == "dr2":
             raw = raw**2
-        elif mode != "dr":
-            raise ConfigError(f"unknown weight mode {mode!r}")
-    total = float(np.sum(raw))
+        total = float(np.sum(raw))
+    if total == math.inf:
+        raise ConfigError("discrimination ratios too large: their weights overflow")
     if total <= 0.0:
         raise ValueError("all-zero discrimination ratios")
     return WeightVector(feature_names=names, weights=raw / total)
@@ -534,7 +538,6 @@ def simulate_campaign(
         return known if alphabet is None else known[rows]
 
     samples = np.empty((buffer, n), dtype=complex)
-    cfo_u = np.empty(buffer)
     keyed = _keyed_generators((campaign_seed,), (len(fleet), n_bursts))
     blocks = []
     for first in range(0, total, buffer):
@@ -543,15 +546,9 @@ def simulate_campaign(
         for si in range(first // n_bursts, (stop - 1) // n_bursts + 1):
             rows = slice(max(first, si * n_bursts) - first,
                          min(stop, (si + 1) * n_bursts) - first)
-            # the draws fill a QPSK campaign's symbols into the buffer, and
-            # read only the row count off the shared pilot row
-            if alphabet is None:
-                x = np.broadcast_to(known, (rows.stop - rows.start, n))
-            else:
-                x = known[rows]
-            h, noise = _draw_rows(keyed, ch, x, alphabet, cfo_u=cfo_u[rows])
-            cfo = _uniform(-cfg.cfo_jitter, cfg.cfo_jitter, cfo_u[rows])
-            samples[rows] = _synthesize_rows(symbols(rows), fleet[si][1], ch, cfo, h, noise)
+            # the draws fill a QPSK campaign's symbols into the buffer
+            samples[rows] = _synthesize_rows(keyed, rows.stop - rows.start, symbols(rows),
+                                             fleet[si][1], ch, alphabet, cfg.cfo_jitter)[0]
         for start in range(0, stop - first, _BLOCK):
             rows = slice(start, min(start + _BLOCK, stop - first))
             blocks.append(_extract_stack(samples[rows], symbols(rows), first=first + start)[0])

@@ -201,8 +201,8 @@ def cmd_mc_validate(args) -> int:
         "n_trials": 300, "theta": _THETA, "pilot_mode": "random",
     })
     report = mc_crb_validation(
-        cfg["modulation"], _theta(cfg["theta"]), cfg["snr_grid_db"], n=cfg["n"],
-        n_trials=cfg["n_trials"], seed=args.seed, pilot_mode=cfg["pilot_mode"],
+        _constellation_from(cfg["modulation"]), _theta(cfg["theta"]), cfg["snr_grid_db"],
+        n=cfg["n"], n_trials=cfg["n_trials"], seed=args.seed, pilot_mode=cfg["pilot_mode"],
     )
     report.to_csv(args.out)
     return EXIT_OK

@@ -28,7 +28,6 @@ from .signal_model import (
     Burst,
     ChannelConfig,
     HwiParams,
-    _draw_rows,
     _front_end,
     _keyed_generators,
     _synthesize_rows,
@@ -328,10 +327,8 @@ def mc_crb_validation(
         # synthesized in blocks, so that the noise draws never span all trials
         for start in range(0, n_trials, _BLOCK_TRIALS):
             stop = min(start + _BLOCK_TRIALS, n_trials)
-            h, noise = _draw_rows(keyed, ch, x[start:stop], alphabet, normals=gauss[start:stop])
-            r[start:stop] = _synthesize_rows(x[start:stop], truth, ch,
-                                             np.full(stop - start, ch.cfo_rad_per_symbol),
-                                             h, noise)
+            r[start:stop] = _synthesize_rows(keyed, stop - start, x[start:stop], truth, ch,
+                                             alphabet, normals=gauss[start:stop])[0]
         # the oracle initial point: truth plus Gaussian perturbation, std
         # 0.1 |component| with a 1e-3 floor; equal bit for bit to a per-trial
         # rng.normal(0.0, sigma), which numpy forms as 0.0 + sigma * gauss

@@ -167,21 +167,13 @@ class ChannelConfig:
         return var
 
 
-def draw_channel(ch: ChannelConfig, rng: np.random.Generator) -> complex:
-    """Per-burst channel coefficient with E[|h|^2] equal to |ch.h|^2: the
-    one-row case of the channel draws of ``_draw_rows`` (two Rician
-    normals, then the phase uniform) and of their map ``_channel_map``."""
-    scatter = rng.standard_normal((1, 2)) if ch.rician_k_db is not None else None
-    phase_u = np.array([rng.random()]) if ch.random_phase else None
-    return complex(_channel_map(ch, 1, scatter, phase_u)[0])
-
-
 def _channel_map(ch: ChannelConfig, rows: int, scatter: np.ndarray | None,
                  phase_u: np.ndarray | None) -> np.ndarray:
     """The (rows,) channel coefficients: ch.h times, per row, the Rician
     factor of its two standard normals ``scatter`` (rows, 2) and the phase
     rotation of its standard uniform ``phase_u`` (rows,) (see ``_uniform``),
-    each factor left out where its array is None."""
+    each factor left out where its array is None; ``_synthesize_rows``
+    draws them."""
     h = np.full(rows, complex(ch.h))
     if scatter is not None:
         k = _db_to_linear(ch.rician_k_db, "rician_k_db")
@@ -382,26 +374,32 @@ def _keyed_generators(prefix, shape: tuple):
             yield np.random.Generator(np.random.PCG64(hashed_seed(words)))
 
 
-def _draw_rows(rngs, ch: ChannelConfig, x: np.ndarray, alphabet: Constellation | None = None,
-               cfo_u: np.ndarray | None = None,
-               normals: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Draw row i of a (rows, n) block from the i-th generator of ``rngs``
+def _synthesize_rows(rngs, rows: int, x: np.ndarray, p: HwiParams, ch: ChannelConfig,
+                     alphabet: Constellation | None = None, cfo_jitter: float | None = None,
+                     normals: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Draw and synthesize a (rows, n) block: the samples and the channel
+    coefficients (rows,). Row i draws from the i-th generator of ``rngs``
     (an iterable that may hold more; only ``rows`` are taken), in the
-    stream order synthesis has always used: the CFO's standard uniform into
-    ``cfo_u[i]`` (see ``_uniform``), the known symbols into ``x[i]`` when
-    ``alphabet`` is given, the channel's draws (as ``draw_channel`` makes
-    them), the (2, n) standard normal noise (real parts, then imaginary
-    parts) and the standard normals ``normals[i]``; a None array is not
-    drawn. Returns the channel coefficients (rows,) and the noise (rows, 2,
-    n), None when noise-free, as ``_synthesize_rows`` takes them."""
-    rows, n = x.shape
+    stream order synthesis has always used: the CFO's standard uniform,
+    mapped to [-cfo_jitter, cfo_jitter) as ``rng.uniform`` maps it (else
+    every row takes ``ch.cfo_rad_per_symbol``), the known symbols into
+    ``x[i]`` when ``alphabet`` is given, the channel's draws (two Rician
+    normals, then the phase uniform), the (2, n) standard normal noise
+    (real parts, then imaginary parts) unless noise-free, and the standard
+    normals ``normals[i]`` when given. Row i of the samples is then
+    h[i] * apply_hwi(x[i], p) * e^{j cfo[i] n} + sigma (noise[i, 0] + j noise[i, 1]),
+    bit for bit what the row alone gives. The known symbols x are a
+    (rows, n) stack, or one (1, n) row that every burst shares, which is
+    then impaired once."""
+    n = x.shape[1]
+    cfo = np.empty(rows) if cfo_jitter is not None else np.full(rows, ch.cfo_rad_per_symbol)
     noise = None if ch.noise_free else np.empty((rows, 2, n))
     # the channel's draws, mapped to h for the whole block after the loop
     scatter = np.empty((rows, 2)) if ch.rician_k_db is not None else None
     phase_u = np.empty(rows) if ch.random_phase else None
     for i, rng in zip(range(rows), rngs):
-        if cfo_u is not None:
-            cfo_u[i] = rng.random()
+        if cfo_jitter is not None:
+            cfo[i] = rng.random()
         if alphabet is not None:
             x[i] = random_known_symbols(alphabet, n, rng)
         if scatter is not None:
@@ -412,29 +410,20 @@ def _draw_rows(rngs, ch: ChannelConfig, x: np.ndarray, alphabet: Constellation |
             rng.standard_normal(out=noise[i])
         if normals is not None:
             rng.standard_normal(out=normals[i])
-    return _channel_map(ch, rows, scatter, phase_u), noise
-
-
-def _synthesize_rows(x: np.ndarray, p: HwiParams, ch: ChannelConfig, cfo: np.ndarray,
-                     h: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
-    """Row i of the (bursts, n) result is
-    h[i] * apply_hwi(x[i], p) * e^{j cfo[i] n} + sigma (noise[i, 0] + j noise[i, 1]),
-    bit for bit what the row alone gives, for channel coefficients ``h`` and
-    noise from ``_draw_rows`` and the noise level of ``ch``. The known
-    symbols x are a (bursts, n) stack, or one (1, n) row that every burst
-    shares, which is then impaired once."""
-    n_idx = np.arange(x.shape[1])
+    if cfo_jitter is not None:
+        cfo = _uniform(-cfo_jitter, cfo_jitter, cfo)
+    h = _channel_map(ch, rows, scatter, phase_u)
     # 1j * cfo is exact, so every row gets the ramp of a single burst
-    ramp = np.exp((1j * cfo)[:, None] * n_idx)
+    ramp = np.exp((1j * cfo)[:, None] * np.arange(n))
     # operands bound to names, in the one-row order (see ``_front_end``)
     y = apply_hwi(x, p)
     hy = h[:, None] * y
     clean = hy * ramp
     if noise is None:
-        return clean
+        return clean, h
     sigma = math.sqrt(ch.noise_variance / 2.0)
     w = sigma * (noise[:, 0] + 1j * noise[:, 1])
-    return clean + w
+    return clean + w, h
 
 
 def synthesize_burst(
@@ -452,9 +441,7 @@ def synthesize_burst(
     x = np.asarray(symbols, dtype=complex).ravel()
     if x.size == 0:
         raise BurstError("empty symbol list")
-    h, noise = _draw_rows([np.random.default_rng(seed)], ch, x[None])
-    r = _synthesize_rows(x[None], p, ch, np.array([ch.cfo_rad_per_symbol], dtype=float),
-                         h, noise)[0]
+    r, h = _synthesize_rows([np.random.default_rng(seed)], 1, x[None], p, ch)
     meta = BurstMeta(
         satellite_id=satellite_id,
         truth=p,
@@ -462,7 +449,7 @@ def synthesize_burst(
         modulation=modulation,
         h_realized=complex(h[0]),
     )
-    return Burst(samples=r, known_symbols=x, meta=meta)
+    return Burst(samples=r[0], known_symbols=x, meta=meta)
 
 
 @dataclass(frozen=True)

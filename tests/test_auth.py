@@ -18,6 +18,7 @@ from rfident.auth import (
     DrRow,
     FeatureTable,
     FleetProtocolConfig,
+    WeightVector,
     _genuine_impostor,
     _glrt_precision,
     _grouped_means,
@@ -277,6 +278,35 @@ def test_iwat_weights_corner_cases():
     assert np.allclose(w6.weights, 1 / 6)
     with pytest.raises(ValueError):
         iwat_weights({"a": 0.0}, ("a",))
+
+
+# an infinite or NaN ratio, and finite ratios whose squares or sum overflow
+@pytest.mark.parametrize("drs, mode", [
+    ({"amp_var": float("inf"), "evm": 1.0}, "dr2"),
+    ({"amp_var": float("inf"), "evm": 1.0}, "dr"),
+    ({"amp_var": float("nan"), "evm": 1.0}, "dr"),
+    ({"amp_var": 1e200, "evm": 1.0}, "dr2"),
+    ({"amp_var": 1e154, "evm": 1e154}, "dr2"),
+    ({"amp_var": 1e308, "evm": 1e308}, "dr"),
+])
+def test_iwat_weights_refuse_ratios_without_finite_weights(drs, mode):
+    # a RuntimeWarning would fail the test (pyproject filterwarnings)
+    with pytest.raises(ConfigError, match="discrimination ratios"):
+        iwat_weights(drs, tuple(drs), mode=mode)
+
+
+def test_iwat_weights_keep_the_bits_of_large_finite_ratios():
+    w = iwat_weights({"amp_var": 1e150, "evm": 1.0}, ("amp_var", "evm"))
+    assert w.weights.tolist() == [1.0, 1e-300]
+    w = iwat_weights({"amp_var": 1e300, "evm": 1e300}, ("amp_var", "evm"), mode="dr")
+    assert w.weights.tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("weights", [[float("nan")], [float("inf")], [0.5, float("nan")],
+                                     [float("inf"), float("-inf")]])
+def test_weight_vector_rejects_weights_that_are_not_finite(weights):
+    with pytest.raises(ValueError, match="finite"):
+        WeightVector(tuple("ab"[:len(weights)]), weights)
 
 
 def test_iwat_weights_monotone():

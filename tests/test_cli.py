@@ -9,7 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rfident
-from rfident import ConfigError, FeatureTable, FleetProtocolConfig, PipelineConfig
+from rfident import (
+    Burst,
+    BurstMeta,
+    ChannelConfig,
+    ConfigError,
+    FeatureTable,
+    FleetProtocolConfig,
+    PipelineConfig,
+    read_burst_binary,
+    write_burst_binary,
+)
 from rfident.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, from_json, main
 
 # a small authenticate config, so a missing check shows as a run, not a stall
@@ -265,6 +275,24 @@ def test_mc_validate_cli(tmp_path):
     assert len(lines) == 5
 
 
+def test_mc_validate_takes_a_custom_alphabet_file(tmp_path, capsys):
+    # a .json point list, as moments, crb-curves and identifiability take it
+    alphabet = tmp_path / "alph.json"
+    alphabet.write_text("[[1, 1], [-1, 1], [-1, -1], [1, -1]]")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"modulation": str(alphabet), "snr_grid_db": [25],
+                               "n_trials": 60}))
+    out = tmp_path / "mc.csv"
+    assert run(["--out-dir", tmp_path, "mc-validate", "--config", cfg, "--out", out]) == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert [r[1] for r in rows] == ["eps", "phi", "re_alpha3", "im_alpha3"]
+    assert all(r[5:] == ["60", "ok"] and 0.0 < float(r[4]) < 10.0 for r in rows)
+    # a missing alphabet file is an input error
+    cfg.write_text(json.dumps({"modulation": str(tmp_path / "missing.json"), "n_trials": 60}))
+    assert run(["--out-dir", tmp_path, "mc-validate", "--config", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
 @pytest.mark.parametrize("command", ["mc-validate", "fleet-sim", "authenticate"])
 @pytest.mark.parametrize("seed", ["-1", "1.5"])
 def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, command, seed):
@@ -317,6 +345,38 @@ def test_authenticate_paper_dr_weights(tmp_path):
     assert run(["--out-dir", tmp_path, "authenticate", "--paper-dr", drs, "--out", out]) == EXIT_OK
     w = json.loads(out.read_text())
     assert abs(w["amp_var"] - 0.42) < 0.01
+
+
+# an infinite ratio, and one whose square overflows a double
+@pytest.mark.parametrize("amp_var", [float("inf"), 1e200])
+def test_authenticate_paper_dr_refuses_weights_that_are_not_finite(tmp_path, capsys, amp_var):
+    drs = tmp_path / "drs.json"
+    drs.write_text(json.dumps({"amp_var": amp_var, "evm": 1.0}))
+    out = tmp_path / "weights.json"
+    assert run(["--out-dir", tmp_path, "authenticate", "--paper-dr", drs,
+                "--out", out]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not out.exists()
+
+
+def test_snr_db_infinity_is_noise_free_and_null_only_in_burst_files(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n_sats": 2, "n_bursts": 3, "snr_db": Infinity}')
+    assert run(["--out-dir", tmp_path, "fleet-sim", "--config", cfg]) == EXIT_OK
+    table = FeatureTable.from_csv(tmp_path / "features.csv")
+    assert np.all(np.isinf(table.snr_db))
+    # a config converts snr_db by its float default, which null is not
+    for command, config in (("fleet-sim", {"n_sats": 2, "n_bursts": 3}),
+                            ("authenticate", SMALL)):
+        cfg.write_text(json.dumps({**config, "snr_db": None}))
+        assert run(["--out-dir", tmp_path, command, "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: config key snr_db")
+    # a burst file's header reads null as noise-free
+    x = np.ones(4, dtype=complex)
+    path = tmp_path / "burst.bin"
+    write_burst_binary(Burst(x, x, BurstMeta(channel=ChannelConfig(snr_db=None))), path)
+    assert read_burst_binary(path).meta.channel.noise_free
 
 
 def test_authenticate_full_experiment(tmp_path):

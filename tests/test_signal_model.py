@@ -12,7 +12,6 @@ from rfident.constellation import ConfigError, make_constellation
 from rfident.signal_model import (
     _KEY_CHUNK,
     _burst_header,
-    _draw_rows,
     _keyed_generators,
     _synthesize_rows,
     _uniform,
@@ -24,7 +23,6 @@ from rfident.signal_model import (
     HwiParams,
     apply_hwi,
     bpsk_collapse,
-    draw_channel,
     generate_fleet,
     hwi_model_and_jacobian,
     iridium_known_symbols,
@@ -229,18 +227,20 @@ def test_block_synthesis_is_bit_identical_row_by_row():
     # Gaussian symbols: on a small alphabet the swapped products can agree
     sym_rng = np.random.default_rng(11)
     x = (sym_rng.standard_normal((rows, n)) + 1j * sym_rng.standard_normal((rows, n))) / 2.0
-    cfo = sym_rng.uniform(-0.02, 0.02, rows)
     for rician_k_db in (4.0, None):
         ch = ChannelConfig(snr_db=12.0, rician_k_db=rician_k_db, random_phase=True)
-        h, noise = _draw_rows([np.random.default_rng(i) for i in range(rows)], ch, x)
-        block = _synthesize_rows(x, _P, ch, cfo, h, noise)
+        block_rngs = [np.random.default_rng(i) for i in range(rows)]
+        block, h = _synthesize_rows(block_rngs, rows, x, _P, ch, cfo_jitter=0.02)
         assert block.nbytes > 256 * 1024
         for i in range(rows):
+            # the CFO is the row's first draw, as rng.uniform makes it
+            rng = np.random.default_rng(i)
             row_ch = ChannelConfig(snr_db=12.0, rician_k_db=rician_k_db, random_phase=True,
-                                   cfo_rad_per_symbol=float(cfo[i]))
-            h_row, want = _reference_burst(x[i], _P, row_ch, np.random.default_rng(i))
+                                   cfo_rad_per_symbol=rng.uniform(-0.02, 0.02))
+            h_row, want = _reference_burst(x[i], _P, row_ch, rng)
             assert h[i] == h_row
             assert np.array_equal(block[i], want)
+            assert block_rngs[i].bit_generator.state == rng.bit_generator.state
 
 
 @pytest.mark.parametrize("ch", [
@@ -249,20 +249,19 @@ def test_block_synthesis_is_bit_identical_row_by_row():
     ChannelConfig(h=1.0, snr_db=10.0, rician_k_db=-3.0),
     ChannelConfig(h=-2.5j, snr_db=None, rician_k_db=7.0, random_phase=True),
 ])
-def test_block_channel_draws_are_bit_identical_to_draw_channel(ch):
-    # the block map of h after the row loop equals draw_channel row by row,
-    # and both the Python complex arithmetic of one draw; a row's generator
-    # then stands where one draw_channel and the noise leave it
+def test_block_channel_draws_are_bit_identical_to_the_scalar_channel(ch):
+    # the block map of h after the row loop equals, byte for byte, the
+    # Python complex arithmetic of one draw; a row's generator then stands
+    # where one channel draw and the noise leave it
     rows = 200
     x = np.ones((rows, 8), dtype=complex)
     block = [np.random.default_rng((9, i)) for i in range(rows)]
-    h, _ = _draw_rows(block, ch, x)
+    _, h = _synthesize_rows(block, rows, x, _P, ch)
     for i in range(rows):
-        one, scalar = np.random.default_rng((9, i)), np.random.default_rng((9, i))
-        want = draw_channel(ch, one)
+        one = np.random.default_rng((9, i))
+        want = _scalar_channel(ch, one)
         assert struct.pack("<dd", h[i].real, h[i].imag) == struct.pack("<dd", want.real,
                                                                        want.imag)
-        assert want == _scalar_channel(ch, scalar)
         if not ch.noise_free:
             one.standard_normal((2, 8))
         assert block[i].bit_generator.state == one.bit_generator.state
@@ -334,11 +333,12 @@ def test_keyed_generators_reject_an_axis_beyond_one_word():
 
 
 def test_rician_mean_power():
-    ch = ChannelConfig(h=2.0, snr_db=20.0, rician_k_db=12.0)
-    rng = np.random.default_rng(7)
-    from rfident.signal_model import draw_channel
-
-    draws = np.array([draw_channel(ch, rng) for _ in range(40_000)])
+    # 40,000 channel draws in a row from one generator: noise-free, so
+    # each row draws only its two Rician normals
+    ch = ChannelConfig(h=2.0, snr_db=None, rician_k_db=12.0)
+    rows = 40_000
+    _, draws = _synthesize_rows([np.random.default_rng(7)] * rows, rows,
+                                np.ones((1, 1), dtype=complex), HwiParams(), ch)
     assert abs(np.mean(np.abs(draws) ** 2) - 4.0) / 4.0 < 0.03
 
 
