@@ -13,6 +13,10 @@ import csv
 import functools
 import itertools
 import math
+import os
+import pickle
+import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -276,6 +280,9 @@ class WeightVector:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
+        if w.shape != (len(self.feature_names),):
+            raise ValueError(f"weights of shape {w.shape} for "
+                             f"{len(self.feature_names)} feature names")
         # stated as what must hold: NaN fails every comparison, and an
         # infinite entry is negative or makes the sum inf or NaN
         if not (np.all(w >= -1e-12) and abs(float(np.sum(w)) - 1.0) <= 1e-12):
@@ -294,6 +301,8 @@ def iwat_weights(dr: DrTable | dict, feature_names, mode: str = "dr2") -> Weight
     linearly, "equal" ignores them.
     """
     names = tuple(feature_names)
+    if len(set(names)) < len(names):
+        raise ConfigError(f"feature names repeat: {names}")
     if mode == "equal":
         raw = np.ones(len(names))
     else:
@@ -593,21 +602,94 @@ def _grouped_means(ids: tuple, matrix: np.ndarray, start: int = 0, stop: int | N
     return (names, np.concatenate(chunk_codes)), np.concatenate(means)
 
 
+def _beside(fn, *args):
+    """Start ``fn(*args)`` in a forked child if a second CPU can run it
+    beside this process (Linux, two or more usable CPUs, one Python thread),
+    else defer it. Returns ``join(wait=True)``: ``fn``'s result, or its
+    exception raised here; with ``wait`` false the child is killed. The
+    child is reaped either way. It pickles its result or exception into a
+    pipe and leaves only by ``os._exit``, so it flushes no stdio buffer and
+    runs no exit hook of this process."""
+    def deferred(wait=True):
+        return fn(*args) if wait else None
+
+    if not (sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1):
+        return deferred
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the call runs here
+        os.close(read_fd)
+        os.close(write_fd)
+        return deferred
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = fn(*args)
+            except Exception as exc:
+                outcome = exc
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+
+    def join(wait=True):
+        outcome = None
+        try:
+            with open(read_fd, "rb") as pipe:
+                outcome = pickle.load(pipe) if wait else None
+        except (EOFError, pickle.UnpicklingError):
+            pass  # the child closed the pipe without a result and exits
+        except BaseException:
+            wait = False  # interrupted: stop the child
+            raise
+        finally:
+            if not wait:
+                import signal  # here only: importing it costs start-up time
+
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitpid(pid, 0)[1]
+        if not wait:
+            return None
+        if outcome is None:
+            raise RuntimeError(f"{fn.__name__} in a forked child exited with status "
+                               f"{os.waitstatus_to_exitcode(status)} and no result")
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    return join
+
+
 def run_auth_experiment(cfg: FleetProtocolConfig | None = None, seed: int = 0) -> AuthReport:
     """Two independent campaigns over one synthetic fleet: enrollment
     fingerprints and weights from campaign A, probes from campaign B,
     ROC/AUC per scoring strategy plus accumulation curves."""
     cfg = cfg or FleetProtocolConfig()
     fleet = generate_fleet(cfg.n_sats, cfg.spread, seed=seed)
-    table_a = simulate_campaign(fleet, cfg, campaign_seed=2 * seed + 2, n_bursts=cfg.n_enroll)
-    table_b = simulate_campaign(fleet, cfg, campaign_seed=2 * seed + 1, n_bursts=cfg.n_probe)
-
-    mu = table_a.matrix.mean(axis=0)
-    sd = table_a.matrix.std(axis=0, ddof=1)
-    sd = np.where(sd > 1e-300, sd, 1.0)
-    normalizer = (mu, sd)
-
-    dr_table = balanced_dr(table_a, n_bal=cfg.n_bal, n_trials=cfg.n_dr_trials, seed=seed + 101)
+    # the campaigns share no state: a second CPU runs B while A runs here
+    join_b = _beside(simulate_campaign, fleet, cfg, 2 * seed + 1, cfg.n_probe)
+    table_a = None
+    try:
+        table_a = simulate_campaign(fleet, cfg, campaign_seed=2 * seed + 2,
+                                    n_bursts=cfg.n_enroll)
+        mu = table_a.matrix.mean(axis=0)
+        sd = table_a.matrix.std(axis=0, ddof=1)
+        sd = np.where(sd > 1e-300, sd, 1.0)
+        normalizer = (mu, sd)
+        dr_table = balanced_dr(table_a, n_bal=cfg.n_bal, n_trials=cfg.n_dr_trials,
+                               seed=seed + 101)
+    except BaseException as exc:
+        # the serial order's precedence: A's error, then B's, then the DR
+        # table's; an interrupt stops B at once
+        join_b(wait=table_a is not None and isinstance(exc, Exception))
+        raise
+    table_b = join_b()
     beta = moments(make_constellation("qpsk" if cfg.burst_mode != "iridium" else "bpsk").points).beta
     ids_a, ids_b = _share_names(table_a.coded_ids, table_b.coded_ids)
     enrollment = _grouped_means(ids_a, table_a.matrix)

@@ -1,11 +1,15 @@
 import itertools
 import json
 import math
+import os
+import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rfident import auth
 from rfident.auth import (
     ALL6_FEATURES,
     CRB4_FEATURES,
@@ -35,7 +39,13 @@ from rfident.auth import (
     simulate_campaign,
 )
 from rfident.constellation import ConfigError, make_constellation
-from rfident.features import _FLAGS, _extract_bursts, FEATURE_NAMES, PipelineConfig
+from rfident.features import (
+    _FLAGS,
+    _extract_bursts,
+    FEATURE_NAMES,
+    DegenerateInputError,
+    PipelineConfig,
+)
 from rfident.signal_model import (
     ChannelConfig,
     generate_fleet,
@@ -307,6 +317,18 @@ def test_iwat_weights_keep_the_bits_of_large_finite_ratios():
 def test_weight_vector_rejects_weights_that_are_not_finite(weights):
     with pytest.raises(ValueError, match="finite"):
         WeightVector(tuple("ab"[:len(weights)]), weights)
+
+
+def test_weight_vector_needs_one_weight_per_feature_name():
+    for names, weights in ((("a",), [0.5, 0.5]), (("a", "b"), [1.0]), (("a", "b"), [[0.5, 0.5]])):
+        with pytest.raises(ValueError, match="feature names"):
+            WeightVector(names, weights)
+
+
+def test_iwat_weights_refuse_a_repeated_feature_name():
+    for mode in ("dr2", "dr", "equal"):
+        with pytest.raises(ConfigError, match="repeat"):
+            iwat_weights({"a": 1.0, "b": 2.0}, ("a", "a"), mode=mode)
 
 
 def test_iwat_weights_monotone():
@@ -692,6 +714,142 @@ def test_auth_report_json_names_dr_excluded_satellites():
 def test_run_auth_experiment_rejects_negative_seed():
     with pytest.raises(ConfigError, match="non-negative"):
         run_auth_experiment(seed=-1)
+
+
+# a fleet small enough that a whole experiment runs in ~10 ms
+_SMALL = FleetProtocolConfig(n_sats=4, n_enroll=30, n_probe=30, n_bal=20, n_dr_trials=4,
+                             probe_acc=10, n_acc_grid=(1, 10))
+
+forking = pytest.mark.skipif(sys.platform != "linux", reason="the probe campaign forks on Linux")
+
+
+def _usable_cpus(monkeypatch, n):
+    """Show ``run_auth_experiment`` n usable CPUs: with one it runs the
+    probe campaign in-process, with two in a forked child."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _counted_forks(monkeypatch) -> list:
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _before_campaign(monkeypatch, act):
+    """Call ``act(campaign_seed)`` at the start of every campaign; a forked
+    child inherits the patch."""
+    def campaign(fleet, cfg, campaign_seed, n_bursts=None):
+        act(campaign_seed)
+        return simulate_campaign(fleet, cfg, campaign_seed, n_bursts)
+
+    monkeypatch.setattr(auth, "simulate_campaign", campaign)
+
+
+def _fail(*seeds, error=DegenerateInputError):
+    """An ``act`` that fails the campaigns of ``seeds`` with ``error``."""
+    def act(seed):
+        if seed in seeds:
+            raise error(f"campaign {seed} failed")
+    return act
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forking
+@pytest.mark.parametrize("seed", [0, 5])
+def test_forked_probe_campaign_equals_the_in_process_one(monkeypatch, seed):
+    # every matrix the scoring reads, campaign A's and campaign B's
+    grouped, read = auth._grouped_means, []
+    monkeypatch.setattr(auth, "_grouped_means",
+                        lambda ids, m, *a, **k: read.append(m.tobytes()) or grouped(ids, m, *a, **k))
+    reports, reads = [], []
+    for cpus in (2, 1):
+        _usable_cpus(monkeypatch, cpus)
+        forks = _counted_forks(monkeypatch)
+        reports.append(run_auth_experiment(_SMALL, seed=seed).to_json_dict())
+        assert len(forks) == (cpus == 2)
+        reads.append(read[:])
+        read.clear()
+    assert reports[0] == reports[1]
+    assert len(reads[0]) > 2 and reads[0] == reads[1]
+    _assert_no_child_left()
+
+
+@forking
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_probe_campaign_error_reaches_the_caller(monkeypatch, cpus):
+    # with seed 3, campaign A is seed 8 and campaign B seed 7
+    _usable_cpus(monkeypatch, cpus)
+    _before_campaign(monkeypatch, _fail(7))
+    with pytest.raises(DegenerateInputError, match="^campaign 7 failed$"):
+        run_auth_experiment(_SMALL, seed=3)
+    _assert_no_child_left()
+
+
+@forking
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_enrollment_campaign_error_wins_and_stops_the_probe_campaign(monkeypatch, cpus):
+    _usable_cpus(monkeypatch, cpus)
+    _before_campaign(monkeypatch, _fail(7, 8, error=ConfigError))
+    with pytest.raises(ConfigError, match="^campaign 8 failed$"):
+        run_auth_experiment(_SMALL, seed=3)
+    # a probe campaign that would run for a minute is killed, not waited for
+    fail_a = _fail(8, error=ConfigError)
+    _before_campaign(monkeypatch, lambda seed: time.sleep(60) if seed == 7 else fail_a(seed))
+    t0 = time.perf_counter()
+    with pytest.raises(ConfigError, match="^campaign 8 failed$"):
+        run_auth_experiment(_SMALL, seed=3)
+    assert time.perf_counter() - t0 < 10
+    _assert_no_child_left()
+
+
+@forking
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_probe_campaign_error_wins_over_the_dr_table_error(monkeypatch, cpus):
+    _usable_cpus(monkeypatch, cpus)
+    _before_campaign(monkeypatch, _fail(7))
+
+    def dr_fails(*args, **kwargs):
+        raise AuthConfigError("too few satellites")
+
+    monkeypatch.setattr(auth, "balanced_dr", dr_fails)
+    with pytest.raises(DegenerateInputError, match="^campaign 7 failed$"):
+        run_auth_experiment(_SMALL, seed=3)
+    _before_campaign(monkeypatch, lambda seed: None)
+    with pytest.raises(AuthConfigError, match="too few satellites"):
+        run_auth_experiment(_SMALL, seed=3)
+    _assert_no_child_left()
+
+
+@forking
+def test_interrupt_kills_the_probe_campaign(monkeypatch):
+    _usable_cpus(monkeypatch, 2)
+    _before_campaign(monkeypatch, lambda seed: time.sleep(60) if seed == 7 else None)
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(auth, "balanced_dr", interrupted)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_auth_experiment(_SMALL, seed=3)
+    assert time.perf_counter() - t0 < 10
+    _assert_no_child_left()
+
+
+@forking
+def test_probe_campaign_child_that_dies_names_its_exit_status(monkeypatch):
+    _usable_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    # only a child exits: in this process the campaign runs
+    _before_campaign(monkeypatch, lambda seed: os._exit(3) if seed == 7 and os.getpid() != parent
+                     else None)
+    with pytest.raises(RuntimeError, match="in a forked child exited with status 3 and no result"):
+        run_auth_experiment(_SMALL, seed=3)
+    _assert_no_child_left()
 
 
 def _grouped_means_by_scan(ids, matrix, start=0, stop=None, size=None):

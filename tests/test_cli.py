@@ -415,10 +415,24 @@ def test_config_roundtrip_identity(tmp_path):
     assert json.loads(json.dumps(json.loads(path.read_text()))) == cfg
 
 
-def test_import_does_not_load_scipy():
-    # scipy is most of the start-up time and only two library functions use it
+def _loaded_by_import(*packages) -> str:
+    """The modules of ``packages`` that ``import rfident`` loads in a fresh
+    interpreter, as a printed sorted list."""
     src = os.path.dirname(os.path.dirname(rfident.__file__))
-    code = "import sys, rfident; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import sys, rfident; "
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_scipy():
+    # scipy is most of the start-up time and only two library functions use it
+    assert _loaded_by_import("scipy") == "[]"
+
+
+def test_import_does_not_load_process_pools():
+    # the probe campaign forks through os and pickle, which numpy loads
+    # anyway; multiprocessing or concurrent.futures would add milliseconds
+    # to every start-up
+    assert _loaded_by_import("multiprocessing", "concurrent") == "[]"
