@@ -63,7 +63,6 @@ from .features import (
     PipelineConfig,
     extract_features,
     normalize_amplitude,
-    remove_cfo,
 )
 from .auth import (
     AuthReport,

@@ -45,7 +45,8 @@ from .fim_crb import (
     marginalize_channel,
     subblock_eigenvalue_ratio,
 )
-from .signal_model import HwiParams, generate_fleet, write_csv_atomic, write_text_atomic
+from .signal_model import (PARAM_NAMES, HwiParams, generate_fleet, write_csv_atomic,
+                           write_text_atomic)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -177,7 +178,7 @@ def cmd_crb_curves(args) -> int:
                 rep = crb_report(f)
                 f_marg = marginalize_channel(c, p, n, gamma)
                 rep_marg = crb_report(f_marg)
-                for i, name in enumerate(("eps", "phi", "re_alpha3", "im_alpha3")):
+                for i, name in enumerate(PARAM_NAMES):
                     diag = f.matrix[i, i]
                     rows.append([
                         mod, f"{snr_db:g}", n, name,

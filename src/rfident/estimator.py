@@ -310,17 +310,12 @@ def mc_crb_validation(
         gamma = _db_to_linear(snr_db, "snr_grid_db")
         fim = fim_closed_form(mom, truth, n, gamma)
         fim_exact = fim_numerical(c, truth, n, gamma)
+        # the closed form's rank picks one bound rule for both matrices
         rep = crb_report(fim)
-        if rep.rank == 4:
-            crb = rep.crb
-            crb_exact = crb_report(fim_exact).crb
-            status = "ok"
-        else:
-            crb = np.full(4, math.inf)
-            crb[2:] = pa_subblock_crb(fim)
-            crb_exact = np.full(4, math.inf)
-            crb_exact[2:] = pa_subblock_crb(fim_exact)
-            status = "rank_deficient_pa_subblock"
+        crb, crb_exact = ((rep if f is fim else crb_report(f)).crb if rep.rank == 4
+                          else np.concatenate([[math.inf, math.inf], pa_subblock_crb(f)])
+                          for f in (fim, fim_exact))
+        status = "ok" if rep.rank == 4 else "rank_deficient_pa_subblock"
         ch = ChannelConfig(h=1.0 + 0.0j, snr_db=float(snr_db))
         r = np.empty_like(x)
         gauss = np.empty((n_trials, 4))
@@ -341,8 +336,7 @@ def mc_crb_validation(
             ratio = np.where(np.isfinite(crb), mse / crb, np.nan)
             ratio_exact = np.where(np.isfinite(crb_exact), mse / crb_exact, np.nan)
         rows.append(
-            McRow(snr_db=float(snr_db), mse=mse, crb=np.asarray(crb, dtype=float),
-                  ratio=ratio, crb_exact=np.asarray(crb_exact, dtype=float),
+            McRow(snr_db=float(snr_db), mse=mse, crb=crb, ratio=ratio, crb_exact=crb_exact,
                   ratio_exact=ratio_exact, n_trials=n_trials,
                   status=status + ("+budget" if n_unconverged else ""),
                   n_unconverged=n_unconverged)

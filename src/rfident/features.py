@@ -41,6 +41,8 @@ FEATURE_NAMES = (
 _PERCENTILE_LO = 5.0
 _PERCENTILE_HI = 95.0
 _EPS = float(np.finfo(float).eps)
+# a mean power below the smallest normal double has lost its precision
+_TINY = float(np.finfo(float).tiny)
 
 
 class DegenerateInputError(ValueError):
@@ -70,12 +72,6 @@ def _raise_first_bad(checks, first: int = 0, **fields) -> None:
         message = checks[int(np.argmax(bad[:, i]))][1]
         raise DegenerateInputError(f"burst {first + i}: "
                                    + message.format(**{k: v[i] for k, v in fields.items()}))
-
-
-def _sample_checks(z: np.ndarray, mag: np.ndarray) -> list:
-    """The checks of a (bursts, n) sample stack z with magnitudes mag = |z|."""
-    return [(~np.all(np.isfinite(z), axis=1), "non-finite sample"),
-            (np.any(mag < 1e-300, axis=1), "zero-amplitude sample")]
 
 
 def _power(u: np.ndarray, p: int) -> np.ndarray:
@@ -109,8 +105,10 @@ def _unwrap_rows(phase: np.ndarray) -> np.ndarray:
 
 def _cfo_block(z: np.ndarray, mag: np.ndarray,
                strip_power: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise ``remove_cfo`` of a checked (bursts, n) stack with
-    magnitudes mag = |z|, every row stripped by the same power."""
+    """Derotate each row of a checked (bursts, n) stack z with magnitudes
+    mag = |z| by its CFO: the least-squares slope of the unwrapped phase of
+    z**strip_power, over strip_power. Returns the derotated stack and the
+    slopes in rad/symbol."""
     n = np.arange(z.shape[1])
     # strip modulation, keep magnitudes tame for the angle
     phase = _unwrap_rows(np.angle(_power(z / mag, strip_power)))
@@ -122,21 +120,6 @@ def _cfo_block(z: np.ndarray, mag: np.ndarray,
     # bitwise commutative
     ramp = np.exp((-1j * slope)[:, None] * n)
     return z * ramp, slope
-
-
-def remove_cfo(samples, strip_power: int = 4):
-    """Fit a line to the unwrapped phase of samples**strip_power and derotate
-    by the fitted slope. Returns (derotated samples, slope in rad/symbol)."""
-    is_int = isinstance(strip_power, (int, np.integer)) and not isinstance(strip_power, bool)
-    if not is_int or strip_power < 1:
-        raise ConfigError(f"strip_power must be a positive int, got {strip_power!r}")
-    z = np.asarray(samples, dtype=complex).reshape(1, -1)
-    if z.size < 4:
-        raise DegenerateInputError("need at least 4 samples for the phase fit")
-    mag = np.abs(z)
-    _raise_first_bad(_sample_checks(z, mag))
-    derot, slope = _cfo_block(z, mag, strip_power)
-    return derot[0], float(slope[0])
 
 
 def normalize_amplitude(samples) -> np.ndarray:
@@ -184,31 +167,24 @@ def _image_ratio(z: np.ndarray, x: np.ndarray, collinear: bool,
     fallback is half the channel-equalized circularity moment (0 when the
     channel estimate vanishes), whose emptiness is exactly the predicted
     behavior (degenerate flag set). The equalization already fixes the
-    scale, so no power denominator: it would leak the noise floor in."""
+    scale, so no power denominator: it would leak the noise floor in.
+
+    Otherwise the ratio is k2 / k1 of the widely linear normal equations
+    [[s_xx, s_x2*], [s_x2, s_xx]] [k1, k2] = [r1, r2], with s_x2 = sum(x^2),
+    r1 = sum(z x*) and r2 = sum(z x) per row; a row whose k1 vanishes
+    reads 0 and is degenerate."""
     x_conj = np.conj(x)  # bound to a name, as ``ramp`` in ``_cfo_block``
-    rhs1 = np.sum(z * x_conj, axis=1)
+    r1 = np.sum(z * x_conj, axis=1)
     if collinear:
-        return _circularity(z, rhs1 / s_xx), np.ones(z.shape[0], dtype=bool)
-    return _widely_linear(z, x, rhs1, s_xx)
-
-
-def _circularity(z: np.ndarray, h_hat: np.ndarray) -> np.ndarray:
-    """Half the mean of each row's z_eq^2, z_eq = z / h_hat the row equalized
-    by its channel estimate, and 0 where that estimate vanishes."""
-    usable = np.abs(h_hat) >= 1e-12
-    z_eq = z / np.where(usable, h_hat, 1.0)[:, None]
-    return np.where(usable, np.mean(z_eq * z_eq, axis=1) / 2.0, 0.0)
-
-
-def _widely_linear(z: np.ndarray, x: np.ndarray, r1: np.ndarray,
-                   s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ratios k2 / k1 of [[s, s_x2*], [s_x2, s]] [k1, k2] = [r1, r2],
-    with s_x2 = sum(x^2) and r2 = sum(z x) per row, and the rows whose k1
-    vanishes, which read 0."""
+        h_hat = r1 / s_xx
+        usable = np.abs(h_hat) >= 1e-12
+        z_eq = z / np.where(usable, h_hat, 1.0)[:, None]
+        return (np.where(usable, np.mean(z_eq * z_eq, axis=1) / 2.0, 0.0),
+                np.ones(z.shape[0], dtype=bool))
     s_x2, r2 = np.sum(x * x, axis=1), np.sum(z * x, axis=1)
-    det = s * s - (s_x2.real * s_x2.real + s_x2.imag * s_x2.imag)
-    k1 = (s * r1 - np.conj(s_x2) * r2) / det
-    k2 = (s * r2 - s_x2 * r1) / det
+    det = s_xx * s_xx - (s_x2.real * s_x2.real + s_x2.imag * s_x2.imag)
+    k1 = (s_xx * r1 - np.conj(s_x2) * r2) / det
+    k2 = (s_xx * r2 - s_x2 * r1) / det
     usable = np.abs(k1) >= 1e-12
     return np.where(usable, k2 / np.where(usable, k1, 1.0), 0.0), ~usable
 
@@ -295,9 +271,10 @@ def _extract_stack(samples: np.ndarray, known: np.ndarray, first: int = 0,
     with np.errstate(over="ignore"):
         # finite samples whose mean power overflows would normalize to zero
         power = np.mean(mag ** 2, axis=1)
-    # one summary passes a good block: a finite power means finite samples
-    # whose power does not overflow; the per-check masks name a bad burst
-    if not (np.isfinite(power).all() and mag.min() >= 1e-300
+    # one summary passes a good block: a finite normal power means finite
+    # samples whose power neither overflows nor underflows; the per-check
+    # masks name a bad burst
+    if not (np.isfinite(power).all() and power.min() >= _TINY and mag.min() >= 1e-300
             and (lengths is None or lengths.min() >= n_known)
             and np.isfinite(known).all() and known.any(axis=1).all()):
         if lengths is None:
@@ -310,8 +287,10 @@ def _extract_stack(samples: np.ndarray, known: np.ndarray, first: int = 0,
             (lengths < n_known, f"has {{n}} samples, needs {n_known}"),
             (per_burst(~np.all(np.isfinite(known), axis=1)), "non-finite known symbol"),
             (per_burst(~np.any(known, axis=1)), "known symbols are all zero"),
-            *_sample_checks(samples, mag),
-            (~np.isfinite(power), "sample power overflows")], first, n=lengths)
+            (~np.all(np.isfinite(samples), axis=1), "non-finite sample"),
+            (np.any(mag < 1e-300, axis=1), "zero-amplitude sample"),
+            (~np.isfinite(power), "sample power overflows"),
+            (power < _TINY, "sample power underflows")], first, n=lengths)
     # the beta = 0 decision, once per block; a block mixing both kinds runs
     # each as its own stack, which gives its rows the same bits as any stack
     collinear = predicted_fim_rank(moments(known)) == 2

@@ -300,12 +300,9 @@ def discrimination(theta_a: HwiParams, theta_b: HwiParams, f: Fim) -> Discrimina
     d2 = max(d2, 0.0)
     d = math.sqrt(d2)
     rep = crb_report(f)
-    dr = np.zeros(4)
-    valid = np.zeros(4, dtype=bool)
-    for i in range(4):
-        if np.isfinite(rep.crb[i]) and rep.crb[i] > 0.0:
-            dr[i] = abs(delta[i]) / math.sqrt(rep.crb[i])
-            valid[i] = True
+    valid = np.isfinite(rep.crb) & (rep.crb > 0.0)
+    dr = np.divide(np.abs(delta), np.sqrt(np.where(valid, rep.crb, 1.0)),
+                   out=np.zeros(4), where=valid)
     return DiscriminationResult(d_squared=d2, d=d, pe_star=float(qfunc(d / 2.0)),
                                 per_param_dr=dr, dr_valid=valid)
 

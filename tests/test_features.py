@@ -23,7 +23,6 @@ from rfident.features import (
     noise_free_amp_var,
     normalize_amplitude,
     pa_input_power_variance,
-    remove_cfo,
 )
 from rfident.signal_model import (
     Burst,
@@ -51,24 +50,31 @@ def _burst(p=HwiParams(), snr_db=None, cfo=0.0, mode="iridium", seed=0, h=1.0 + 
     return synthesize_burst(x, p, ch, seed=seed, modulation=mode if mode == "iridium" else "qpsk")
 
 
-def test_remove_cfo_pure_ramp():
+def _cfo_row(z, strip_power):
+    """``_cfo_block`` of one row: (derotated row, slope)."""
+    z = np.asarray(z, dtype=complex)[None]
+    derot, slope = _cfo_block(z, np.abs(z), strip_power)
+    return derot[0], float(slope[0])
+
+
+def test_cfo_block_pure_ramp():
     z = np.exp(1j * 0.01 * np.arange(76))
-    derot, cfo_hat = remove_cfo(z, strip_power=2)
+    derot, cfo_hat = _cfo_row(z, strip_power=2)
     assert cfo_hat == pytest.approx(0.01, abs=1e-6)
     residual = np.unwrap(np.angle(derot))
     slope = np.polyfit(np.arange(76), residual, 1)[0]
     assert abs(slope) < 1e-9
 
 
-def test_remove_cfo_zero_is_identity():
+def test_cfo_block_zero_is_identity():
     rng = np.random.default_rng(0)
     z = random_known_symbols(QPSK, 76, rng)
-    derot, cfo_hat = remove_cfo(z, strip_power=4)
+    derot, cfo_hat = _cfo_row(z, strip_power=4)
     assert abs(cfo_hat) < 1e-9
     assert np.max(np.abs(derot - z)) < 1e-9
 
 
-def test_remove_cfo_noisy_regression_oracle():
+def test_cfo_block_noisy_regression_oracle():
     # slope-estimator variance for a line fit in white phase noise:
     # var(slope) = sigma_phi^2 * 12 / (n (n^2 - 1))
     n, snr_db, cfo = 76, 20.0, 0.005
@@ -81,41 +87,18 @@ def test_remove_cfo_noisy_regression_oracle():
         x = np.ones(n, dtype=complex)
         ch = ChannelConfig(h=1.0, snr_db=snr_db, cfo_rad_per_symbol=cfo)
         b = synthesize_burst(x, HwiParams(), ch, seed=seed)
-        _, cfo_hat = remove_cfo(b.samples, strip_power=2)
+        _, cfo_hat = _cfo_row(b.samples, strip_power=2)
         errors.append(cfo_hat - cfo)
     mean_err = np.mean(errors)
     assert abs(mean_err) < 3 * slope_se / math.sqrt(len(errors))
     assert np.std(errors) < 1.5 * slope_se
 
 
-@pytest.mark.parametrize("strip_power", [1, 2, 3, 4, np.int64(4)])
-def test_remove_cfo_any_positive_int_strip_power(strip_power):
+@pytest.mark.parametrize("strip_power", [1, 2, 3, 4])
+def test_cfo_block_any_positive_int_strip_power(strip_power):
     z = np.exp(1j * 0.01 * np.arange(76))
-    _, cfo_hat = remove_cfo(z, strip_power=strip_power)
+    _, cfo_hat = _cfo_row(z, strip_power=strip_power)
     assert cfo_hat == pytest.approx(0.01, abs=1e-9)
-
-
-@pytest.mark.parametrize("strip_power", [0, -2, 2.5, True])
-def test_remove_cfo_rejects_strip_power_not_a_positive_int(strip_power):
-    # 0 would divide the slope by zero; 2.5 would strip by one power and
-    # divide by another
-    with pytest.raises(ConfigError, match="strip_power"):
-        remove_cfo(np.exp(1j * 0.01 * np.arange(76)), strip_power=strip_power)
-
-
-def test_remove_cfo_degenerate_inputs():
-    with pytest.raises(DegenerateInputError):
-        remove_cfo(np.zeros(8, dtype=complex))
-    with pytest.raises(DegenerateInputError):
-        remove_cfo(np.ones(3, dtype=complex))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
-def test_remove_cfo_rejects_non_finite_sample(bad):
-    z = np.ones(8, dtype=complex)
-    z[5] = bad
-    with pytest.raises(DegenerateInputError, match="non-finite"):
-        remove_cfo(z)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
@@ -644,6 +627,7 @@ def _with(values, index, value):
     (lambda b: _bad(b, known=np.zeros(b.n)), "known symbols are all zero"),
     # cases added later go last, so that the ids of the cases above stay as they are
     (lambda b: _bad(b, samples=b.samples * 1e160), "sample power overflows"),
+    (lambda b: _bad(b, samples=b.samples * 1e-160), "sample power underflows"),
 ])
 def test_table_error_names_the_first_bad_burst(make_bad, message):
     # two bad bursts, both past the first block: the error names the first
@@ -724,6 +708,8 @@ def _spoil(samples, known, lengths, bad, i):
     """Make burst i of a stack bad in the way ``bad`` names."""
     if bad == "overflow":
         samples[i] *= 1e160
+    elif bad == "underflow":
+        samples[i] *= 1e-160
     elif bad in ("nan", "inf", "zero"):
         samples[i, 17] = {"nan": np.nan, "inf": complex(np.inf, 0.0), "zero": 0.0}[bad]
     elif bad == "short":
@@ -736,7 +722,9 @@ def _spoil(samples, known, lengths, bad, i):
 @pytest.mark.parametrize("bad, message", [
     ("nan", "non-finite sample"), ("inf", "non-finite sample"), ("zero", "zero-amplitude sample"),
     ("overflow", "sample power overflows"), ("short", "has 40 samples, needs 76"),
-    ("known_nan", "non-finite known symbol"), ("known_zero", "known symbols are all zero")])
+    ("known_nan", "non-finite known symbol"), ("known_zero", "known symbols are all zero"),
+    # cases added later go last, so that the ids of the cases above stay as they are
+    ("underflow", "sample power underflows")])
 def test_shared_row_checks_name_the_first_bad_burst(shared, bad, message):
     # a block that fails the one-pass summary raises what the per-check
     # masks raise: the first bad burst, counted from ``first``, and its first
