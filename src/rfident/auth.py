@@ -144,6 +144,9 @@ class FeatureTable:
                     rows.append([float(v) for v in row[3:]])
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{r.line_num}: {exc}") from None
+                # an SNR of inf is noise-free; a feature value must be finite
+                if not all(map(math.isfinite, rows[-1])):
+                    raise ConfigError(f"{path}:{r.line_num}: a feature value is not finite")
                 ids.append(row[0])
         return cls(
             satellite_ids=np.asarray(ids),
@@ -205,19 +208,14 @@ def balanced_dr(
     """
     if n_bal < 2 or n_trials < 1:
         raise ConfigError("need n_bal >= 2 and n_trials >= 1")
-    names, codes = table.coded_ids
-    counts = np.bincount(codes, minlength=len(names))
-    eligible = np.flatnonzero(counts >= n_bal)
-    excluded = tuple(names[counts < n_bal])
-    if eligible.size < 2:
+    by_sat = _rows_by_satellite(table.coded_ids)
+    idx_by_sat = [rows for _, rows in by_sat if rows.size >= n_bal]
+    excluded = tuple(table.coded_ids[0][code] for code, rows in by_sat if rows.size < n_bal)
+    if len(idx_by_sat) < 2:
         raise AuthConfigError("need at least 2 satellites with >= n_bal messages")
     half = n_bal // 2
     rng = np.random.default_rng(_check_seed(seed))
     drs = np.zeros((n_trials, table.matrix.shape[1]))
-    # each eligible satellite's rows in table order
-    order = np.argsort(codes, kind="stable")
-    ends = np.cumsum(counts)
-    idx_by_sat = [order[ends[c] - counts[c]:ends[c]] for c in eligible]
     for t in range(n_trials):
         picks = [rng.choice(idx, size=n_bal, replace=False) for idx in idx_by_sat]
         drawn = table.matrix[np.stack(picks)]  # (satellites, n_bal, features)
@@ -250,19 +248,17 @@ def cross_stability(a: tuple, b: tuple) -> dict:
     """Per-feature Pearson correlation of fingerprint means across the
     satellites common to two campaigns. Each campaign is an ``(ids, means)``
     pair, one row of means per satellite."""
-    by_id = []
-    for ids, means in (a, b):
+    for ids, _ in (a, b):
         uniq, counts = np.unique(ids, return_counts=True)
         if np.any(counts > 1):
             raise AuthConfigError(f"satellite {uniq[np.argmax(counts > 1)]} appears more than "
                                   "once in a campaign")
-        by_id.append(dict(zip(np.asarray(ids).tolist(), np.asarray(means, dtype=float))))
-    common = sorted(by_id[0].keys() & by_id[1].keys())
-    if len(common) < 3:
+    common, rows_a, rows_b = np.intersect1d(a[0], b[0], assume_unique=True, return_indices=True)
+    if common.size < 3:
         raise AuthConfigError("need at least 3 common satellites")
     from scipy import stats  # loaded on first use: it is most of `import rfident`
 
-    a, b = (np.asarray([m[s] for s in common]) for m in by_id)
+    a, b = np.asarray(a[1], dtype=float)[rows_a], np.asarray(b[1], dtype=float)[rows_b]
     out = {}
     for j, name in enumerate(FEATURE_NAMES):
         if np.std(a[:, j]) <= 1e-300 or np.std(b[:, j]) <= 1e-300:
@@ -574,6 +570,17 @@ def _share_names(*coded) -> list:
     return [(names, np.searchsorted(names, own)[codes]) for own, codes in coded]
 
 
+def _rows_by_satellite(ids: tuple) -> list:
+    """Each satellite's rows in table order, from one stable sort: a
+    ``(code, rows)`` pair, in code order, for every satellite of the coded
+    ids ``(names, codes)`` (see ``_share_names``) that has rows."""
+    codes = ids[1]
+    counts = np.bincount(codes)
+    present = np.flatnonzero(counts)
+    rows = np.split(np.argsort(codes, kind="stable"), np.cumsum(counts[present])[:-1])
+    return list(zip(present, rows))
+
+
 def _grouped_means(ids: tuple, matrix: np.ndarray, start: int = 0, stop: int | None = None,
                    size: int | None = None) -> tuple[tuple, np.ndarray]:
     """Means of consecutive per-satellite row chunks.
@@ -585,21 +592,16 @@ def _grouped_means(ids: tuple, matrix: np.ndarray, start: int = 0, stop: int | N
     rows with a short tail dropped. Returns the chunks' coded satellite ids
     and their (chunks x features) means.
     """
-    names, codes = ids
-    # one stable sort lists each satellite's rows in table order
-    order = np.argsort(codes, kind="stable")
-    counts = np.bincount(codes, minlength=len(names))
-    ends = np.cumsum(counts)
     chunk_codes, means = [], []
-    for code in np.flatnonzero(counts):
-        x = matrix[order[ends[code] - counts[code]:ends[code]][start:stop]]
+    for code, rows in _rows_by_satellite(ids):
+        x = matrix[rows[start:stop]]
         n = x.shape[0] if size is None else size
         if n < 1:
-            raise AuthConfigError(f"satellite {names[code]} has no rows to average")
+            raise AuthConfigError(f"satellite {ids[0][code]} has no rows to average")
         k = x.shape[0] // n
         means.append(x[: k * n].reshape(k, n, matrix.shape[1]).mean(axis=1))
         chunk_codes.append(np.full(k, code))
-    return (names, np.concatenate(chunk_codes)), np.concatenate(means)
+    return (ids[0], np.concatenate(chunk_codes)), np.concatenate(means)
 
 
 def _beside(fn, *args):
@@ -774,11 +776,9 @@ def _table(names: np.ndarray, codes: np.ndarray, snrs: list, blocks: list) -> Fe
     """The table of per-burst satellite ids, coded as ``names[codes]``, SNRs
     (None, noise-free, reads as inf) and feature blocks, with each
     satellite's bursts numbered in arrival order."""
-    # one stable sort lists each satellite's bursts in arrival order
-    order = np.argsort(codes, kind="stable")
-    counts = np.bincount(codes, minlength=len(names))
     burst_index = np.empty(codes.size, dtype=int)
-    burst_index[order] = np.arange(codes.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    for _, rows in _rows_by_satellite((names, codes)):
+        burst_index[rows] = np.arange(rows.size)
     return FeatureTable(
         satellite_ids=names[codes],
         burst_index=burst_index,

@@ -123,11 +123,14 @@ def _cfo_block(z: np.ndarray, mag: np.ndarray,
 
 
 def normalize_amplitude(samples) -> np.ndarray:
-    """Scale each row (the last axis) to unit mean power."""
+    """Scale each row (the last axis) to unit mean power; a row whose mean
+    power is not finite and normal raises ``DegenerateInputError``."""
     z = np.asarray(samples, dtype=complex)
-    power = np.mean(np.abs(z) ** 2, axis=-1, keepdims=True)
-    if np.any(power <= 0.0):
-        raise DegenerateInputError("all-zero burst")
+    with np.errstate(over="ignore"):  # a power beyond float range is inf
+        power = np.mean(np.abs(z) ** 2, axis=-1, keepdims=True)
+    # stated as what must hold: NaN fails every comparison
+    if not np.all((power >= _TINY) & (power < math.inf)):
+        raise DegenerateInputError("sample power is zero, subnormal or not finite")
     return z / np.sqrt(power)
 
 

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from rfident import auth
 from rfident.auth import (
@@ -26,6 +27,7 @@ from rfident.auth import (
     _genuine_impostor,
     _glrt_precision,
     _grouped_means,
+    _rows_by_satellite,
     _share_names,
     accumulate,
     balanced_dr,
@@ -275,6 +277,24 @@ def test_cross_stability_rejects_repeated_ids():
             cross_stability(a, b)
 
 
+def test_cross_stability_equals_the_dict_match():
+    # the rule cross_stability replaced: a dict per campaign, and the common
+    # ids in sorted order; ids and means may come as lists
+    rng = np.random.default_rng(41)
+    ids_a = ["S3", "S10", "S7", "S1", "S22", "S5"]
+    ids_b = ["S5", "S9", "S1", "S3", "S10", "S22", "S4"]
+    means_a, means_b = rng.normal(size=(6, N_FEAT)), rng.normal(size=(7, N_FEAT))
+    by_a, by_b = dict(zip(ids_a, means_a)), dict(zip(ids_b, means_b))
+    common = sorted(by_a.keys() & by_b.keys())
+    want_a, want_b = (np.asarray([m[s] for s in common]) for m in (by_a, by_b))
+    for a, b in (((np.asarray(ids_a), means_a), (np.asarray(ids_b), means_b)),
+                 ((ids_a, means_a.tolist()), (ids_b, means_b.tolist()))):
+        out = cross_stability(a, b)
+        for j, name in enumerate(FEATURE_NAMES):
+            r, p = stats.pearsonr(want_a[:, j], want_b[:, j])
+            assert (out[name].r, out[name].p_value, out[name].defined) == (float(r), float(p), True)
+
+
 def test_iwat_weights_published_values():
     w = iwat_weights(PUBLISHED_DRS, tuple(PUBLISHED_DRS), mode="dr2")
     assert w.as_dict()["amp_var"] == pytest.approx(0.42, abs=0.01)
@@ -288,6 +308,8 @@ def test_iwat_weights_corner_cases():
     assert np.allclose(w6.weights, 1 / 6)
     with pytest.raises(ValueError):
         iwat_weights({"a": 0.0}, ("a",))
+    with pytest.raises(ConfigError, match="unknown weight mode 'dr3'"):
+        iwat_weights({"a": 1.0}, ("a",), mode="dr3")
 
 
 # an infinite or NaN ratio, and finite ratios whose squares or sum overflow
@@ -779,6 +801,25 @@ def test_forked_probe_campaign_equals_the_in_process_one(monkeypatch, seed):
 
 
 @forking
+def test_probe_campaign_runs_in_process_when_fork_fails(monkeypatch):
+    _usable_cpus(monkeypatch, 1)
+    want = run_auth_experiment(_SMALL, seed=0).to_json_dict()
+    _usable_cpus(monkeypatch, 2)
+    forks = []
+
+    def no_fork():
+        forks.append(1)
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    open_fds = sorted(os.listdir("/proc/self/fd"))
+    assert run_auth_experiment(_SMALL, seed=0).to_json_dict() == want
+    assert forks == [1]
+    # the pipe made for the child is closed again
+    assert sorted(os.listdir("/proc/self/fd")) == open_fds
+
+
+@forking
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_probe_campaign_error_reaches_the_caller(monkeypatch, cpus):
     # with seed 3, campaign A is seed 8 and campaign B seed 7
@@ -901,6 +942,25 @@ def test_grouped_means_chunks_follow_table_order():
     assert np.array_equal(rest[1], rows["B"][2:].mean(axis=0))
     with pytest.raises(AuthConfigError):
         _grouped_means(coded, x, start=4)  # A has no rows left
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes=st.lists(st.integers(0, 5), max_size=40))
+def test_rows_by_satellite_equal_the_per_code_scan(codes):
+    # six names, of which any may have no rows (as after _share_names)
+    ids = (np.array([f"S{k}" for k in range(6)]), np.asarray(codes, dtype=np.intp))
+    got = _rows_by_satellite(ids)
+    assert [int(code) for code, _ in got] == sorted(set(codes))
+    for code, rows in got:
+        want = np.flatnonzero(ids[1] == code)
+        assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
+
+
+def test_rows_by_satellite_skip_names_only_the_other_table_has():
+    a, b = _share_names(_table(["B", "A", "B"], np.zeros((3, N_FEAT))).coded_ids,
+                        _table(["C", "A"], np.zeros((2, N_FEAT))).coded_ids)
+    assert [(int(c), r.tolist()) for c, r in _rows_by_satellite(a)] == [(0, [1]), (1, [0, 2])]
+    assert [(int(c), r.tolist()) for c, r in _rows_by_satellite(b)] == [(0, [1]), (2, [0])]
 
 
 # unsorted, interleaved ids of unequal counts; "S10" sorts before "S2"

@@ -152,6 +152,11 @@ def test_unknown_config_keys_rejected(tmp_path):
     ("mc-validate", {"snr_grid_db": [4000], "n_trials": 50}),
     ("fleet-sim", {"n_sats": 2, "n_bursts": 2, "n_known": 100}),
     ("mc-validate", {"modulation": "bpsk", "pilot_mode": "iridium", "n": 100, "n_trials": 50}),
+    ("authenticate", {**SMALL, "ridge": -1}),
+    ("authenticate", {**SMALL, "n_dr_trials": 0}),
+    # a feature value that is not finite (an SNR of inf is noise-free)
+    ("features", "satellite_id,burst_index,snr_db,amp_var\r\nA,0,inf,1.0\r\nA,1,12,nan\r\n"),
+    ("features", "satellite_id,burst_index,snr_db,amp_var\r\nA,0,12,-inf\r\n"),
 ])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "cfg.json"
@@ -377,6 +382,16 @@ def test_snr_db_infinity_is_noise_free_and_null_only_in_burst_files(tmp_path, ca
     path = tmp_path / "burst.bin"
     write_burst_binary(Burst(x, x, BurstMeta(channel=ChannelConfig(snr_db=None))), path)
     assert read_burst_binary(path).meta.channel.noise_free
+
+
+def test_rician_k_db_null_is_the_default_channel(tmp_path):
+    # null, the default, draws no Rician magnitude: the same files as no key
+    cfg = tmp_path / "cfg.json"
+    for out, config in (("null", {"rician_k_db": None}), ("default", {})):
+        cfg.write_text(json.dumps({"n_sats": 2, "n_bursts": 3, **config}))
+        assert run(["--out-dir", tmp_path / out, "fleet-sim", "--config", cfg]) == EXIT_OK
+    for name in ("features.csv", "fleet.json"):
+        assert (tmp_path / "null" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
 
 
 def test_authenticate_full_experiment(tmp_path):

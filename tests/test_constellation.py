@@ -107,6 +107,8 @@ def test_custom_normalization_records_scale():
 
 
 def test_custom_errors():
+    with pytest.raises(InvalidConstellationError, match="needs points"):
+        make_constellation("custom")
     with pytest.raises(InvalidConstellationError):
         make_constellation("custom", points=[])
     with pytest.raises(InvalidConstellationError):

@@ -127,6 +127,14 @@ def test_normalize_amplitude():
     assert np.allclose(normalize_amplitude(unit), unit, atol=1e-12)
     with pytest.raises(DegenerateInputError):
         normalize_amplitude(np.zeros(4, dtype=complex))
+    # mean powers that are not finite and normal cannot be scaled exactly:
+    # one that overflows (without a RuntimeWarning), NaN, and subnormal
+    b = _burst(snr_db=20.0, mode="iridium", seed=3)
+    nan_sample = b.samples.copy()
+    nan_sample[5] = math.nan
+    for bad in (b.samples * 1e160, nan_sample, b.samples * 1e-160):
+        with pytest.raises(DegenerateInputError, match="zero, subnormal or not finite"):
+            normalize_amplitude(np.stack([b.samples, bad]))
 
 
 def _feature(values, name):

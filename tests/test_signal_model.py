@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -31,6 +32,7 @@ from rfident.signal_model import (
     synthesize_burst,
     uw_symbols,
     write_burst_binary,
+    write_text_atomic,
 )
 
 
@@ -407,6 +409,26 @@ def test_channel_db_values_need_a_finite_positive_linear_value(kw):
         ChannelConfig(**kw)
     # None and +inf stay noise-free
     assert ChannelConfig(snr_db=None).noise_free and ChannelConfig(snr_db=math.inf).noise_free
+
+
+def test_channel_refuses_a_nan_cfo():
+    with pytest.raises(ConfigError, match="cfo_rad_per_symbol is NaN"):
+        ChannelConfig(cfo_rad_per_symbol=math.nan)
+
+
+def test_atomic_write_that_fails_leaves_no_temporary_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.txt"
+    path.write_text("old")
+
+    def replace_fails(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", replace_fails)
+    with pytest.raises(OSError, match="No space left"):
+        write_text_atomic(path, "new")
+    # the temporary file is removed and the old file is untouched
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    assert path.read_text() == "old"
 
 
 def test_generate_fleet_defaults():
