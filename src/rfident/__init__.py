@@ -8,6 +8,7 @@ from .constellation import (
     DirectionalSensitivity,
     InvalidConstellationError,
     Moments,
+    constellation_from,
     directional_sensitivities,
     load_constellation_json,
     make_constellation,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constellation import ConfigError, _db_to_linear, make_constellation, moments
+from .constellation import ConfigError, _db_to_linear, constellation_from, moments
 # extract_features is not called here; it stays importable from this module,
 # where perfbench's span tracing rebinds it
 from .features import (  # noqa: F401
@@ -247,12 +247,17 @@ class StabilityRow:
 def cross_stability(a: tuple, b: tuple) -> dict:
     """Per-feature Pearson correlation of fingerprint means across the
     satellites common to two campaigns. Each campaign is an ``(ids, means)``
-    pair, one row of means per satellite."""
-    for ids, _ in (a, b):
+    pair, one row of means per satellite and one column per ``FEATURE_NAMES``
+    entry."""
+    for ids, means in (a, b):
         uniq, counts = np.unique(ids, return_counts=True)
         if np.any(counts > 1):
             raise AuthConfigError(f"satellite {uniq[np.argmax(counts > 1)]} appears more than "
                                   "once in a campaign")
+        shape = np.shape(means)
+        if len(shape) != 2 or shape[1] != len(FEATURE_NAMES):
+            raise ConfigError(f"fingerprint means of shape {shape}: need "
+                              f"{len(FEATURE_NAMES)} columns, one per feature")
     common, rows_a, rows_b = np.intersect1d(a[0], b[0], assume_unique=True, return_indices=True)
     if common.size < 3:
         raise AuthConfigError("need at least 3 common satellites")
@@ -428,7 +433,7 @@ class FleetProtocolConfig:
     n_enroll: int = 120
     n_probe: int = 120
     snr_db: float = 12.0
-    burst_mode: str = "iridium"  # or "qpsk_pilots"
+    burst_mode: str = "iridium"  # or an alphabet: see ``pilots``
     n_known: int = 76
     cfo_jitter: float = 0.01  # rad/symbol, uniform per burst
     rician_k_db: float | None = None
@@ -441,9 +446,6 @@ class FleetProtocolConfig:
     target_fa: float = 0.1
 
     def __post_init__(self):
-        if self.burst_mode not in ("iridium", "qpsk_pilots"):
-            raise ConfigError(f"unknown burst_mode {self.burst_mode!r}; "
-                              "use 'iridium' or 'qpsk_pilots'")
         if self.n_sats < 2:
             raise ConfigError("a fleet needs n_sats >= 2")
         if not (1 <= self.probe_acc <= self.n_probe and 2 <= self.n_bal <= self.n_enroll):
@@ -465,8 +467,20 @@ class FleetProtocolConfig:
         # the burst channel and the feature pipeline check their own values
         ChannelConfig(snr_db=self.snr_db, rician_k_db=self.rician_k_db)
         PipelineConfig(n_known=self.n_known)
+        self.pilots  # checks burst_mode; a .json alphabet is read here only
+
+    @functools.cached_property
+    def pilots(self) -> tuple:
+        """(None, the read-only (1, n_known) Iridium row) for "iridium", else (alphabet, None)."""
         if self.burst_mode == "iridium":
-            iridium_known_symbols(self.n_known)
+            row = iridium_known_symbols(self.n_known)[None]
+            row.flags.writeable = False
+            return None, row
+        name = "qpsk" if self.burst_mode == "qpsk_pilots" else self.burst_mode
+        try:
+            return constellation_from(name), None
+        except ConfigError as exc:
+            raise ConfigError(f"burst_mode is 'iridium' or an alphabet: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -518,15 +532,14 @@ def simulate_campaign(
     """One recording campaign: fresh noise, channel phases, and CFO per burst;
     the fleet fingerprints stay fixed.
 
-    Burst ``bi`` of satellite ``si`` takes its CFO, its QPSK symbols (unless
-    the Iridium pilots are sent), its channel and its noise, in that order,
+    Burst ``bi`` of satellite ``si`` takes its CFO, its known symbols (unless
+    all send the row of ``cfg.pilots``), its channel and its noise, in that order,
     from the stream of ``default_rng((campaign_seed, si, bi))``, with the
     fleet's streams seeded in bulk by ``_keyed_generators``. The bursts are
     synthesized satellite by satellite into a buffer of
     ``_CAMPAIGN_BUFFER`` rows, and each time it fills, its features are
     extracted in blocks of ``_BLOCK`` rows, whatever the satellite
-    boundaries, as ``feature_table_from_bursts`` reads a burst stream. The
-    Iridium pilots are one row that every burst shares."""
+    boundaries, as ``feature_table_from_bursts`` reads a burst stream."""
     n_bursts = n_bursts if n_bursts is not None else cfg.n_enroll
     if n_bursts < 1:
         raise ConfigError(f"a campaign needs n_bursts >= 1, got {n_bursts}")
@@ -534,10 +547,8 @@ def simulate_campaign(
     ch = ChannelConfig(snr_db=cfg.snr_db, rician_k_db=cfg.rician_k_db, random_phase=True)
     n, total = cfg.n_known, len(fleet) * n_bursts
     buffer = max(1, min(_CAMPAIGN_BUFFER, total))  # an empty fleet reads as no rows
-    if cfg.burst_mode == "iridium":
-        alphabet, known = None, iridium_known_symbols(n)[None]
-    else:
-        alphabet, known = make_constellation("qpsk"), np.empty((buffer, n), dtype=complex)
+    alphabet, row = cfg.pilots
+    known = row if alphabet is None else np.empty((buffer, n), dtype=complex)
 
     def symbols(rows: slice) -> np.ndarray:
         return known if alphabet is None else known[rows]
@@ -551,7 +562,7 @@ def simulate_campaign(
         for si in range(first // n_bursts, (stop - 1) // n_bursts + 1):
             rows = slice(max(first, si * n_bursts) - first,
                          min(stop, (si + 1) * n_bursts) - first)
-            # the draws fill a QPSK campaign's symbols into the buffer
+            # the draws fill a random-pilot campaign's symbols into the buffer
             samples[rows] = _synthesize_rows(keyed, rows.stop - rows.start, symbols(rows),
                                              fleet[si][1], ch, alphabet, cfg.cfo_jitter)[0]
         for start in range(0, stop - first, _BLOCK):
@@ -692,7 +703,8 @@ def run_auth_experiment(cfg: FleetProtocolConfig | None = None, seed: int = 0) -
         join_b(wait=table_a is not None and isinstance(exc, Exception))
         raise
     table_b = join_b()
-    beta = moments(make_constellation("qpsk" if cfg.burst_mode != "iridium" else "bpsk").points).beta
+    alphabet, row = cfg.pilots  # beta is that of the symbols sent
+    beta = moments(row[0] if alphabet is None else alphabet.points).beta
     ids_a, ids_b = _share_names(table_a.coded_ids, table_b.coded_ids)
     enrollment = _grouped_means(ids_a, table_a.matrix)
 

@@ -30,8 +30,7 @@ from .auth import (
 from .constellation import (
     ConfigError,
     _db_to_linear,
-    load_constellation_json,
-    make_constellation,
+    constellation_from,
     moments,
     predicted_fim_rank,
 )
@@ -135,18 +134,12 @@ def _theta(theta: dict) -> HwiParams:
                      alpha3=complex(*theta["alpha3"]))
 
 
-def _constellation_from(name: str):
-    if name.endswith(".json"):
-        return load_constellation_json(name)
-    return make_constellation(name)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def cmd_moments(args) -> int:
-    c = _constellation_from(args.constellation)
+    c = constellation_from(args.constellation)
     m = moments(c.points)
     rows = [[
         c.name, c.size, f"{m.mu20.real:.12g}", f"{m.mu20.imag:.12g}",
@@ -169,7 +162,7 @@ def cmd_crb_curves(args) -> int:
     p = _theta(cfg["theta"])
     rows = []
     for mod in cfg["modulations"]:
-        c = _constellation_from(mod)
+        c = constellation_from(mod)
         m = moments(c.points)
         for n in cfg["n_grid"]:
             for snr_db in cfg["snr_grid_db"]:
@@ -202,7 +195,7 @@ def cmd_mc_validate(args) -> int:
         "n_trials": 300, "theta": _THETA, "pilot_mode": "random",
     })
     report = mc_crb_validation(
-        _constellation_from(cfg["modulation"]), _theta(cfg["theta"]), cfg["snr_grid_db"],
+        constellation_from(cfg["modulation"]), _theta(cfg["theta"]), cfg["snr_grid_db"],
         n=cfg["n"], n_trials=cfg["n_trials"], seed=args.seed, pilot_mode=cfg["pilot_mode"],
     )
     report.to_csv(args.out)
@@ -218,7 +211,7 @@ def cmd_identifiability(args) -> int:
     p = _theta(cfg["theta"])
     out = {}
     for mod in cfg["modulations"]:
-        c = _constellation_from(mod)
+        c = constellation_from(mod)
         f = fim_numerical(c, p, cfg["n"], gamma)
         rep, m = crb_report(f), moments(c.points)
         out[mod] = {

@@ -175,6 +175,13 @@ def load_constellation_json(path) -> Constellation:
     return make_constellation("custom", points=pts, name=str(path))
 
 
+def constellation_from(name) -> Constellation:
+    """The alphabet of a ``.json`` point list, else of a built-in kind."""
+    if str(name).endswith(".json"):
+        return load_constellation_json(name)
+    return make_constellation(name)
+
+
 def moments(x) -> Moments:
     """Moments of the samples x at unit power, along the last axis: an
     alphabet passes its ``points``, a stack of rows gives one value per row.

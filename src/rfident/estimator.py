@@ -18,7 +18,7 @@ from .constellation import (
     ConfigError,
     Constellation,
     _db_to_linear,
-    make_constellation,
+    constellation_from,
     moments,
     predicted_fim_rank,
 )
@@ -292,7 +292,7 @@ def mc_crb_validation(
         raise ConfigError("need n >= 1 and n_trials >= 1")
     if n_trials < 50:
         warnings.warn("fewer than 50 trials gives a noisy MSE estimate")
-    c = modulation if isinstance(modulation, Constellation) else make_constellation(modulation)
+    c = modulation if isinstance(modulation, Constellation) else constellation_from(modulation)
     mod_name = c.name
     mom = moments(c.points)
     # the bound the pilots' fit attains needs an alphabet with their moments

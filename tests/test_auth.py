@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from rfident import auth
+from rfident import auth, constellation
 from rfident.auth import (
     ALL6_FEATURES,
     CRB4_FEATURES,
@@ -40,7 +40,7 @@ from rfident.auth import (
     run_auth_experiment,
     simulate_campaign,
 )
-from rfident.constellation import ConfigError, make_constellation
+from rfident.constellation import ConfigError, make_constellation, moments
 from rfident.features import (
     _FLAGS,
     _extract_bursts,
@@ -274,6 +274,18 @@ def test_cross_stability_rejects_repeated_ids():
     repeated = np.array(["S0", "S1", "S2", "S3", "S1"])
     for a, b in (((repeated, means), (ids, means)), ((ids, means), (repeated, means))):
         with pytest.raises(AuthConfigError, match="S1"):
+            cross_stability(a, b)
+
+
+@pytest.mark.parametrize("width", [2, 20])
+def test_cross_stability_refuses_means_of_another_width(width):
+    # means are read by FEATURE_NAMES column: 2 columns would run out of
+    # them and 20 would lose 7, so either campaign of another width is refused
+    rng = np.random.default_rng(width)
+    good = _fingerprints(rng.normal(size=(4, N_FEAT)))
+    other = _fingerprints(rng.normal(size=(4, width)))
+    for a, b in ((other, other), (good, other), (other, good)):
+        with pytest.raises(ConfigError, match=rf"shape \(4, {width}\): need {N_FEAT} columns"):
             cross_stability(a, b)
 
 
@@ -588,8 +600,9 @@ def test_simulate_campaign_smoke():
 
 
 # 4 satellites: 256 bursts each fill the synthesis buffer exactly, 300 cross
-# it inside a satellite, and every size past 64 crosses 256-row blocks
-@pytest.mark.parametrize("burst_mode", ["iridium", "qpsk_pilots"])
+# it inside a satellite, and every size past 64 crosses 256-row blocks;
+# "qpsk" and its alias "qpsk_pilots" equal one QPSK oracle, so each other
+@pytest.mark.parametrize("burst_mode", ["iridium", "qpsk_pilots", "qpsk"])
 @pytest.mark.parametrize("n_bursts", [1, 12, 100, 255, 256, 300])
 def test_streamed_campaign_equals_the_per_burst_oracle(n_bursts, burst_mode):
     # the campaign table is the generic burst-file table over the same
@@ -611,10 +624,48 @@ def test_streamed_campaign_equals_the_per_burst_oracle(n_bursts, burst_mode):
 
 
 def test_empty_fleet_gives_an_empty_campaign():
-    for burst_mode in ("iridium", "qpsk_pilots"):
+    for burst_mode in ("iridium", "qpsk_pilots", "qpsk"):
         table = simulate_campaign([], FleetProtocolConfig(burst_mode=burst_mode), campaign_seed=1)
         assert table.matrix.shape == (0, N_FEAT)
         assert table.satellite_ids.size == table.burst_index.size == table.snr_db.size == 0
+
+
+def _pam4(tmp_path) -> str:
+    """A real 4-PAM alphabet as a .json point list: beta = 0."""
+    path = tmp_path / "pam4.json"
+    path.write_text("[[3, 0], [1, 0], [-1, 0], [-3, 0]]")
+    return str(path)
+
+
+@pytest.mark.parametrize("burst_mode, beta", [("8psk", 1.0), ("pam4", 0.0), ("qpsk_pilots", 1.0)])
+def test_any_alphabet_runs_and_the_report_beta_is_that_of_its_symbols(tmp_path, burst_mode,
+                                                                      beta):
+    if burst_mode == "pam4":
+        burst_mode = _pam4(tmp_path)
+    cfg = FleetProtocolConfig(n_sats=2, n_enroll=30, n_probe=30, n_bal=30, n_dr_trials=2,
+                              probe_acc=15, burst_mode=burst_mode)
+    table = simulate_campaign(generate_fleet(2, seed=8), cfg, campaign_seed=2, n_bursts=5)
+    assert table.matrix.shape == (10, N_FEAT) and np.all(np.isfinite(table.matrix))
+    rep = run_auth_experiment(cfg, seed=1)
+    assert rep.beta == beta == moments(cfg.pilots[0].points).beta
+
+
+def test_a_json_burst_mode_is_read_once_per_config(tmp_path, monkeypatch):
+    path, calls = _pam4(tmp_path), []
+    load = constellation.load_constellation_json
+    monkeypatch.setattr(constellation, "load_constellation_json",
+                        lambda p: calls.append(p) or load(p))
+    cfg = FleetProtocolConfig(n_sats=2, burst_mode=path)
+    fleet = generate_fleet(2, seed=8)
+    for seed in (0, 1):
+        simulate_campaign(fleet, cfg, campaign_seed=seed, n_bursts=3)
+    assert calls == [path]
+
+
+@pytest.mark.parametrize("burst_mode", [None, 3, "custom"])
+def test_an_unknown_burst_mode_is_a_config_error_naming_it(burst_mode):
+    with pytest.raises(ConfigError, match=r"^burst_mode is 'iridium' or an alphabet: "):
+        FleetProtocolConfig(burst_mode=burst_mode)
 
 
 def test_table_numbering_and_codes_follow_arrival_order():

@@ -169,6 +169,14 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, command, config):
     assert err.startswith("configuration error:") and err.count("\n") == 1
 
 
+def test_unknown_burst_mode_message_names_the_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"burst_mode": "iridum"}))
+    assert run(["--out-dir", tmp_path, "fleet-sim", "--config", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("configuration error: burst_mode is 'iridium' or an "
+                                       "alphabet: unsupported constellation 'iridum'\n")
+
+
 def test_data_dependent_failure_is_a_numerical_failure(tmp_path, capsys):
     # 30 bursts per satellite cannot fill n_bal = 100: the config is fine,
     # the table is too small for it
