@@ -5,11 +5,9 @@ feature extraction, and identifiability-weighted authentication."""
 from .constellation import (
     ConfigError,
     Constellation,
-    DirectionalSensitivity,
     InvalidConstellationError,
     Moments,
     constellation_from,
-    directional_sensitivities,
     load_constellation_json,
     make_constellation,
     moments,

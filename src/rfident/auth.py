@@ -473,9 +473,7 @@ class FleetProtocolConfig:
     def pilots(self) -> tuple:
         """(None, the read-only (1, n_known) Iridium row) for "iridium", else (alphabet, None)."""
         if self.burst_mode == "iridium":
-            row = iridium_known_symbols(self.n_known)[None]
-            row.flags.writeable = False
-            return None, row
+            return None, iridium_known_symbols(self.n_known)[None]
         name = "qpsk" if self.burst_mode == "qpsk_pilots" else self.burst_mode
         try:
             return constellation_from(name), None

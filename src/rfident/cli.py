@@ -4,8 +4,9 @@ Subcommands: moments, crb-curves, mc-validate, identifiability, fleet-sim,
 dr-analysis, authenticate. Configuration comes from an optional JSON file
 plus flag overrides; outputs are plot-ready CSV/JSON written atomically.
 Exit codes: 0 success; 2 configuration or input error (a flag argparse
-rejects, a ``ConfigError`` from a config value or an input file, a missing
-file, malformed JSON); 3 a failure that depends on the data or the numerics.
+rejects, a ``ConfigError`` from a config value or an input file, a missing,
+unreadable or undecodable file, malformed JSON); 3 a failure that depends on
+the data or the numerics.
 """
 
 from __future__ import annotations
@@ -76,9 +77,9 @@ def from_json(default, value, key: str = "config"):
     dataclass is then built, and its own checks judge the values. A tuple
     takes a JSON array and converts each element like the default's first
     one. A string takes only a string; a number is converted with int() or
-    float() (float for a None default, which also keeps None), and an int
-    default takes no float with a fractional part. Anything else raises
-    ``ConfigError``.
+    float() (float for a None default, which also keeps None), an int
+    default takes no float with a fractional part, and no default takes a
+    boolean. Anything else raises ``ConfigError``.
     """
     if dataclasses.is_dataclass(default):
         return type(default)(**from_json(_fields(default), value, key))
@@ -99,6 +100,9 @@ def from_json(default, value, key: str = "config"):
         return value
     if default is None and value is None:
         return None
+    # a JSON boolean is no number, though Python's bool is an int
+    if isinstance(value, bool):
+        raise ConfigError(f"config key {key} must be a number, got {value!r}")
     if type(default) is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"config key {key} must be an integer, got {value!r}")
     try:
@@ -330,13 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    os.makedirs(args.out_dir, exist_ok=True)
     # route default outputs into --out-dir
     if getattr(args, "out", None) and not os.path.isabs(args.out):
         args.out = os.path.join(args.out_dir, args.out)
     try:
+        os.makedirs(args.out_dir, exist_ok=True)
         return args.fn(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors, so they come first
+    except (ConfigError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RankDeficientError, np.linalg.LinAlgError, ArithmeticError, ValueError) as exc:

@@ -93,19 +93,6 @@ class Moments:
         return 1.0 - abs(self.mu20) ** 2
 
 
-@dataclass(frozen=True)
-class DirectionalSensitivity:
-    """Gain/phase information weights (beta_eps, beta_phi) and their cross term."""
-
-    beta_eps: float
-    beta_phi: float
-    j_epsphi: float
-
-    def __post_init__(self):
-        if abs(self.beta_eps + self.beta_phi - 1.0) > 1e-12:
-            raise ValueError("beta_eps + beta_phi must equal 1")
-
-
 def _builtin_points(kind: str) -> np.ndarray:
     if kind in ("bpsk", "sdpsk"):
         return np.array([1.0 + 0.0j, -1.0 + 0.0j])
@@ -205,19 +192,6 @@ def moments(x) -> Moments:
     if x.ndim == 1:
         mu20, mu4, mu6 = complex(mu20), float(mu4), float(mu6)
     return Moments(mu20=mu20, mu4=mu4, mu6=mu6)
-
-
-def directional_sensitivities(m: Moments, eps: float, phi: float) -> DirectionalSensitivity:
-    """Split the IQ information between the gain and phase directions.
-
-    beta_eps = (1 - Re{e^{-2j phi} mu20})/2 and beta_phi its complement;
-    the cross term is (1+eps)/2 * Im{e^{-2j phi} mu20}.
-    """
-    z = np.exp(-2j * phi) * m.mu20
-    beta_eps = 0.5 * (1.0 - z.real)
-    beta_phi = 0.5 * (1.0 + z.real)
-    j_epsphi = 0.5 * (1.0 + eps) * z.imag
-    return DirectionalSensitivity(beta_eps=beta_eps, beta_phi=beta_phi, j_epsphi=j_epsphi)
 
 
 def predicted_fim_rank(m: Moments):

@@ -22,6 +22,7 @@ from .constellation import (
     moments,
     predicted_fim_rank,
 )
+from .features import _raise_first_bad
 from .fim_crb import crb_report, fim_closed_form, fim_numerical, pa_subblock_crb
 from .signal_model import (
     PARAM_NAMES,
@@ -148,9 +149,12 @@ def fit_batch(r, h, x, theta0) -> BatchFit:
     """Fit T bursts at once: minimize sum_n |r(t, n) - h(t) f(theta_t; x(t, n))|^2
     for every trial t from its initial point theta0[t].
 
-    ``r`` and ``x`` are (T, N) samples (CFO already removed) and known
-    symbols, ``h`` the T known channel coefficients, ``theta0`` the (T, 4)
-    initial points in PARAM_NAMES order.
+    ``r`` are the (T, N) samples (CFO already removed), ``x`` their known
+    symbols, a (T, N) stack or one (1, N) row that every trial shares, ``h``
+    the T known channel coefficients, ``theta0`` the (T, 4) initial points
+    in PARAM_NAMES order. A zero or non-finite channel, a non-finite sample
+    or known symbol, or all-zero known symbols raise
+    ``DegenerateInputError`` naming the first bad trial as its burst.
 
     Trials whose known symbols have beta > 0 get the batched
     Levenberg-Marquardt fit of all four parameters. Trials with beta = 0
@@ -168,11 +172,25 @@ def fit_batch(r, h, x, theta0) -> BatchFit:
     h = np.asarray(h, dtype=complex)
     theta0 = np.asarray(theta0, dtype=float)
     n_trials = theta0.shape[0]
+    # one summary passes good input; the per-check masks name a bad trial
+    if not (np.isfinite(h).all() and h.all() and np.isfinite(r).all()
+            and np.isfinite(x).all() and x.any(axis=1).all()):
+
+        def per_trial(mask):
+            return np.broadcast_to(mask, (n_trials,))
+
+        _raise_first_bad([
+            (~np.isfinite(h) | (h == 0), "channel is zero or not finite"),
+            (~np.all(np.isfinite(r), axis=1), "non-finite sample"),
+            (per_trial(~np.all(np.isfinite(x), axis=1)), "non-finite known symbol"),
+            (per_trial(~np.any(x, axis=1)), "known symbols are all zero")])
+    # the beta = 0 decision, once for a shared row
+    real = np.broadcast_to(predicted_fim_rank(moments(x)) == 2, (n_trials,))
+    x = np.broadcast_to(x, r.shape)
     theta = np.empty((n_trials, 4))
     converged = np.ones(n_trials, dtype=bool)
     iters = np.zeros(n_trials, dtype=int)
     cost = np.empty(n_trials)
-    real = predicted_fim_rank(moments(x)) == 2
     for blk in np.split(np.arange(n_trials), range(_BLOCK_TRIALS, n_trials, _BLOCK_TRIALS)):
         fa, lm = blk[real[blk]], blk[~real[blk]]
         if fa.size:
@@ -196,12 +214,6 @@ def nls_estimate(
     ``converged=False``. ``n_evaluations`` counts model evaluations: one at
     the initial point plus one per iteration.
     """
-    if not np.isfinite(h_known) or h_known == 0:
-        raise ValueError("h_known must be finite and nonzero")
-    if not np.all(np.isfinite(b.samples)) or not np.all(np.isfinite(b.known_symbols)):
-        raise ValueError("burst samples and known symbols must be finite")
-    if not np.any(b.known_symbols):
-        raise ValueError("known symbols must not all be zero")
     cfo = b.meta.channel.cfo_rad_per_symbol
     r = b.samples
     if cfo != 0.0:
@@ -299,10 +311,10 @@ def mc_crb_validation(
     if pilot_mode == "iridium" and mom != moments(iridium_known_symbols(n)):
         raise ConfigError(f"pilot_mode 'iridium' sends +-1 pilots and needs an alphabet "
                           f"with BPSK moments, got {mod_name!r}")
-    x = np.empty((n_trials, n), dtype=complex)
+    # random pilots are drawn into a per-trial buffer; Iridium runs send the
+    # one read-only row that campaigns send
     alphabet = c if pilot_mode == "random" else None
-    if alphabet is None:
-        x[:] = iridium_known_symbols(n)
+    x = iridium_known_symbols(n)[None] if alphabet is None else np.empty((n_trials, n), complex)
     rows = []
     grid = np.atleast_1d(np.asarray(snr_grid_db, dtype=float))
     keyed = _keyed_generators((seed,), (grid.size, n_trials))
@@ -317,13 +329,14 @@ def mc_crb_validation(
                           for f in (fim, fim_exact))
         status = "ok" if rep.rank == 4 else "rank_deficient_pa_subblock"
         ch = ChannelConfig(h=1.0 + 0.0j, snr_db=float(snr_db))
-        r = np.empty_like(x)
+        r = np.empty((n_trials, n), dtype=complex)
         gauss = np.empty((n_trials, 4))
         # synthesized in blocks, so that the noise draws never span all trials
         for start in range(0, n_trials, _BLOCK_TRIALS):
             stop = min(start + _BLOCK_TRIALS, n_trials)
-            r[start:stop] = _synthesize_rows(keyed, stop - start, x[start:stop], truth, ch,
-                                             alphabet, normals=gauss[start:stop])[0]
+            known = x if alphabet is None else x[start:stop]
+            r[start:stop] = _synthesize_rows(keyed, stop - start, known, truth, ch, alphabet,
+                                             normals=gauss[start:stop])[0]
         # the oracle initial point: truth plus Gaussian perturbation, std
         # 0.1 |component| with a 1e-3 floor; equal bit for bit to a per-trial
         # rng.normal(0.0, sigma), which numpy forms as 0.0 + sigma * gauss

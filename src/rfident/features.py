@@ -75,17 +75,10 @@ def _raise_first_bad(checks, first: int = 0, **fields) -> None:
 
 
 def _power(u: np.ndarray, p: int) -> np.ndarray:
-    """u**p for a positive int p by repeated squaring: u * u for 2 and
-    (u * u) * (u * u) for 4, where numpy's complex power would round
-    differently and cost more."""
-    out = None
-    while True:
-        if p & 1:
-            out = u if out is None else out * u
-        p >>= 1
-        if not p:
-            return out
-        u = u * u
+    """u**p for p = 2 or 4, as u * u and (u * u) * (u * u), where numpy's
+    complex power would round differently and cost more."""
+    u2 = u * u
+    return u2 * u2 if p == 4 else u2
 
 
 def _unwrap_rows(phase: np.ndarray) -> np.ndarray:

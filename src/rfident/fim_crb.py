@@ -30,7 +30,6 @@ from .constellation import (
     ConfigError,
     Constellation,
     Moments,
-    directional_sensitivities,
     predicted_fim_rank,
 )
 from .signal_model import PARAM_NAMES, HwiParams, _front_end, apply_hwi, hwi_model_and_jacobian
@@ -110,7 +109,6 @@ class CrbReport:
     crb: np.ndarray
     rank: int
     null_basis: np.ndarray
-    condition_number: float
     identifiable: np.ndarray
     pinv: np.ndarray
 
@@ -139,13 +137,13 @@ def fim_closed_form(m: Moments, p: HwiParams, n: int, gamma: float) -> Fim:
     n_gamma = _sample_snr(n, gamma, 1)
     if predicted_fim_rank(m) == 2:
         return fim_samples(np.sqrt(m.mu20), p, n_gamma)
-    ds = directional_sensitivities(m, p.eps, p.phi)
-    j_iq = np.array(
-        [
-            [ds.beta_eps, ds.j_epsphi],
-            [ds.j_epsphi, (1.0 + p.eps) ** 2 * ds.beta_phi],
-        ]
-    )
+    # the IQ information splits between the gain and phase directions:
+    # beta_eps = (1 - Re z) / 2 and beta_phi = (1 + Re z) / 2, with the cross
+    # term (1 + eps) Im(z) / 2, for z = e^{-2j phi} mu20
+    z = np.exp(-2j * p.phi) * m.mu20
+    beta_eps, beta_phi = 0.5 * (1.0 - z.real), 0.5 * (1.0 + z.real)
+    j_epsphi = 0.5 * (1.0 + p.eps) * z.imag
+    j_iq = np.array([[beta_eps, j_epsphi], [j_epsphi, (1.0 + p.eps) ** 2 * beta_phi]])
     j_pa = m.mu6 * np.eye(2)
     c, s = math.cos(p.phi), math.sin(p.phi)
     j_x = 0.5 * m.mu4 * np.array([[c, s], [-(1.0 + p.eps) * s, (1.0 + p.eps) * c]])
@@ -232,7 +230,6 @@ def crb_report(f: Fim) -> CrbReport:
     keep = eig > _RANK_TOL * max(lam_max, 1e-300)
     rank = int(np.sum(keep))
     null_basis = vec[:, ~keep].T.copy()
-    cond = math.inf if rank < 4 else float(eig[-1] / eig[0])
 
     inv_eig = np.where(keep, 1.0 / np.where(keep, eig, 1.0), 0.0)
     pinv = (vec * inv_eig) @ vec.T
@@ -249,7 +246,6 @@ def crb_report(f: Fim) -> CrbReport:
         crb=crb,
         rank=rank,
         null_basis=null_basis,
-        condition_number=cond,
         identifiable=identifiable,
         pinv=pinv,
     )

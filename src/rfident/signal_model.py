@@ -150,18 +150,12 @@ class ChannelConfig:
         return self.snr_db is None or math.isinf(self.snr_db)
 
     @property
-    def snr_linear(self) -> float:
-        if self.noise_free:
-            return math.inf
-        return _db_to_linear(self.snr_db, "snr_db")
-
-    @property
     def noise_variance(self) -> float:
         """sigma^2 such that |h|^2 / sigma^2 matches the configured SNR
         (|h|^2 is the mean channel power when Rician draws are enabled)."""
         if self.noise_free:
             return 0.0
-        var = abs(self.h) ** 2 / self.snr_linear
+        var = abs(self.h) ** 2 / _db_to_linear(self.snr_db, "snr_db")
         if var <= 0.0:
             raise ValueError("channel power must be positive for finite SNR")
         return var
@@ -254,12 +248,14 @@ def uw_symbols() -> np.ndarray:
 
 def iridium_known_symbols(n: int = N_PREAMBLE + N_UW) -> np.ndarray:
     """The first ``n`` of the burst's 76 known symbols: 64 constant preamble
-    symbols (1+0j), then the 12-symbol unique word. ``ConfigError`` unless
-    0 <= n <= 76."""
+    symbols (1+0j), then the 12-symbol unique word, read-only, so that every
+    burst may share them. ``ConfigError`` unless 0 <= n <= 76."""
     if not 0 <= n <= N_PREAMBLE + N_UW:
         raise ConfigError(f"an Iridium burst has {N_PREAMBLE + N_UW} known symbols, "
                           f"not {n}")
-    return np.concatenate([np.ones(N_PREAMBLE, dtype=complex), uw_symbols()])[:n]
+    x = np.concatenate([np.ones(N_PREAMBLE, dtype=complex), uw_symbols()])[:n]
+    x.flags.writeable = False
+    return x
 
 
 def random_known_symbols(c: Constellation, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -587,7 +583,6 @@ def _header_meta(hdr: dict, n: int, has_known: bool) -> tuple:
             raise BurstError(f"the modulation 'iridium' implies {N_PREAMBLE + N_UW} "
                              f"known symbols, but the file holds {n} samples")
         pilots = iridium_known_symbols(n)
-        pilots.flags.writeable = False
     meta = BurstMeta(satellite_id=sat, truth=truth,
                      channel=ChannelConfig(snr_db=snr_db), modulation=modulation)
     if n == 0:
@@ -600,7 +595,8 @@ def _burst_header(raw: bytes) -> tuple:
     """(n, has_known_symbols, meta, pilots, error) of a burst file's header
     bytes, memoized by those bytes: every file of one satellite in one
     campaign repeats them, and the cached meta and pilots are immutable.
-    A header that is not JSON or lacks an integer n >= 0 raises
+    A header that is not JSON, lacks an integer n >= 0 or holds a
+    has_known_symbols other than true, false or null raises
     ``BurstError`` (and is not cached); one that fails ``_header_meta`` is
     cached with meta and pilots None and its message as ``error``, which
     the reader raises after its size checks."""
@@ -613,7 +609,11 @@ def _burst_header(raw: bytes) -> tuple:
     n = hdr.get("n") if isinstance(hdr, dict) else None
     if type(n) is not int or n < 0:
         raise BurstError(f"the header needs an integer n >= 0, got {n!r}")
-    has_known = bool(hdr.get("has_known_symbols"))
+    # it sets the body size; absent and null read as false
+    has_known = hdr.get("has_known_symbols")
+    if type(has_known) not in (bool, type(None)):
+        raise BurstError(f"has_known_symbols must be true, false or null, got {has_known!r}")
+    has_known = bool(has_known)
     try:
         return (n, has_known, *_header_meta(hdr, n, has_known), None)
     except ConfigError as exc:

@@ -157,13 +157,32 @@ def test_unknown_config_keys_rejected(tmp_path):
     # a feature value that is not finite (an SNR of inf is noise-free)
     ("features", "satellite_id,burst_index,snr_db,amp_var\r\nA,0,inf,1.0\r\nA,1,12,nan\r\n"),
     ("features", "satellite_id,burst_index,snr_db,amp_var\r\nA,0,12,-inf\r\n"),
+    # a JSON boolean is no number
+    ("fleet-sim", {"snr_db": True}),
+    ("authenticate", {"n_acc_grid": [True, 2]}),
+    ("--paper-dr", {"amp_var": True}),
+    # file faults: a directory where a file is read, a file where the output
+    # directory goes, and bytes that are not UTF-8
+    pytest.param("directory-config", "", id="directory-config"),
+    pytest.param("directory-features", "", id="directory-features"),
+    pytest.param("file-out-dir", "", id="file-out-dir"),
+    pytest.param("crb-curves", b"\xff\xfe{}", id="non-utf8-config"),
+    pytest.param("features", b"satellite_id,burst_index\r\n\xff,0\r\n", id="non-utf8-features"),
 ])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+    if isinstance(config, bytes):
+        cfg.write_bytes(config)
+    else:
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
     argv = {"--paper-dr": ["authenticate", "--paper-dr", cfg],
             "features": ["dr-analysis", cfg],
-            "alphabet": ["moments", cfg]}.get(command, [command, "--config", cfg])
+            "alphabet": ["moments", cfg],
+            "directory-config": ["crb-curves", "--config", tmp_path],
+            "directory-features": ["dr-analysis", tmp_path],
+            # the last --out-dir is the one argparse keeps
+            "file-out-dir": ["--out-dir", cfg, "moments", "qpsk"]}.get(
+        command, [command, "--config", cfg])
     assert run(["--out-dir", tmp_path, *argv]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -6,7 +5,6 @@ import pytest
 
 from rfident.constellation import (
     InvalidConstellationError,
-    directional_sensitivities,
     load_constellation_json,
     make_constellation,
     moments,
@@ -147,38 +145,6 @@ def test_json_loader(tmp_path):
     path.write_text("[[2.0, 0.0], [-2.0, 0.0]]")
     c = load_constellation_json(path)
     assert set(np.round(c.points, 12)) == {1.0 + 0j, -1.0 + 0j}
-
-
-def test_directional_sensitivities_circular():
-    m = moments(make_constellation("qpsk").points)
-    for phi in (0.0, 0.03, -0.2):
-        ds = directional_sensitivities(m, 0.0, phi)
-        assert ds.beta_eps == pytest.approx(0.5, abs=1e-12)
-        assert ds.beta_phi == pytest.approx(0.5, abs=1e-12)
-        assert ds.j_epsphi == pytest.approx(0.0, abs=1e-12)
-
-
-def test_directional_sensitivities_bpsk():
-    m = moments(make_constellation("bpsk").points)
-    ds = directional_sensitivities(m, 0.0, 0.0)
-    assert ds.beta_eps == pytest.approx(0.0, abs=1e-12)
-    assert ds.beta_phi == pytest.approx(1.0, abs=1e-12)
-    # small-angle value equals the exact sin^2 from the defining formula
-    phi = 0.05
-    ds = directional_sensitivities(m, 0.0, phi)
-    z = cmath.exp(-2j * phi) * m.mu20
-    assert ds.beta_eps == pytest.approx(0.5 * (1 - z.real), abs=1e-15)
-    assert ds.beta_eps == pytest.approx(math.sin(phi) ** 2, abs=1e-12)
-
-
-def test_directional_sensitivities_sum_to_one():
-    rng = np.random.default_rng(0)
-    for kind in ALL_KINDS:
-        m = moments(make_constellation(kind).points)
-        for _ in range(20):
-            eps, phi = rng.normal(0, 0.1, 2)
-            ds = directional_sensitivities(m, eps, phi)
-            assert abs(ds.beta_eps + ds.beta_phi - 1.0) < 1e-12
 
 
 def test_points_are_immutable():

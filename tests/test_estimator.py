@@ -6,6 +6,7 @@ import pytest
 
 from rfident import estimator
 from rfident.constellation import ConfigError, make_constellation
+from rfident.features import DegenerateInputError
 from rfident.estimator import (
     fit_batch,
     mc_crb_validation,
@@ -136,6 +137,58 @@ def test_batched_fit_matches_per_burst_estimates():
         assert status.residual == pytest.approx(fit.residual[t], rel=1e-9)
 
 
+@pytest.mark.parametrize("pilots", ["iridium", "qpsk"])
+def test_fit_batch_shared_row_equals_the_repeated_stack(pilots):
+    # one (1, N) row of known symbols that every trial shares gives every
+    # trial the bits of the stack that repeats it, on the PA sub-block fit
+    # (beta = 0) and on the Levenberg-Marquardt fit (beta > 0); 70 trials
+    # cross the 64-trial fit block
+    rng = np.random.default_rng(11)
+    x = (iridium_known_symbols() if pilots == "iridium"
+         else random_known_symbols(make_constellation("qpsk"), 76, rng))
+    n_trials = 70
+    r = np.array([synthesize_burst(x, TRUTH, ChannelConfig(snr_db=15.0), seed=rng).samples
+                  for _ in range(n_trials)])
+    theta0 = TRUTH.as_vector() * (1.0 + 0.1 * rng.standard_normal((n_trials, 4)))
+    got = fit_batch(r, np.ones(n_trials), x[None], theta0)
+    want = fit_batch(r, np.ones(n_trials), np.repeat(x[None], n_trials, axis=0), theta0)
+    for name in ("theta", "converged", "iterations", "residual"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert (want.iterations == 0).all() == (pilots == "iridium")
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("part, value, message", [
+    ("h", np.nan, "channel is zero or not finite"),
+    ("h", 0.0, "channel is zero or not finite"),
+    ("r", np.inf, "non-finite sample"),
+    ("x", np.nan, "non-finite known symbol"),
+    ("x", 0.0, "known symbols are all zero"),
+])
+def test_fit_batch_refuses_bad_input_naming_the_first_bad_burst(part, value, message, shared):
+    # checked once per call, before any fit: a NaN sample would otherwise run
+    # its trial through the whole iteration budget, a zero channel or silent
+    # symbols would give a singular matrix; a bad shared row is every
+    # trial's, so burst 0 is named
+    x = iridium_known_symbols()
+    args = {
+        "r": np.array([synthesize_burst(x, TRUTH, ChannelConfig(snr_db=15.0), seed=t).samples
+                       for t in range(3)]),
+        "h": np.ones(3, dtype=complex),
+        "x": x[None].copy() if shared else np.repeat(x[None], 3, axis=0),
+    }
+    bad = 0 if shared and part == "x" else 1
+    if part == "h":
+        args["h"][bad] = value
+    elif value == 0.0:
+        args[part][bad] = value
+    else:
+        args[part][bad, 10] = value
+    args["r"][2, 5] = np.nan  # a later bad trial is not the one named
+    with pytest.raises(DegenerateInputError, match=f"^burst {bad}: {message}$"):
+        fit_batch(args["r"], args["h"], args["x"], np.tile(TRUTH.as_vector(), (3, 1)))
+
+
 def test_mc_validation_low_snr_damped_fit_reaches_reference_minima():
     # Undamped Gauss-Newton steps leave some of these 0 dB trials in other
     # minima (MSE 10-23% higher per component). The reference is the MSE
@@ -208,7 +261,9 @@ def test_mc_validation_equals_per_trial_synthesis(monkeypatch, modulation, pilot
             theta0.append(v + rng.normal(0.0, np.maximum(0.1 * np.abs(v), 1e-3)))
         r, x, theta0 = np.array(r), np.array(x), np.array(theta0)
         assert fits[k][0].tobytes() == r.tobytes()
-        assert fits[k][1].tobytes() == x.tobytes()
+        # Iridium runs send the one (1, 76) pilot row that campaigns send
+        assert fits[k][1].shape == ((1, 76) if pilot_mode == "iridium" else x.shape)
+        assert np.broadcast_to(fits[k][1], x.shape).tobytes() == x.tobytes()
         assert fits[k][2].tobytes() == theta0.tobytes()
         fit = fit_batch(r, np.ones(n_trials), x, theta0)
         mse = np.mean((fit.theta - TRUTH.as_vector()) ** 2, axis=0)

@@ -44,6 +44,30 @@ def test_closed_form_qpsk_small_impairment_blocks():
     assert np.allclose(m[:2, 2:], 0.5 * np.eye(2), atol=1e-14)
 
 
+def test_closed_form_iq_block_circular():
+    # a circular alphabet (mu20 = 0) splits the IQ information evenly
+    # between gain and phase, with no cross term, at any phi
+    for phi in (0.0, 0.03, -0.2):
+        f = fim_closed_form(moments(QPSK.points), HwiParams(phi=phi), N, GAMMA)
+        assert f.matrix[:2, :2] / (2.0 * N * GAMMA) == pytest.approx(0.5 * np.eye(2), abs=1e-12)
+
+
+def test_closed_form_iq_block_cross_term():
+    # a non-circular alphabet with beta > 0: beta_eps = (1 - Re z) / 2,
+    # beta_phi = (1 + Re z) / 2 and the cross term (1 + eps) Im(z) / 2, with
+    # z = e^{-2j phi} mu20
+    c = make_constellation("custom", points=np.array([1 + 0.8j, 1 - 0.8j, -1 + 0.8j, -1 - 0.8j])
+                           * cmath.exp(0.4j))
+    m, p = moments(c.points), HwiParams(eps=0.03, phi=0.1)
+    assert m.beta > 0.9
+    z = cmath.exp(-2j * p.phi) * m.mu20
+    cross = 0.5 * (1.0 + p.eps) * z.imag
+    want = [[0.5 * (1.0 - z.real), cross], [cross, (1.0 + p.eps) ** 2 * 0.5 * (1.0 + z.real)]]
+    got = fim_closed_form(m, p, N, GAMMA).matrix[:2, :2] / (2.0 * N * GAMMA)
+    assert got == pytest.approx(np.array(want), rel=1e-12)
+    assert cross > 0.05
+
+
 def test_closed_form_bpsk_gain_entry_vanishes_at_phi_zero():
     f = fim_closed_form(moments(BPSK.points), HwiParams(eps=0.05, phi=0.0), N, GAMMA)
     assert f.matrix[0, 0] == pytest.approx(0.0, abs=1e-12)
@@ -226,7 +250,7 @@ def test_crb_report_full_rank_qpsk():
     # coupled inverse: CRB(eps) doubles relative to 1/J_ii
     assert rep.crb[0] == pytest.approx(2.0 / f.matrix[0, 0], rel=1e-12)
     assert np.all(rep.crb >= 1.0 / np.diag(f.matrix) - 1e-15)
-    assert rep.condition_number < 20
+    assert np.linalg.cond(f.matrix) < 20
 
 
 def test_crb_report_bpsk_rank_and_null_space():

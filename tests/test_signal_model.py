@@ -651,6 +651,13 @@ def _with_header(header: bytes) -> bytes:
      "satellite_id and modulation must be strings, got '' and 4"),
     pytest.param(_with_header(b"[" * 100_000), "malformed header: maximum recursion depth",
                  id="deeply-nested-header"),
+    # has_known_symbols sets the body size: only true, false or null
+    pytest.param(_with_header(b'{"n": 1, "has_known_symbols": "false"}') + bytes(32),
+                 "has_known_symbols must be true, false or null, got 'false'",
+                 id="has_known_symbols-string"),
+    pytest.param(_with_header(b'{"n": 1, "has_known_symbols": 1}') + bytes(32),
+                 "has_known_symbols must be true, false or null, got 1",
+                 id="has_known_symbols-int"),
 ])
 def test_malformed_binary_burst_header(tmp_path, data, message):
     path = tmp_path / "burst.bin"
